@@ -1,16 +1,22 @@
 #!/usr/bin/env sh
 # Launches a 3-node cluster with the observability layer on: every node
-# traces each envelope, serves live Prometheus metrics off its event
-# loop, and snapshots the page to disk. The script waits for the
-# workload, scrapes a live endpoint, merges the per-node Chrome traces
-# into one timeline (load it in Perfetto / chrome://tracing), and leaves
-# all artifacts in OUT_DIR:
+# runs --trace (its flight ring, sized up, is decoded into a Chrome trace
+# at SIGTERM, with Occurs_After edges joined from its recorded deps),
+# serves live Prometheus metrics off its event loop, and snapshots the
+# page to disk. The script waits for the workload, scrapes a live
+# endpoint, merges the per-node traces into one timeline (load it in
+# Perfetto / chrome://tracing), and leaves all artifacts in OUT_DIR:
 #
 #   scrape.prom        live scrape of node 0's /metrics endpoint
 #   metricsN.prom      each node's final snapshot file
 #   traceN.json        each node's Chrome trace
 #   trace_merged.json  the merged cross-process timeline
+#   latency.json       cbc_trace_merge --report-json over the three traces
 #   reportN.txt        each node's key=value report
+#
+# Exits non-zero unless the merged trace has deliver spans for every
+# node, at least one Occurs_After flow, and nonzero encode, wire, hold
+# and deliver sample counts in latency.json.
 #
 # Usage: examples/observe_cluster.sh [BUILD_DIR] [ROUNDS] [OPS] [OUT_DIR] [OBJECT]
 #
@@ -70,8 +76,37 @@ fi
 kill -TERM $P0 $P1 $P2
 wait $P0 $P1 $P2 2>/dev/null || true
 
-"$MERGE_BIN" -o "$OUT/trace_merged.json" \
+"$MERGE_BIN" -o "$OUT/trace_merged.json" --report-json "$OUT/latency.json" \
     "$OUT/trace0.json" "$OUT/trace1.json" "$OUT/trace2.json"
+
+# Gate the merged timeline on the stages the single event pipeline must
+# carry end to end.
+python3 - "$OUT/trace_merged.json" "$OUT/latency.json" <<'EOF'
+import json
+import sys
+from collections import Counter
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+report = json.load(open(sys.argv[2]))
+delivering = {e["pid"] for e in events
+              if e["ph"] == "X" and e["name"] == "deliver"}
+edge = {ph: Counter(e["id"] for e in events
+                    if e.get("cat") == "occurs_after" and e["ph"] == ph)
+        for ph in ("s", "f")}
+flows = sum(min(n, edge["f"][key]) for key, n in edge["s"].items())
+problems = ["no deliver spans for node %d" % pid
+            for pid in (0, 1, 2) if pid not in delivering]
+if flows == 0:
+    problems.append("no Occurs_After flows")
+problems += ["no %s samples in latency.json" % stage
+             for stage in ("encode", "wire", "hold", "deliver")
+             if report[stage]["count"] == 0]
+for problem in problems:
+    print("observe_cluster: FAIL: " + problem, file=sys.stderr)
+print("--- merged trace: %d nodes with deliver spans, %d Occurs_After flows"
+      % (len(delivering), flows))
+sys.exit(1 if problems else 0)
+EOF
 
 echo "--- scraped from node 0 (port $PORT)"
 grep -E '^cbc_(osend_delivered|udp_datagrams_sent|batch_messages_in|check_stable_points) ' \

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "obs/msg_trace.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -32,7 +31,7 @@ OSendMember::OSendMember(Transport& transport, const GroupView& view,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "osend";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     hold_hist_ =
         &options_.obs.metrics->histogram(options_.obs.prefix + ".hold_us");
     // Scrape-time migration of OrderingStats onto the registry: the
@@ -79,7 +78,6 @@ MessageId OSendMember::broadcast(std::string label,
           "OSendMember::broadcast: sends suspended during a view change");
   const MessageId message_id{id(), next_seq_++};
   stats_.broadcasts += 1;
-  obs::trace_submit(options_.obs, message_id, label);
   obs::flight_record(obs::FlightEvent::kSubmit, message_id);
 
   // Encode ONCE: prelude + envelope section into a single shared frame.
@@ -297,7 +295,7 @@ void OSendMember::try_deliver(Delivery delivery) {
     const MessageId pending_id = delivery.id;
     const std::int64_t held_since_us =
         options_.obs.any() || obs::flight_recorder() != nullptr
-            ? obs::Tracer::wall_now_us()
+            ? obs::wall_now_us()
             : 0;
     obs::flight_record(obs::FlightEvent::kHoldEnter, pending_id, missing);
     pending_.emplace(pending_id, PendingMessage{std::move(delivery), missing,
@@ -363,7 +361,7 @@ void OSendMember::deliver_now(Delivery delivery,
   delivery.delivered_at = transport_.now_us();
   if (options_.obs.any() || obs::flight_recorder() != nullptr) {
     const std::int64_t hold_us =
-        held_since_us > 0 ? obs::Tracer::wall_now_us() - held_since_us : 0;
+        held_since_us > 0 ? obs::wall_now_us() - held_since_us : 0;
     const auto held =
         static_cast<std::uint64_t>(std::max<std::int64_t>(hold_us, 0));
     if (hold_hist_ != nullptr) {
@@ -373,10 +371,6 @@ void OSendMember::deliver_now(Delivery delivery,
       obs::flight_record(obs::FlightEvent::kHoldExit, delivery.id, held);
     }
     obs::flight_record(obs::FlightEvent::kDeliver, delivery.id, held);
-    if (options_.obs.any()) {
-      obs::trace_deliver(options_.obs, delivery.id, delivery.label(),
-                         delivery.deps().ids(), hold_us);
-    }
   }
   if (!options_.keep_delivery_log) {
     log_.clear();

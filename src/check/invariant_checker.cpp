@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace cbc::check {
 
@@ -59,7 +58,7 @@ InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "check";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     const std::string& prefix = options_.obs.prefix;
     deliveries_counter_ = &options_.obs.metrics->counter(prefix +
                                                          ".deliveries");
@@ -127,13 +126,6 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
                            stable_digests_.size());
         if (stable_points_counter_ != nullptr) {
           stable_points_counter_->inc();
-        }
-        if (obs::tracing(options_.obs)) {
-          options_.obs.tracer->instant(
-              "stable_point", "check", obs::Tracer::wall_now_us(),
-              "\"cycle\":" + std::to_string(stable_digests_.size()) +
-                  ",\"sync\":\"" + message.to_string() +
-                  "\",\"digest\":" + std::to_string(digest_chain_));
         }
       }
     }

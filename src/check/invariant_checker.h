@@ -64,8 +64,9 @@ class InvariantChecker final : public ProtocolLayer {
     /// cycle k at one member and cycle k+1 at another, so folding it into
     /// the digest would report divergence where states actually agree.
     std::set<std::string> digest_exempt_kinds;
-    /// Observability sinks: delivery/violation/stable-point counters plus
-    /// a `stable_point` trace instant per closed cycle. Default: off.
+    /// Observability sinks: delivery/violation/stable-point counters.
+    /// Default: off. Each closed cycle is also journaled as a
+    /// kStablePoint flight record (a `stable_point` trace instant).
     obs::Hooks obs{};
   };
 

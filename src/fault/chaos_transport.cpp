@@ -52,7 +52,7 @@ ChaosTransport::ChaosTransport(Transport& inner, Options options)
     options_.obs.prefix = "fault";
   }
   arm_local_crash();
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     collector_ = options_.obs.metrics->register_collector(
         [this](obs::CollectorSink& sink) {
           const ChaosStats s = stats();

@@ -414,7 +414,7 @@ class Server {
     if (!args_.observability()) {
       return {};
     }
-    return {&registry_, nullptr, std::move(prefix)};
+    return {&registry_, std::move(prefix)};
   }
 
   [[nodiscard]] cbc::NodeId remap_origin(cbc::NodeId rank) const {

@@ -26,7 +26,7 @@ KvService::KvService(Replica& replica, ReplyFn reply, NowFn now,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "kv";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     wait_hist_ = &options_.obs.metrics->histogram(options_.obs.prefix +
                                                   ".context_wait_us");
     collector_ = options_.obs.metrics->register_collector(

@@ -39,8 +39,10 @@
 //                         event loop (0 picks an ephemeral port, written to
 //                         the report as metrics_port=...);
 //   --metrics-snapshot F  rewrite the metrics page to F every 250ms;
-//   --trace F             per-envelope causal tracing, written to F as
-//                         Chrome trace-event JSON at SIGTERM.
+//   --trace F             per-envelope causal trace: at SIGTERM the flight
+//                         ring (sized to kTraceRingRecords) is decoded to F
+//                         as Chrome trace-event JSON, with Occurs_After
+//                         edges joined from the recorded history's deps.
 //
 // --observer joins without submitting anything (a restarted member whose
 // per-link reliability state died with its previous incarnation: it can
@@ -108,7 +110,6 @@
 #include "obs/hooks.h"
 #include "obs/instrument_layer.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "replica/replica_node.h"
 #include "stack/protocol_layer.h"
 #include "total/asend.h"
@@ -117,6 +118,10 @@
 #include "util/serde.h"
 
 namespace {
+
+/// Flight-ring capacity with --trace: room for about a million records,
+/// a whole traced run (40 MB of slots, resident only once written).
+constexpr std::size_t kTraceRingRecords = std::size_t{1} << 20;
 
 volatile std::sig_atomic_t g_depart_requested = 0;
 volatile std::sig_atomic_t g_terminate_requested = 0;
@@ -342,17 +347,6 @@ cbc::BatchingTransport::Options make_batching_options(cbc::obs::Hooks obs) {
   return options;
 }
 
-std::unique_ptr<cbc::obs::Tracer> make_tracer(const NodeArgs& args) {
-  if (args.trace_path.empty()) {
-    return nullptr;
-  }
-  cbc::obs::Tracer::Options options;
-  options.pid = static_cast<std::uint32_t>(args.id);
-  options.process_name = "cbc_node " + std::to_string(args.id) + " (" +
-                         args.discipline + ")";
-  return std::make_unique<cbc::obs::Tracer>(std::move(options));
-}
-
 /// Everything one node process owns, wired bottom-up.
 class Node {
  public:
@@ -362,7 +356,6 @@ class Node {
         config_(std::move(config)),
         loop_(cbc::net::EventLoop::Options{.force_poll = args.force_poll,
                                            .wheel = {}}),
-        tracer_(make_tracer(args)),
         udp_(loop_, config_, make_udp_options(args.id, hooks("udp"))),
         chaos_(make_chaos()),
         batching_(chaos_ != nullptr ? static_cast<cbc::Transport&>(*chaos_)
@@ -461,7 +454,9 @@ class Node {
         std::move(tap), derived,
         cbc::FrontEndManager::Options{.fifo_chain = true},
         cbc::object::Value(entry_.make()));
-    if (!args_.record_history_path.empty()) {
+    // One (id, deps, ...) buffer serves both the cbc_check history and
+    // the Occurs_After edges of --trace.
+    if (!args_.record_history_path.empty() || !args_.trace_path.empty()) {
       replica_->set_apply_observer(
           [this](const cbc::Delivery& delivery,
                  const std::vector<std::uint8_t>& response) {
@@ -654,7 +649,7 @@ class Node {
     if (!args_.observability()) {
       return {};
     }
-    return {&registry_, tracer_.get(), std::move(prefix)};
+    return {&registry_, std::move(prefix)};
   }
 
   void arm_tick() {
@@ -702,18 +697,30 @@ class Node {
     std::rename(tmp.c_str(), args_.metrics_snapshot_path.c_str());
   }
 
+  /// Decodes the flight ring into the --trace file. Runs before
+  /// write_history(), which consumes the history buffer.
   void write_trace() {
-    if (tracer_ == nullptr || args_.trace_path.empty()) {
+    cbc::obs::FlightRecorder* recorder = cbc::obs::flight_recorder();
+    if (args_.trace_path.empty() || recorder == nullptr) {
       return;
     }
-    if (!tracer_->write_file(args_.trace_path)) {
+    cbc::obs::DepsById deps;
+    for (const cbc::check::HistoryOp& op : history_) {
+      deps.emplace(op.id, op.deps);
+    }
+    const cbc::obs::FlightDump dump =
+        cbc::obs::decode_flight_dump(recorder->snapshot_bytes());
+    std::ofstream out(args_.trace_path, std::ios::trunc);
+    out << cbc::obs::render_trace_events(
+        cbc::obs::flight_to_trace_events(dump, deps));
+    if (!out) {
       std::cerr << "cbc_node " << args_.id << ": cannot write trace to "
                 << args_.trace_path << "\n";
     }
   }
 
   /// Persists the recorded per-site history for the offline cbc_check
-  /// oracle. Written once, at SIGTERM, next to the trace.
+  /// oracle. Written once, at SIGTERM, after the trace.
   void write_history() {
     if (args_.record_history_path.empty()) {
       return;
@@ -1065,10 +1072,9 @@ class Node {
   NodeArgs args_;
   cbc::net::ClusterConfig config_;
   cbc::net::EventLoop loop_;
-  // Registry and tracer precede every component that registers collectors
-  // or emits trace events, so they are destroyed last.
+  // The registry precedes every component that registers collectors, so
+  // it is destroyed last.
   cbc::obs::MetricsRegistry registry_;
-  std::unique_ptr<cbc::obs::Tracer> tracer_;
   cbc::net::UdpTransport udp_;
   // Optional fault-injection seam; batching_ rides it when present.
   std::unique_ptr<cbc::fault::ChaosTransport> chaos_;
@@ -1083,7 +1089,8 @@ class Node {
   cbc::object::CatalogEntry entry_;
   std::string sync_kind_;
   bool sync_inert_ = false;
-  std::vector<cbc::check::HistoryOp> history_;  // --record-history buffer
+  // --record-history / --trace buffer
+  std::vector<cbc::check::HistoryOp> history_;
 
   // Workload state (loop-thread-only).
   std::int64_t current_round_ = -1;  // last round whose ops were submitted
@@ -1132,6 +1139,9 @@ int main(int argc, char** argv) {
     flight_options.node_id = static_cast<std::uint32_t>(args.id);
     flight_options.role = 0;
     flight_options.path = args.flight_path;
+    if (!args.trace_path.empty()) {
+      flight_options.capacity = kTraceRingRecords;
+    }
     if (args.flight_path.empty()) {
       flight_options.dump_path =
           !args.report_path.empty()

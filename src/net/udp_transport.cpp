@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "obs/trace.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -52,7 +51,7 @@ UdpTransport::UdpTransport(EventLoop& loop, ClusterConfig config,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "udp";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     // Scrape-time migration of Stats onto the registry: the struct stays
     // the storage; the collector reads it under the stats lock.
     collector_ = options_.obs.metrics->register_collector(
@@ -131,13 +130,6 @@ void UdpTransport::send(NodeId from, NodeId to, SharedBuffer frame) {
   const ssize_t n =
       ::sendto(endpoint->fd, frame->data(), frame->size(), 0,
                reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-  if (n == static_cast<ssize_t>(frame->size()) &&
-      obs::tracing(options_.obs)) {
-    options_.obs.tracer->instant(
-        "udp_send", "udp", obs::Tracer::wall_now_us(),
-        "\"to\":" + std::to_string(to) +
-            ",\"bytes\":" + std::to_string(frame->size()));
-  }
   const LockGuard guard(stats_mutex_);
   if (n == static_cast<ssize_t>(frame->size())) {
     stats_.datagrams_sent += 1;
@@ -183,12 +175,6 @@ void UdpTransport::on_readable(std::size_t endpoint_index) {
     {
       const LockGuard guard(stats_mutex_);
       stats_.datagrams_received += 1;
-    }
-    if (obs::tracing(options_.obs)) {
-      options_.obs.tracer->instant(
-          "udp_recv", "udp", obs::Tracer::wall_now_us(),
-          "\"from\":" + std::to_string(*from) +
-              ",\"bytes\":" + std::to_string(bytes.size()));
     }
     const WireFrame frame(make_buffer(std::move(bytes)));
     try {

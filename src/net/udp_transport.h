@@ -58,8 +58,7 @@ class UdpTransport final : public Transport {
     std::vector<NodeId> local_ids;
     std::size_t max_datagram_bytes = 60 * 1024;  ///< send-side size cap
     int socket_buffer_bytes = 1 << 20;  ///< SO_RCVBUF / SO_SNDBUF request
-    /// Observability sinks (Stats collector + per-datagram trace
-    /// instants when a tracer is attached). Default: off.
+    /// Observability sinks (Stats collector). Default: off.
     obs::Hooks obs{};
   };
 

@@ -3,8 +3,9 @@
 //   cbc_flight -o postmortem.json flight_node2.bin [more.bin ...]
 //   cbc_flight --summary flight_node2.bin
 //
-// The output is the same trace-event schema live Tracers write, so a
-// postmortem merges into the surviving nodes' timeline:
+// The output is the same trace-event schema `cbc_node --trace` writes
+// (both decode a flight ring), so a postmortem merges into the surviving
+// nodes' timeline:
 //
 //   cbc_trace_merge -o merged.json trace0.json trace1.json postmortem.json
 //
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace {
 

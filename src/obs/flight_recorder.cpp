@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "util/ensure.h"
 #include "util/serde.h"
@@ -41,7 +41,7 @@ constexpr char kMagic[8] = {'C', 'B', 'C', 'F', 'L', 'T', '0', '1'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 26;
 constexpr std::uint8_t kMaxEvent =
-    static_cast<std::uint8_t>(FlightEvent::kMark);
+    static_cast<std::uint8_t>(FlightEvent::kDupDrop);
 
 std::uint64_t* word_at(unsigned char* base, std::size_t offset) {
   return reinterpret_cast<std::uint64_t*>(base + offset);  // NOLINT
@@ -85,6 +85,12 @@ const char* flight_event_name(FlightEvent event) {
       return "fault";
     case FlightEvent::kMark:
       return "mark";
+    case FlightEvent::kClockOffset:
+      return "clock_offset";
+    case FlightEvent::kRetransmit:
+      return "retransmit";
+    case FlightEvent::kDupDrop:
+      return "dup_drop";
   }
   return "?";
 }
@@ -111,17 +117,18 @@ FlightRecorder::FlightRecorder(Options options)
     base_ = static_cast<unsigned char*>(mapped);
     mapped_file_ = true;
   } else {
-    // Zero-initialized and 8-aligned (u64 array), matching a fresh file.
-    base_ = reinterpret_cast<unsigned char*>(  // NOLINT
-        new std::uint64_t[region_size_ / sizeof(std::uint64_t)]{});
+    // Zeroed and 8-aligned, matching a fresh file. calloc leaves the
+    // pages of a large ring (the --trace size) unresident until records
+    // land in them.
+    base_ = static_cast<unsigned char*>(std::calloc(region_size_, 1));
+    require(base_ != nullptr, "FlightRecorder: cannot allocate the ring");
   }
   std::memcpy(base_, kMagic, sizeof(kMagic));
   *word_at(base_, 8) = static_cast<std::uint64_t>(kVersion) |
                        (static_cast<std::uint64_t>(options_.node_id) << 32);
   *word_at(base_, 16) = capacity_;
   *word_at(base_, 24) = 0;
-  *word_at(base_, 32) =
-      static_cast<std::uint64_t>(Tracer::wall_now_us());
+  *word_at(base_, 32) = static_cast<std::uint64_t>(wall_now_us());
   *word_at(base_, 40) = static_cast<std::uint64_t>(options_.role);
 }
 
@@ -132,7 +139,7 @@ FlightRecorder::~FlightRecorder() {
   if (mapped_file_) {
     ::munmap(base_, region_size_);
   } else {
-    delete[] reinterpret_cast<std::uint64_t*>(base_);  // NOLINT
+    std::free(base_);
   }
 }
 
@@ -150,7 +157,7 @@ void FlightRecorder::record(FlightEvent event, const MessageId& id,
   // stamp 0 or a ticket mismatch and skips the slot.
   stamp.exchange(0, std::memory_order_acq_rel);
   std::atomic_ref<std::uint64_t>(*word_at(slot, 8))
-      .store(static_cast<std::uint64_t>(Tracer::wall_now_us()),
+      .store(static_cast<std::uint64_t>(wall_now_us()),
              std::memory_order_relaxed);
   std::atomic_ref<std::uint64_t>(*word_at(slot, 16))
       .store(id.seq, std::memory_order_relaxed);
@@ -299,37 +306,94 @@ FlightDump decode_flight_dump(std::span<const std::uint8_t> bytes) {
   return dump;
 }
 
-std::vector<TraceEvent> flight_to_trace_events(const FlightDump& dump) {
+namespace {
+
+TraceEvent flow_event(char ph, const char* name, const char* cat,
+                      std::uint64_t id, std::int64_t ts_us, std::uint32_t pid) {
+  TraceEvent event;
+  event.name = name;
+  event.cat = cat;
+  event.ph = ph;
+  event.ts_us = ts_us;
+  event.pid = pid;
+  event.flow_id = id;
+  return event;
+}
+
+}  // namespace
+
+std::vector<TraceEvent> flight_to_trace_events(const FlightDump& dump,
+                                               const DepsById& deps) {
+  const std::uint32_t pid = dump.node_id;
   std::vector<TraceEvent> events;
-  events.reserve(dump.records.size() + 1);
+  events.reserve(2 * dump.records.size() + 1);
   TraceEvent meta;
   meta.name = "process_name";
   meta.cat = "__metadata";
   meta.ph = 'M';
-  meta.pid = dump.node_id;
+  meta.pid = pid;
   meta.args_json = std::string("\"name\":\"") +
                    (dump.role == 1 ? "kv " : "node ") +
                    std::to_string(dump.node_id) + " flight\"";
   events.push_back(std::move(meta));
+  // First local deliver moment per message: the tail of every Occurs_After
+  // edge into it (causal delivery delivers a dependency first).
+  std::unordered_map<MessageId, std::int64_t> delivered_at;
   for (const FlightRecord& record : dump.records) {
     TraceEvent event;
     event.name = flight_event_name(record.event);
     event.cat = "flight";
-    event.pid = dump.node_id;
+    event.ts_us = record.ts_us;
+    event.pid = pid;
+    if (record.event == FlightEvent::kClockOffset) {
+      // The pairwise offset sample clock_corrections() aligns with.
+      event.cat = "clock";
+      const auto offset_us = static_cast<std::int64_t>(record.arg);
+      event.args_json = "\"peer\":" + std::to_string(record.id.sender) +
+                        ",\"offset_us\":" + std::to_string(offset_us);
+      events.push_back(std::move(event));
+      continue;
+    }
     event.args_json = "\"msg\":\"" + record.id.to_string() +
                       "\",\"arg\":" + std::to_string(record.arg) +
                       ",\"ticket\":" + std::to_string(record.ticket);
-    if (record.event == FlightEvent::kDeliver) {
-      // Mirror the live tracer's deliver span: duration = hold time.
-      event.ph = 'X';
-      const auto held = static_cast<std::int64_t>(record.arg);
-      event.ts_us = record.ts_us - std::max<std::int64_t>(held, 0);
-      event.dur_us = std::max<std::int64_t>(held, 0);
-    } else {
-      event.ph = 'i';
-      event.ts_us = record.ts_us;
+    if (record.event == FlightEvent::kSubmit) {
+      events.push_back(std::move(event));
+      events.push_back(flow_event('s', "msg", "msg", flow_id(record.id),
+                                  record.ts_us, pid));
+      continue;
     }
+    if (record.event != FlightEvent::kDeliver) {
+      events.push_back(std::move(event));
+      continue;
+    }
+    // The deliver span ends at the delivery moment; its duration is the
+    // hold time.
+    const std::int64_t held =
+        std::max<std::int64_t>(static_cast<std::int64_t>(record.arg), 0);
+    event.ph = 'X';
+    event.ts_us = record.ts_us - held;
+    event.dur_us = held;
     events.push_back(std::move(event));
+    events.push_back(flow_event('f', "msg", "msg", flow_id(record.id),
+                                record.ts_us - held, pid));
+    const auto declared = deps.find(record.id);
+    if (declared != deps.end()) {
+      for (const MessageId& dep : declared->second) {
+        // A dependency delivered before the ring's oldest surviving
+        // record has no timestamp here; skip its edge.
+        const auto tail = delivered_at.find(dep);
+        if (tail == delivered_at.end()) {
+          continue;
+        }
+        const std::uint64_t edge = edge_flow_id(dep, record.id);
+        events.push_back(flow_event('s', "Occurs_After", "occurs_after", edge,
+                                    tail->second, pid));
+        events.push_back(flow_event('f', "Occurs_After", "occurs_after", edge,
+                                    record.ts_us, pid));
+      }
+    }
+    delivered_at.emplace(record.id, record.ts_us);
   }
   return events;
 }

@@ -1,17 +1,18 @@
 // Always-on flight recorder — a fixed-size lock-free ring of binary
 // per-envelope events that survives the process.
 //
-// The Tracer (obs/trace.h) answers "what happened" when tracing was
-// switched on ahead of time; the flight recorder answers it after a
-// crash nobody scheduled. Every `cbc_node`/`cbc_kv` process keeps one
-// recording continuously: each protocol stage (submit, encode, wire
-// tx/rx, causal-hold enter/exit, deliver, stable point, kv park/drain,
-// fault decisions) appends one 40-byte record keyed by the `MessageId`
-// the envelope codec already carries end to end. The ring overwrites
-// oldest-first, so the file is always "the last N things this process
-// did" at a cost of one relaxed fetch_add, five relaxed stores, and a
-// vDSO clock read per event — well under the 5% budget the BENCH_m1
-// gate enforces.
+// This is the repo's one per-envelope event pipeline: it answers "what
+// happened" both after a crash nobody scheduled and for a run traced on
+// purpose (`cbc_node --trace` sizes the ring up and decodes it at exit).
+// Every `cbc_node`/`cbc_kv` process keeps one recording continuously:
+// each protocol stage (submit, encode, wire tx/rx, reliable retransmit
+// and duplicate drop, causal-hold enter/exit, deliver, stable point, kv
+// park/drain, fault decisions, clock-offset samples) appends one 40-byte
+// record keyed by the `MessageId` the envelope codec already carries end
+// to end. The ring overwrites oldest-first, so the file is always "the
+// last N things this process did" at a cost of one relaxed fetch_add,
+// five relaxed stores, and a vDSO clock read per event — well under the
+// 5% budget the BENCH_m1 gate enforces.
 //
 // Two backing modes:
 //  - file-backed (`Options::path`): the ring lives in a shared file
@@ -26,15 +27,17 @@
 // (ticket + 1, release). A reader (or the offline decoder looking at a
 // file whose writer died mid-record) sees either a whole record or a
 // stamp/ticket mismatch it can skip — never a torn record presented as
-// valid. `cbc_flight` decodes dumps into the Chrome trace schema of
-// obs/trace.h so postmortems merge into the same Perfetto timeline as
-// live traces (`cbc_trace_merge merged.json survivors... killed.json`).
+// valid. `cbc_flight` and `cbc_node --trace` decode rings into the
+// Chrome trace schema of obs/trace.h, so a postmortem merges into the
+// same Perfetto timeline as the survivors' traces
+// (`cbc_trace_merge merged.json survivors... killed.json`).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/message_id.h"
@@ -58,6 +61,10 @@ enum class FlightEvent : std::uint8_t {
   kKvDrain = 10,     ///< parked kv request drained; arg = wait micros
   kFault = 11,       ///< FaultPlan decision; arg = FaultKind
   kMark = 12,        ///< free-form process marker; arg caller-defined
+  /// Clock-offset estimate changed; id.sender = peer, arg = signed micros.
+  kClockOffset = 13,
+  kRetransmit = 14,  ///< data frame re-sent; arg = peer id
+  kDupDrop = 15,     ///< duplicate data frame suppressed; arg = peer id
 };
 
 /// Which FaultPlan decision fired — the `arg` of a kFault record.
@@ -131,8 +138,8 @@ class FlightRecorder {
   /// dump_path exists to persist into).
   bool dump() const { return dump(options_.dump_path.c_str()); }
 
-  /// Serializes header + slots into a byte vector (test convenience;
-  /// NOT signal-safe).
+  /// Serializes header + slots into a byte vector for decoding a live
+  /// ring (`cbc_node --trace` at exit, tests). NOT signal-safe.
   [[nodiscard]] std::vector<std::uint8_t> snapshot_bytes() const;
 
  private:
@@ -179,11 +186,20 @@ struct FlightDump {
 [[nodiscard]] FlightDump decode_flight_dump(
     std::span<const std::uint8_t> bytes);
 
+/// Declared dependencies (DepSpec ids) per delivered message — e.g. the
+/// `(id, deps)` pairs a `--record-history` apply observer captures.
+using DepsById = std::unordered_map<MessageId, std::vector<MessageId>>;
+
 /// Renders a decoded dump as Chrome trace events in the schema of
-/// obs/trace.h — instants per stage plus a `deliver` complete event
-/// whose duration is the causal hold time — so `cbc_trace_merge`
-/// accepts the output alongside live Tracer files.
+/// obs/trace.h, in claim order:
+///  - one instant per stage (`clock_offset` samples as `cat:"clock"`
+///    instants carrying `peer`/`offset_us`, the input of --align);
+///  - per delivery a `deliver` complete event whose duration is the
+///    causal hold time, closing the message's `msg` flow, which its
+///    `submit` record opened;
+///  - one `Occurs_After` flow edge per entry of `deps[id]` whose own
+///    deliver is in the ring, from that deliver to this one.
 [[nodiscard]] std::vector<TraceEvent> flight_to_trace_events(
-    const FlightDump& dump);
+    const FlightDump& dump, const DepsById& deps = {});
 
 }  // namespace cbc::obs

@@ -18,7 +18,6 @@
 
 #include "obs/hooks.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stack/protocol_layer.h"
 
 namespace cbc::obs {
@@ -35,7 +34,7 @@ class InstrumentationLayer final : public ProtocolLayer {
     if (obs_.prefix.empty()) {
       obs_.prefix = "stack";
     }
-    if (obs_.has_metrics()) {
+    if (obs_.any()) {
       broadcasts_ = &obs_.metrics->counter(obs_.prefix + ".broadcasts");
       deliveries_ = &obs_.metrics->counter(obs_.prefix + ".deliveries");
       latency_us_ =

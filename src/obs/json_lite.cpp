@@ -2,9 +2,9 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/trace.h"
 #include "util/ensure.h"
 
 namespace cbc::obs {
@@ -52,36 +52,7 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 namespace {
 
 void dump_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+  out << '"' << json_escape(s) << '"';
 }
 
 void dump_value(std::ostream& out, const JsonValue& v) {
@@ -138,6 +109,12 @@ void dump_value(std::ostream& out, const JsonValue& v) {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted. The repo's own documents
+  /// nest at most 4 deep; the cap turns a hostile `[[[[...` body (trace
+  /// files, scraped /metrics.json pages) into InvalidArgument instead of
+  /// a stack overflow in the recursive descent.
+  static constexpr std::size_t kMaxDepth = 64;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
@@ -185,9 +162,13 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        require(depth_ < kMaxDepth, error("nesting too deep"));
+        ++depth_;
+        JsonValue nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -343,6 +324,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

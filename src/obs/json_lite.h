@@ -1,8 +1,9 @@
 // Minimal JSON DOM — just enough to parse, validate, and re-emit Chrome
 // trace-event files without an external dependency. Supports the full
 // JSON value grammar (objects, arrays, strings with escapes, numbers,
-// bools, null); numbers are held as double. Parse errors throw
-// InvalidArgument with a byte offset.
+// bools, null); numbers are held as double. Parse errors — including
+// arrays/objects nested more than 64 deep — throw InvalidArgument with a
+// byte offset.
 #pragma once
 
 #include <map>

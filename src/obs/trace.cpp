@@ -2,125 +2,15 @@
 
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 
 namespace cbc::obs {
 
-Tracer::Tracer(Options options) : options_(std::move(options)) {
-  events_.reserve(1024);
-  if (!options_.process_name.empty()) {
-    // Perfetto/chrome://tracing reads process labels from "M" metadata
-    // events named process_name.
-    TraceEvent meta;
-    meta.name = "process_name";
-    meta.cat = "__metadata";
-    meta.ph = 'M';
-    meta.ts_us = 0;
-    meta.pid = options_.pid;
-    meta.args_json = "\"name\":\"" + json_escape(options_.process_name) + "\"";
-    events_.push_back(std::move(meta));
-  }
-}
-
-std::int64_t Tracer::wall_now_us() {
+std::int64_t wall_now_us() {
   timespec ts{};
   clock_gettime(CLOCK_REALTIME, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000 +
          ts.tv_nsec / 1'000;
-}
-
-void Tracer::push(TraceEvent event) {
-  if (!enabled()) {
-    // Instrumented sites gate on tracing(hooks) already, but the mute
-    // contract must also hold for direct calls.
-    return;
-  }
-  const LockGuard lock(mutex_);
-  if (events_.size() >= options_.max_events) {
-    dropped_ += 1;
-    return;
-  }
-  events_.push_back(std::move(event));
-}
-
-void Tracer::instant(std::string_view name, std::string_view cat,
-                     std::int64_t ts_us, std::string args_json) {
-  TraceEvent event;
-  event.name.assign(name);
-  event.cat.assign(cat);
-  event.ph = 'i';
-  event.ts_us = ts_us;
-  event.pid = options_.pid;
-  event.args_json = std::move(args_json);
-  push(std::move(event));
-}
-
-void Tracer::complete(std::string_view name, std::string_view cat,
-                      std::int64_t ts_us, std::int64_t dur_us,
-                      std::string args_json) {
-  TraceEvent event;
-  event.name.assign(name);
-  event.cat.assign(cat);
-  event.ph = 'X';
-  event.ts_us = ts_us;
-  event.dur_us = dur_us < 0 ? 0 : dur_us;
-  event.pid = options_.pid;
-  event.args_json = std::move(args_json);
-  push(std::move(event));
-}
-
-void Tracer::flow_start(std::string_view name, std::string_view cat,
-                        std::uint64_t flow_id, std::int64_t ts_us) {
-  TraceEvent event;
-  event.name.assign(name);
-  event.cat.assign(cat);
-  event.ph = 's';
-  event.ts_us = ts_us;
-  event.pid = options_.pid;
-  event.flow_id = flow_id;
-  push(std::move(event));
-}
-
-void Tracer::flow_end(std::string_view name, std::string_view cat,
-                      std::uint64_t flow_id, std::int64_t ts_us) {
-  TraceEvent event;
-  event.name.assign(name);
-  event.cat.assign(cat);
-  event.ph = 'f';
-  event.ts_us = ts_us;
-  event.pid = options_.pid;
-  event.flow_id = flow_id;
-  push(std::move(event));
-}
-
-void Tracer::note_deliver(const MessageId& id, std::int64_t ts_us) {
-  const LockGuard lock(mutex_);
-  deliver_ts_.emplace(id, ts_us);
-}
-
-std::optional<std::int64_t> Tracer::deliver_ts(const MessageId& id) const {
-  const LockGuard lock(mutex_);
-  const auto it = deliver_ts_.find(id);
-  if (it == deliver_ts_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-std::size_t Tracer::size() const {
-  const LockGuard lock(mutex_);
-  return events_.size();
-}
-
-std::uint64_t Tracer::dropped() const {
-  const LockGuard lock(mutex_);
-  return dropped_;
-}
-
-std::vector<TraceEvent> Tracer::events_snapshot() const {
-  const LockGuard lock(mutex_);
-  return events_;
 }
 
 namespace {
@@ -163,19 +53,6 @@ std::string render_trace_events(const std::vector<TraceEvent>& events) {
   }
   out << "]}\n";
   return out.str();
-}
-
-std::string Tracer::render_chrome_json() const {
-  return render_trace_events(events_snapshot());
-}
-
-bool Tracer::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << render_chrome_json();
-  return static_cast<bool>(out);
 }
 
 std::string json_escape(std::string_view text) {

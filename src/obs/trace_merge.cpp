@@ -387,14 +387,12 @@ LatencyReport latency_report(const std::vector<JsonValue>& docs) {
         const std::string msg = arg_string(event, "msg");
         if (msg.empty() ||
             !seen_delivers.insert(msg + "#" + std::to_string(pid)).second) {
-          continue;  // the live tracer and the flight ring both saw it
+          continue;  // a --trace file and a dump of the same ring
         }
         const JsonValue* dur = event.find("dur");
-        const double held =
-            dur != nullptr && dur->is_number()
-                ? dur->as_number()
-                : arg_number(event, "hold_us",
-                             arg_number(event, "arg", 0.0));
+        const double held = dur != nullptr && dur->is_number()
+                                ? dur->as_number()
+                                : arg_number(event, "arg", 0.0);
         hold_samples.push_back(held);
         const std::optional<std::uint32_t> sender = msg_sender(msg);
         if (sender.has_value()) {

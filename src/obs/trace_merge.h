@@ -45,8 +45,9 @@ struct TraceSummary {
     const std::vector<std::string>& paths);
 
 /// Per-pid clock correction in micros to ADD to that pid's timestamps,
-/// derived from the `clock_offset` instants (cat "clock") the reliable
-/// endpoints emit: each instant on pid A reporting peer B carries
+/// derived from the `clock_offset` instants (cat "clock") decoded from
+/// the reliable endpoints' kClockOffset flight records: each instant on
+/// pid A reporting peer B carries
 /// offset_us = (B's wall clock − A's wall clock). The lowest pid of
 /// each connected component anchors it at correction 0; the rest follow
 /// by BFS over the latest sample per pair. Pids with no clock data get
@@ -80,7 +81,8 @@ struct LatencyStat {
 };
 
 /// End-to-end latency decomposition of a (merged) timeline, computed
-/// from flight-recorder instants, live `msg` spans, and kv records.
+/// from decoded flight records: stage instants, deliver spans, and kv
+/// records.
 /// Cross-node deltas (wire, deliver) are clock-corrected via
 /// clock_corrections(), so they are meaningful even when node clocks
 /// disagree by more than the latencies being measured.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/msg_trace.h"
+#include "obs/flight_recorder.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -26,7 +26,7 @@ ASendMember::ASendMember(Transport& transport, const GroupView& view,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "asend";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     // Scrape-time migration of OrderingStats onto the registry (see
     // OSendMember); round progress rides along as gauges.
     collector_ = options_.obs.metrics->register_collector(
@@ -59,7 +59,7 @@ MessageId ASendMember::broadcast(std::string label,
   const LockGuard guard(mutex_);
   const MessageId message_id{id(), next_seq_++};
   stats_.broadcasts += 1;
-  obs::trace_submit(options_.obs, message_id, label);
+  obs::flight_record(obs::FlightEvent::kSubmit, message_id);
   submit_queue_.push_back(
       PendingSubmit{message_id, std::move(label), std::move(payload)});
   // Each submission occupies this member's slot in the next round it has
@@ -105,6 +105,9 @@ ASendMember::Frame ASendMember::send_frame(std::uint64_t round,
                              submit->payload);
   }
   const SharedBuffer wire = writer.take_shared();
+  if (submit.has_value()) {
+    obs::flight_record(obs::FlightEvent::kEncode, submit->id, wire->size());
+  }
   for (const NodeId member : view_.members()) {
     if (member != id()) {
       endpoint_.send(member, wire);
@@ -186,8 +189,8 @@ void ASendMember::try_close_rounds() {
       delivery.delivered_at = transport_.now_us();
       // ASend subsumes explicit dependencies in the round structure, so
       // deliver spans carry no Occurs_After edges; round closing is the
-      // hold, but per-message hold is not tracked here.
-      obs::trace_deliver(options_.obs, delivery.id, delivery.label(), {}, 0);
+      // hold, but per-message hold is not tracked here (arg 0).
+      obs::flight_record(obs::FlightEvent::kDeliver, delivery.id);
       log_.push_back(std::move(delivery));
       stats_.delivered += 1;
       deliver_(log_.back());

@@ -1,6 +1,5 @@
 #include "transport/batching.h"
 
-#include "obs/trace.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -14,7 +13,7 @@ BatchingTransport::BatchingTransport(Transport& inner, Options options)
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "batch";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     // Occupancy buckets are message counts, not latencies; explicit
     // small-integer bounds keep the distribution readable.
     occupancy_hist_ = &options_.obs.metrics->histogram(
@@ -33,16 +32,9 @@ BatchingTransport::BatchingTransport(Transport& inner, Options options)
   }
 }
 
-void BatchingTransport::observe_flush(std::size_t occupancy,
-                                      const char* cause) {
+void BatchingTransport::observe_flush(std::size_t occupancy) {
   if (occupancy_hist_ != nullptr) {
     occupancy_hist_->record(static_cast<double>(occupancy));
-  }
-  if (obs::tracing(options_.obs)) {
-    options_.obs.tracer->instant(
-        "batch_flush", "batch", obs::Tracer::wall_now_us(),
-        "\"occupancy\":" + std::to_string(occupancy) + ",\"cause\":\"" +
-            cause + "\"");
   }
 }
 
@@ -76,7 +68,7 @@ void BatchingTransport::send(NodeId from, NodeId to, SharedBuffer frame) {
     }
   }
   if (batch) {
-    observe_flush(options_.max_batch, "full");
+    observe_flush(options_.max_batch);
     inner_.send(from, to, std::move(batch));
   }
 }
@@ -141,7 +133,7 @@ void BatchingTransport::flush() {
     }
   }
   for (std::size_t i = 0; i < batches.size(); ++i) {
-    observe_flush(occupancies[i], "tick");
+    observe_flush(occupancies[i]);
     inner_.send(batches[i].first.first, batches[i].first.second,
                 std::move(batches[i].second));
   }

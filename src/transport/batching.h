@@ -39,8 +39,8 @@ class BatchingTransport final : public Transport {
   struct Options {
     std::size_t max_batch = 8;        ///< flush a link at this queue depth
     SimTime flush_interval_us = 100;  ///< tick flush for partial batches
-    /// Observability sinks (BatchStats collector, a batch-occupancy
-    /// histogram, and per-flush trace instants). Default: off.
+    /// Observability sinks (BatchStats collector and a batch-occupancy
+    /// histogram). Default: off.
     obs::Hooks obs{};
   };
 
@@ -83,8 +83,8 @@ class BatchingTransport final : public Transport {
   Transport& inner_;
   Options options_;
 
-  /// Records one flushed batch in the metrics/trace sinks (no lock held).
-  void observe_flush(std::size_t occupancy, const char* cause);
+  /// Records one flushed batch in the occupancy histogram (no lock held).
+  void observe_flush(std::size_t occupancy);
 
   mutable Mutex mutex_{kRankTransport, "batching queue"};
   std::map<LinkKey, std::vector<SharedBuffer>> pending_

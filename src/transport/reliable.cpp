@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -48,7 +47,7 @@ ReliableEndpoint::ReliableEndpoint(Transport& transport, Handler handler,
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "reliable";
   }
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     // Scrape-time migration of ReliableStats onto the registry: the
     // legacy struct stays the storage (stats() accessors keep working);
     // the collector reads it under the endpoint lock when scraped.
@@ -215,33 +214,24 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     return;
   }
   if (type == FrameType::kHeartbeat) {
-    const std::int64_t wall_now = obs::Tracer::wall_now_us();
-    bool offset_changed = false;
-    ClockOffset estimate;
-    {
-      const LockGuard guard(mutex_);
-      stats_.heartbeats_received += 1;
-      if (hb_origin_us > 0) {
-        PeerClock& clock = clocks_[from];
-        clock.last_rx_origin_us = hb_origin_us;
-        clock.last_rx_wall_us = wall_now;
-        if (hb_echo_origin_us > 0) {
-          // NTP exchange completed: t1 = our send the peer echoed,
-          // t2 = peer's receipt of it, t3 = peer's send of THIS frame,
-          // t4 = now.
-          offset_changed = update_clock_offset(
-              from, hb_echo_origin_us, hb_echo_rx_us, hb_origin_us,
-              wall_now);
-          estimate = clock.estimate;
-        }
+    const std::int64_t wall_now = obs::wall_now_us();
+    const LockGuard guard(mutex_);
+    stats_.heartbeats_received += 1;
+    if (hb_origin_us > 0) {
+      PeerClock& clock = clocks_[from];
+      clock.last_rx_origin_us = hb_origin_us;
+      clock.last_rx_wall_us = wall_now;
+      // NTP exchange completed: t1 = our send the peer echoed, t2 = peer's
+      // receipt of it, t3 = peer's send of THIS frame, t4 = now.
+      if (hb_echo_origin_us > 0 &&
+          update_clock_offset(from, hb_echo_origin_us, hb_echo_rx_us,
+                              hb_origin_us, wall_now)) {
+        // Two's-complement signed offset; --align reads it back.
+        const auto offset_us =
+            static_cast<std::int64_t>(clock.estimate.offset_us);
+        obs::flight_record(obs::FlightEvent::kClockOffset, MessageId{from, 0},
+                           static_cast<std::uint64_t>(offset_us));
       }
-    }
-    if (offset_changed && obs::tracing(options_.obs)) {
-      options_.obs.tracer->instant(
-          "clock_offset", "clock", wall_now,
-          "\"peer\":" + std::to_string(from) + ",\"offset_us\":" +
-              std::to_string(estimate.offset_us) + ",\"rtt_us\":" +
-              std::to_string(estimate.rtt_us));
     }
     return;
   }
@@ -300,6 +290,8 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
       duplicate = seq <= peer.contiguous || peer.above.count(seq) != 0;
       if (duplicate) {
         stats_.duplicates_suppressed += 1;
+        obs::flight_record(obs::FlightEvent::kDupDrop, MessageId{from, seq},
+                           from);
       } else {
         peer.above.insert(seq);
         while (peer.above.count(peer.contiguous + 1) != 0) {
@@ -314,12 +306,6 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
       }
     }
     if (duplicate) {
-      if (obs::tracing(options_.obs)) {
-        options_.obs.tracer->instant(
-            "dup_drop", "reliable", obs::Tracer::wall_now_us(),
-            "\"from\":" + std::to_string(from) +
-                ",\"seq\":" + std::to_string(seq));
-      }
       // An immediate ack lets the retransmitting sender prune and stop.
       send_control_frame(from);
       return;
@@ -358,6 +344,8 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
       const auto it = peer.unacked.find(missing_seq);
       if (it != peer.unacked.end()) {
         to_resend.push_back(it->second);
+        obs::flight_record(obs::FlightEvent::kRetransmit,
+                           MessageId{id_, missing_seq}, from);
       }
     }
     stats_.retransmissions += to_resend.size();
@@ -367,13 +355,6 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     reply.u8(static_cast<std::uint8_t>(FrameType::kWindowBase));
     reply.u64(window_base);
     transport_.send(id_, from, reply.take_shared());
-  }
-  if (!to_resend.empty() && obs::tracing(options_.obs)) {
-    options_.obs.tracer->instant(
-        "retransmit", "reliable", obs::Tracer::wall_now_us(),
-        "\"to\":" + std::to_string(from) +
-            ",\"count\":" + std::to_string(to_resend.size()) +
-            ",\"cause\":\"nack\"");
   }
   for (SharedBuffer& data_frame : to_resend) {
     transport_.send(id_, from, std::move(data_frame));
@@ -407,6 +388,8 @@ void ReliableEndpoint::on_sender_timer() {
           break;
         }
         to_resend.emplace_back(peer_id, data_frame);
+        obs::flight_record(obs::FlightEvent::kRetransmit, MessageId{id_, seq},
+                           peer_id);
       }
       if (schedule_next_retransmit(peer, now)) {
         newly_unresponsive.push_back(peer_id);
@@ -419,12 +402,6 @@ void ReliableEndpoint::on_sender_timer() {
     if (options_.on_peer_unresponsive) {
       options_.on_peer_unresponsive(peer_id);
     }
-  }
-  if (!to_resend.empty() && obs::tracing(options_.obs)) {
-    options_.obs.tracer->instant(
-        "retransmit", "reliable", obs::Tracer::wall_now_us(),
-        "\"count\":" + std::to_string(to_resend.size()) +
-            ",\"cause\":\"timer\"");
   }
   for (auto& [peer_id, data_frame] : to_resend) {
     transport_.send(id_, peer_id, std::move(data_frame));
@@ -524,7 +501,7 @@ void ReliableEndpoint::monitor_peers(const std::vector<NodeId>& peers) {
   // kRankReliable) — resolving under mutex_ would invert the lock order.
   std::map<NodeId, obs::Gauge*> gauges;
   std::map<NodeId, std::pair<obs::Gauge*, obs::Gauge*>> clock_gauges;
-  if (options_.obs.has_metrics()) {
+  if (options_.obs.any()) {
     for (const NodeId peer : peers) {
       if (peer != id_) {
         gauges[peer] = &options_.obs.metrics->gauge(
@@ -721,7 +698,7 @@ void ReliableEndpoint::on_liveness_timer() {
       }
       Writer frame;
       frame.u8(static_cast<std::uint8_t>(FrameType::kHeartbeat));
-      frame.i64(obs::Tracer::wall_now_us());
+      frame.i64(obs::wall_now_us());
       frame.i64(echo_origin);
       frame.i64(echo_rx);
       transport_.send(id_, peer, frame.take_shared());

@@ -162,8 +162,9 @@ class ReliableEndpoint {
     /// them from checkpoint/state transfer, not retransmission. 0 keeps
     /// today's unbounded retention.
     std::size_t max_retained_per_dead_peer = 0;
-    /// Observability sinks (metrics collector for ReliableStats plus
-    /// retransmit/duplicate trace instants). Default: off.
+    /// Observability sinks (metrics collector for ReliableStats).
+    /// Default: off. Retransmits and duplicate drops are journaled in
+    /// the flight ring regardless.
     obs::Hooks obs{};
   };
 
@@ -201,9 +202,9 @@ class ReliableEndpoint {
   /// Current pairwise clock-offset estimates (monitored peers that have
   /// completed at least one heartbeat echo round trip). Exported as
   /// `clock.offset_us.<peer>` / `clock.rtt_us.<peer>` gauges when
-  /// metrics are attached, and emitted as `clock_offset` trace instants
-  /// so `cbc_trace_merge --align` can shift node timelines onto one
-  /// clock.
+  /// metrics are attached, and journaled as kClockOffset flight records
+  /// (decoded as `clock_offset` trace instants) so
+  /// `cbc_trace_merge --align` can shift node timelines onto one clock.
   [[nodiscard]] std::map<NodeId, ClockOffset> clock_offsets() const;
 
   /// Fast-forwards every per-link send sequence to at least `next_seq`
@@ -292,8 +293,8 @@ class ReliableEndpoint {
   void on_frame(NodeId from, const WireFrame& frame);
   /// Folds one completed heartbeat echo (t1 our send, t2 peer rx, t3
   /// peer send, t4 our rx — wall-clock micros) into the peer's offset
-  /// estimate. Returns true when the estimate changed (caller emits the
-  /// clock_offset trace instant after releasing the lock).
+  /// estimate. Returns true when the estimate changed (the caller then
+  /// journals the kClockOffset flight record).
   bool update_clock_offset(NodeId from, std::int64_t t1, std::int64_t t2,
                            std::int64_t t3, std::int64_t t4)
       CBC_REQUIRES(mutex_);

@@ -13,8 +13,8 @@
 #include "check/invariant_checker.h"
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace cbc {
 namespace {
@@ -284,9 +284,10 @@ TEST(InvariantChecker, MetricsCountersTrackTheRun) {
   // Both checkers share one registry and prefix, so the counters are the
   // group-wide aggregate across members.
   obs::MetricsRegistry registry;
-  obs::Tracer tracer{obs::Tracer::Options{}};
+  obs::FlightRecorder ring(obs::FlightRecorder::Options{});
+  obs::install_flight_recorder(&ring);
   InvariantChecker::Options options = stable_options();
-  options.obs = {&registry, &tracer, "check"};
+  options.obs = {&registry, "check"};
   CheckerRig rig(options, 2);
   const MessageId i1{0, 1};
   const MessageId i2{1, 1};
@@ -305,8 +306,10 @@ TEST(InvariantChecker, MetricsCountersTrackTheRun) {
   EXPECT_EQ(snap.at("check.violations"), 1.0);
   EXPECT_EQ(snap.at("check.stable_points"), 2.0);  // one cycle per member
   // Each closed cycle also leaves a stable_point instant in the trace.
+  const std::vector<obs::TraceEvent> events = obs::flight_to_trace_events(
+      obs::decode_flight_dump(ring.snapshot_bytes()));
   std::size_t stable_instants = 0;
-  for (const obs::TraceEvent& event : tracer.events_snapshot()) {
+  for (const obs::TraceEvent& event : events) {
     stable_instants += event.name == "stable_point" ? 1 : 0;
   }
   EXPECT_EQ(stable_instants, 2u);

@@ -1,15 +1,17 @@
 // FlightRecorder unit surface: ring wrap-around keeps the newest
 // records, concurrent writers never publish a torn record (run under
-// TSan in CI), dumps decode into trace events cbc_trace_merge accepts,
-// and the decoder survives systematic truncation and bit-flip damage —
-// the same robustness bar the wire-frame parsers meet in
-// frame_fuzz_test.cpp.
+// TSan in CI), dumps decode into trace events cbc_trace_merge accepts —
+// message and Occurs_After flows included, and clock-offset records that
+// drive --align — and the decoder survives systematic truncation and
+// bit-flip damage — the same robustness bar the wire-frame parsers meet
+// in frame_fuzz_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -146,22 +148,35 @@ TEST(FlightRecorder, GlobalInjectionPointRoutesRecords) {
   EXPECT_EQ(dump.records[0].id.seq, 3u);
 }
 
+/// A small in-memory ring whose decoded trace rows carry pid `node_id`.
+FlightRecorder::Options ring_of(std::uint32_t node_id) {
+  FlightRecorder::Options options;
+  options.capacity = 32;
+  options.node_id = node_id;
+  return options;
+}
+
+/// One ring decoded and rendered as a Chrome trace document.
+std::string render_ring(const FlightRecorder& recorder,
+                        const DepsById& deps = {}) {
+  return render_trace_events(flight_to_trace_events(
+      decode_flight_dump(recorder.snapshot_bytes()), deps));
+}
+
 TEST(FlightRecorder, DecodedDumpMergesWithLiveTraces) {
   // The postmortem path end to end: a dump becomes trace events, those
   // render as a Chrome trace document, and cbc_trace_merge's loader
-  // accepts it next to a live Tracer file.
+  // accepts it next to a live node's --trace file (itself a decoded
+  // ring).
   FlightRecorder recorder({.capacity = 32, .node_id = 1});
   recorder.record(FlightEvent::kSubmit, MessageId{1, 1});
   recorder.record(FlightEvent::kWireTx, MessageId{1, 1}, 2);
   recorder.record(FlightEvent::kDeliver, MessageId{1, 1}, 120);
+  const std::string postmortem = render_ring(recorder);
 
-  const FlightDump dump = decode_flight_dump(recorder.snapshot_bytes());
-  const std::string postmortem =
-      render_trace_events(flight_to_trace_events(dump));
-
-  Tracer tracer({.pid = 2, .process_name = "live"});
-  tracer.instant("submit", "flight", 10, R"("msg":"s2:1")");
-  const std::string live = tracer.render_chrome_json();
+  FlightRecorder live_ring(ring_of(2));
+  live_ring.record(FlightEvent::kWireRx, MessageId{1, 1}, 1);
+  const std::string live = render_ring(live_ring);
 
   std::vector<JsonValue> docs;
   docs.push_back(parse_chrome_trace(postmortem));
@@ -171,6 +186,71 @@ TEST(FlightRecorder, DecodedDumpMergesWithLiveTraces) {
   // 3 flight events (one a deliver span) + metadata + live instant.
   EXPECT_GE(summary.events, 4u);
   EXPECT_EQ(summary.deliver_events.at(1), 1u);
+}
+
+TEST(FlightRecorder, DecodedRingDrawsMessageAndOccursAfterFlows) {
+  // Node 0 submits a, then b after a; both deliver locally. The deps
+  // index (cbc_node's recorded history) turns the deliver records into
+  // one Occurs_After edge a -> b.
+  FlightRecorder recorder(ring_of(0));
+  const MessageId a{0, 1};
+  const MessageId b{0, 2};
+  recorder.record(FlightEvent::kSubmit, a);
+  recorder.record(FlightEvent::kDeliver, a, 0);
+  recorder.record(FlightEvent::kSubmit, b);
+  recorder.record(FlightEvent::kDeliver, b, 7);
+
+  const TraceSummary plain =
+      summarize_chrome_trace(parse_chrome_trace(render_ring(recorder)));
+  EXPECT_EQ(plain.deliver_events.at(0), 2u);
+  EXPECT_EQ(plain.message_flows, 2u);       // submit -> own deliver, per id
+  EXPECT_EQ(plain.occurs_after_flows, 0u);  // no deps given
+  EXPECT_EQ(plain.unmatched_flows, 0u);
+
+  const DepsById deps = {{a, {}}, {b, {a}}};
+  const TraceSummary joined =
+      summarize_chrome_trace(parse_chrome_trace(render_ring(recorder, deps)));
+  EXPECT_EQ(joined.occurs_after_flows, 1u);
+  EXPECT_EQ(joined.unmatched_flows, 0u);
+}
+
+TEST(FlightRecorder, ClockOffsetRecordsDriveAlignment) {
+  // Node 0's reliable endpoint estimated node 1's clock 750us behind its
+  // own (offset = peer clock - own clock, signed). --align must shift
+  // node 1's timeline forward by 750us.
+  FlightRecorder ring0(ring_of(0));
+  ring0.record(FlightEvent::kClockOffset, MessageId{1, 0},
+               static_cast<std::uint64_t>(std::int64_t{-750}));
+  ring0.record(FlightEvent::kSubmit, MessageId{0, 1});
+  FlightRecorder ring1(ring_of(1));
+  ring1.record(FlightEvent::kDeliver, MessageId{0, 1}, 0);
+
+  const std::vector<TraceEvent> events0 =
+      flight_to_trace_events(decode_flight_dump(ring0.snapshot_bytes()));
+  ASSERT_EQ(events0[1].name, "clock_offset");  // [0] is the process label
+  EXPECT_EQ(events0[1].cat, "clock");
+  EXPECT_EQ(events0[1].args_json, R"("peer":1,"offset_us":-750)");
+
+  std::vector<JsonValue> docs;
+  docs.push_back(parse_chrome_trace(render_trace_events(events0)));
+  docs.push_back(parse_chrome_trace(render_ring(ring1)));
+  const std::map<std::uint32_t, double> corrections = clock_corrections(docs);
+  EXPECT_EQ(corrections.at(0), 0.0);
+  EXPECT_EQ(corrections.at(1), 750.0);
+
+  const auto deliver_ts = [](const std::string& merged) {
+    const JsonValue doc = parse_chrome_trace(merged);
+    for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+      if (event.find("name")->as_string() == "deliver") {
+        return event.find("ts")->as_number();
+      }
+    }
+    return -1.0;
+  };
+  const double raw = deliver_ts(merge_trace_docs(docs));
+  const double aligned = deliver_ts(merge_trace_docs(docs, {.align = true}));
+  ASSERT_GT(raw, 0.0);
+  EXPECT_EQ(aligned, raw + 750.0);
 }
 
 TEST(FlightRecorder, DecoderSurvivesEveryTruncation) {
@@ -219,6 +299,8 @@ TEST(FlightRecorder, DecoderSurvivesEverySingleByteFlip) {
 TEST(FlightRecorder, EventNamesCoverTheEnumAndRejectStrays) {
   EXPECT_STREQ(flight_event_name(FlightEvent::kSubmit), "submit");
   EXPECT_STREQ(flight_event_name(FlightEvent::kKvDrain), "kv_drain");
+  EXPECT_STREQ(flight_event_name(FlightEvent::kClockOffset), "clock_offset");
+  EXPECT_STREQ(flight_event_name(FlightEvent::kDupDrop), "dup_drop");
   EXPECT_STREQ(flight_event_name(static_cast<FlightEvent>(200)), "?");
 }
 

@@ -1,9 +1,9 @@
 // Observability layer tests: MetricsRegistry primitives and exposition,
-// the Tracer and Chrome trace-event rendering, the JSON mini-parser and
-// trace merger, the InstrumentationLayer decorator, and — the load-bearing
-// ones — trace-context propagation through batching and through reliable
-// retransmission (a retransmitted frame must never mint a second deliver
-// span).
+// Chrome trace-event rendering, the JSON mini-parser and trace merger,
+// the InstrumentationLayer decorator, and — the load-bearing ones —
+// trace-context propagation through batching and through reliable
+// retransmission into the flight ring (a retransmitted frame must never
+// mint a second deliver span).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
 #include "obs/collectors.h"
+#include "obs/flight_recorder.h"
 #include "obs/instrument_layer.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
@@ -147,6 +148,12 @@ TEST(JsonLite, RejectsMalformedInput) {
   EXPECT_THROW(obs::json_parse("{} trailing"), InvalidArgument);
   EXPECT_THROW(obs::json_parse(R"({"a":})"), InvalidArgument);
   EXPECT_THROW(obs::json_parse(""), InvalidArgument);
+  // Deep nesting is rejected by the depth cap, not by overflowing the
+  // recursive parser's stack.
+  EXPECT_THROW(obs::json_parse(std::string(200'000, '[')), InvalidArgument);
+  EXPECT_THROW(obs::json_parse(std::string(65, '[') + std::string(65, ']')),
+               InvalidArgument);
+  EXPECT_NO_THROW(obs::json_parse(std::string(64, '[') + std::string(64, ']')));
 }
 
 TEST(JsonLite, DumpRoundTrips) {
@@ -157,21 +164,29 @@ TEST(JsonLite, DumpRoundTrips) {
   EXPECT_EQ(again.find("list")->as_array().size(), 2u);
 }
 
-// ---------- Tracer ----------
+// ---------- Chrome trace rendering ----------
+
+/// An in-memory ring whose decoded trace rows carry pid `node_id`.
+obs::FlightRecorder::Options ring_of(std::uint32_t node_id) {
+  obs::FlightRecorder::Options options;
+  options.node_id = node_id;
+  return options;
+}
+
+/// A ring's records as trace events — what `cbc_node --trace` writes.
+std::vector<obs::TraceEvent> decoded(const obs::FlightRecorder& ring,
+                                     const obs::DepsById& deps = {}) {
+  return obs::flight_to_trace_events(
+      obs::decode_flight_dump(ring.snapshot_bytes()), deps);
+}
 
 TEST(Trace, EventsRenderAsLoadableChromeJson) {
-  obs::Tracer::Options options;
-  options.pid = 7;
-  options.process_name = "node 7";
-  obs::Tracer tracer(options);
-  const std::int64_t now = obs::Tracer::wall_now_us();
-  tracer.instant("submit", "msg", now, "\"msg\":\"s7:1\"");
-  tracer.complete("deliver", "msg", now + 10, 5, "\"msg\":\"s7:1\"");
-  tracer.flow_start("msg", "msg", 0xABCD, now);
-  tracer.flow_end("msg", "msg", 0xABCD, now + 10);
+  obs::FlightRecorder ring(ring_of(7));
+  ring.record(obs::FlightEvent::kSubmit, MessageId{7, 1});
+  ring.record(obs::FlightEvent::kDeliver, MessageId{7, 1}, 5);
 
   const obs::JsonValue doc =
-      obs::parse_chrome_trace(tracer.render_chrome_json());
+      obs::parse_chrome_trace(obs::render_trace_events(decoded(ring)));
   const obs::TraceSummary summary = obs::summarize_chrome_trace(doc);
   EXPECT_EQ(summary.events, 5u);  // 4 + process_name metadata
   EXPECT_EQ(summary.deliver_events.at(7), 1u);
@@ -179,47 +194,21 @@ TEST(Trace, EventsRenderAsLoadableChromeJson) {
   EXPECT_EQ(summary.unmatched_flows, 0u);
 }
 
-TEST(Trace, DisabledTracerRecordsNothing) {
-  obs::Tracer tracer({});
-  const std::size_t baseline = tracer.size();  // metadata only
-  tracer.set_enabled(false);
-  tracer.instant("x", "c", 1);
-  EXPECT_EQ(tracer.size(), baseline);
-  obs::Hooks hooks{nullptr, &tracer, "p"};
-  EXPECT_FALSE(obs::tracing(hooks));
-}
-
-TEST(Trace, MaxEventsCapDropsAndCounts) {
-  obs::Tracer::Options options;
-  options.max_events = 3;
-  obs::Tracer tracer(options);
-  for (int i = 0; i < 10; ++i) {
-    tracer.instant("e", "c", i);
-  }
-  EXPECT_EQ(tracer.size(), 3u);
-  EXPECT_GT(tracer.dropped(), 0u);
-}
-
 TEST(Trace, MergeStitchesPerProcessFilesIntoOneTimeline) {
   const std::string dir = ::testing::TempDir();
   std::vector<std::string> paths;
-  const std::int64_t base = obs::Tracer::wall_now_us();
   for (std::uint32_t pid = 0; pid < 2; ++pid) {
-    obs::Tracer::Options options;
-    options.pid = pid;
-    options.process_name = "node " + std::to_string(pid);
-    obs::Tracer tracer(options);
-    const MessageId id{0, 1};
+    // Node 0 submits s0:1; node 1 delivers it after a 4us hold.
+    obs::FlightRecorder ring(ring_of(pid));
     if (pid == 0) {
-      tracer.instant("submit", "msg", base, "\"msg\":\"s0:1\"");
-      tracer.flow_start("msg", "msg", obs::flow_id(id), base);
+      ring.record(obs::FlightEvent::kSubmit, MessageId{0, 1});
     } else {
-      tracer.complete("deliver", "msg", base + 100, 4, "\"msg\":\"s0:1\"");
-      tracer.flow_end("msg", "msg", obs::flow_id(id), base + 100);
+      ring.record(obs::FlightEvent::kDeliver, MessageId{0, 1}, 4);
     }
     const std::string path =
         dir + "/obs_merge_" + std::to_string(pid) + ".json";
-    ASSERT_TRUE(tracer.write_file(path));
+    std::ofstream(path, std::ios::trunc)
+        << obs::render_trace_events(decoded(ring));
     paths.push_back(path);
   }
   const std::string merged = obs::merge_trace_files(paths);
@@ -255,20 +244,34 @@ TEST(Trace, MergeRejectsMalformedInput) {
 
 // ---------- stack integration ----------
 
-/// Hooks bundle for one in-process group (shared registry + tracer).
+/// Observability for one in-process group: a shared registry, and a
+/// flight ring installed for the fixture's lifetime (the ring detaches
+/// itself on destruction).
 struct ObsFixture {
   obs::MetricsRegistry registry;
-  obs::Tracer tracer{obs::Tracer::Options{}};
+  obs::FlightRecorder ring{obs::FlightRecorder::Options{}};
+
+  ObsFixture() { obs::install_flight_recorder(&ring); }
 
   [[nodiscard]] obs::Hooks hooks(std::string prefix) {
-    return {&registry, &tracer, std::move(prefix)};
+    return {&registry, std::move(prefix)};
+  }
+
+  [[nodiscard]] std::size_t records_of(obs::FlightEvent kind) const {
+    std::size_t count = 0;
+    for (const obs::FlightRecord& record :
+         obs::decode_flight_dump(ring.snapshot_bytes()).records) {
+      count += record.event == kind ? 1 : 0;
+    }
+    return count;
   }
 };
 
 /// Count of `deliver` complete events per traced message id string.
-std::map<std::string, int> deliver_spans_by_msg(const obs::Tracer& tracer) {
+std::map<std::string, int> deliver_spans_by_msg(
+    const std::vector<obs::TraceEvent>& events) {
   std::map<std::string, int> by_msg;
-  for (const obs::TraceEvent& event : tracer.events_snapshot()) {
+  for (const obs::TraceEvent& event : events) {
     if (event.ph != 'X' || event.name != "deliver") {
       continue;
     }
@@ -356,8 +359,8 @@ TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
   EXPECT_LT(snap.at("batch.batches_out"), snap.at("batch.messages_in"));
   EXPECT_GT(snap.at("batch.occupancy.count"), 0.0);
 
-  const std::map<std::string, int> spans = deliver_spans_by_msg(
-      obs_fixture.tracer);
+  const std::map<std::string, int> spans =
+      deliver_spans_by_msg(decoded(obs_fixture.ring));
   for (const MessageId& id : ids) {
     // Exactly one deliver span per id per member (sender + receiver).
     EXPECT_EQ(spans.at(id.to_string()), 2) << id.to_string();
@@ -403,9 +406,14 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
   // were suppressed before the ordering layer saw them.
   EXPECT_GT(snap.at("reliable.duplicates_suppressed"), 0.0);
   EXPECT_EQ(snap.at("osend.duplicates"), 0.0);
+  // The ring journals that work one record per frame.
+  EXPECT_EQ(snap.at("reliable.retransmissions"),
+            obs_fixture.records_of(obs::FlightEvent::kRetransmit));
+  EXPECT_EQ(snap.at("reliable.duplicates_suppressed"),
+            obs_fixture.records_of(obs::FlightEvent::kDupDrop));
 
-  const std::map<std::string, int> spans = deliver_spans_by_msg(
-      obs_fixture.tracer);
+  const std::map<std::string, int> spans =
+      deliver_spans_by_msg(decoded(obs_fixture.ring));
   ASSERT_EQ(spans.size(), ids.size());
   for (const MessageId& id : ids) {
     // THE dedup claim: one deliver span per id per member, regardless of
@@ -427,8 +435,14 @@ TEST(ObsStack, CausalHoldShowsUpAsOccursAfterEdges) {
   group[0].osend("second", bytes(2), DepSpec::after(first));
   env.run();
 
-  const obs::JsonValue doc =
-      obs::parse_chrome_trace(obs_fixture.tracer.render_chrome_json());
+  // The edges join the ring's deliver records with the declared deps
+  // (cbc_node takes them from its recorded history).
+  obs::DepsById deps;
+  for (const Delivery& delivery : group[0].log()) {
+    deps.emplace(delivery.id, delivery.deps().ids());
+  }
+  const obs::JsonValue doc = obs::parse_chrome_trace(
+      obs::render_trace_events(decoded(obs_fixture.ring, deps)));
   const obs::TraceSummary summary = obs::summarize_chrome_trace(doc);
   // Both members delivered `second` after `first` locally, each drawing
   // one Occurs_After edge.

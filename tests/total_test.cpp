@@ -2,8 +2,11 @@
 // and the fixed-sequencer baseline.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
+#include "obs/flight_recorder.h"
 #include "total/asend.h"
 #include "total/sequencer.h"
 #include "util/rng.h"
@@ -104,6 +107,38 @@ TEST(ASend, StatsCountRealMessagesOnly) {
   env.run();
   EXPECT_EQ(group[1].stats().delivered, 1u);  // skips are not deliveries
   EXPECT_EQ(group[0].stats().broadcasts, 1u);
+}
+
+TEST(ASend, FlightRingJournalsSubmitEncodeAndEveryDelivery) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
+  }
+  // Total-order postmortems and --trace deliver spans need the same
+  // per-envelope stages OSend journals.
+  obs::FlightRecorder ring(obs::FlightRecorder::Options{});
+  obs::install_flight_recorder(&ring);
+  SimEnv env;
+  Group<ASendMember> group(env.transport, 3);
+  std::vector<MessageId> ids;
+  for (std::uint8_t k = 0; k < 6; ++k) {
+    ids.push_back(group[k % 3].asend("m" + std::to_string(k), bytes(k)));
+  }
+  env.run();
+  ASSERT_EQ(group[0].log().size(), ids.size());
+
+  std::map<obs::FlightEvent, std::map<MessageId, int>> seen;
+  for (const obs::FlightRecord& record :
+       obs::decode_flight_dump(ring.snapshot_bytes()).records) {
+    seen[record.event][record.id] += 1;
+  }
+  EXPECT_EQ(seen[obs::FlightEvent::kSubmit].size(), ids.size());
+  EXPECT_EQ(seen[obs::FlightEvent::kDeliver].size(), ids.size());
+  for (const MessageId& id : ids) {
+    EXPECT_EQ(seen[obs::FlightEvent::kSubmit][id], 1) << id.to_string();
+    EXPECT_EQ(seen[obs::FlightEvent::kEncode][id], 1) << id.to_string();
+    // One deliver per (message, member).
+    EXPECT_EQ(seen[obs::FlightEvent::kDeliver][id], 3) << id.to_string();
+  }
 }
 
 TEST(ASend, TwoGroupSizesParameterized) {
