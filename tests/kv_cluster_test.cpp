@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/child_process.h"
 #include "common/kv_harness.h"
 #include "obs/json_lite.h"
 
@@ -282,6 +283,32 @@ TEST(KvCluster, CbcTopAggregatesALiveFourByThreeCluster) {
 
   ASSERT_TRUE(kv.wait_for_all_reports());
   EXPECT_EQ(kv.driver_report()->at("value_mismatches"), "0");
+}
+
+TEST(KvCluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
+  std::string dir = "/tmp/cbc_kv_flags_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string layout = dir + "/layout.txt";
+  const kv::KvLayout shard =
+      kv::KvLayout::localhost(1, 2, testkit::reserve_udp_ports(3));
+  std::ofstream(layout) << shard.encode_text();
+  const std::string err = dir + "/stderr.txt";
+  // Each of these used to parse: "1x" read as rank 1, 2^32 + 1 wrapped
+  // to rank 1, and -1 rounds wrapped to 2^64-1 (the driver then waited
+  // 20 s for replicas that never came).
+  const std::vector<std::vector<std::string>> cases = {
+      {"server", "--layout", layout, "--shard", "0", "--rank", "1x"},
+      {"server", "--layout", layout, "--shard", "0", "--rank", "4294967297"},
+      {"drive", "--layout", layout, "--rounds", "-1"},
+  };
+  for (std::vector<std::string> args : cases) {
+    const std::string flag = args[args.size() - 2];
+    SCOPED_TRACE(flag + " " + args.back());
+    args.insert(args.begin(), CBC_KV_BIN);
+    const pid_t pid = testkit::spawn(args, err);
+    EXPECT_EQ(testkit::wait_exit(pid, 2000), std::optional<int>(1));
+    EXPECT_NE(testkit::read_file(err).find(flag), std::string::npos);
+  }
 }
 
 }  // namespace

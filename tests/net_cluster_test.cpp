@@ -16,6 +16,7 @@
 #include "apps/install.h"
 #include "check/history.h"
 #include "check/history_checker.h"
+#include "common/child_process.h"
 #include "common/cluster_harness.h"
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
@@ -461,6 +462,62 @@ TEST(Cluster, FlightDumpOfKilledNodeMergesIntoSurvivorTimeline) {
   EXPECT_GT(report.deliver.count, 0u);
   EXPECT_GT(report.hold.count, 0u);
   EXPECT_GE(report.deliver.p99, report.deliver.p50);
+}
+
+/// A one-member cluster config on a reserved loopback port, in a fresh
+/// temp directory (returned through `dir`).
+std::string single_member_config(std::string& dir) {
+  dir = "/tmp/cbc_node_flags_XXXXXX";
+  require(::mkdtemp(dir.data()) != nullptr, "mkdtemp failed");
+  const std::string path = dir + "/cluster.txt";
+  std::ofstream(path) << "0 127.0.0.1:" << testkit::reserve_udp_ports(1)[0]
+                      << "\n";
+  return path;
+}
+
+TEST(Cluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
+  std::string dir;
+  const std::string config = single_member_config(dir);
+  const std::string err = dir + "/stderr.txt";
+  // Each of these used to parse: -1 wrapped to 2^64-1 ops per round (the
+  // first round never returned, so SIGTERM was never acted on), "3x" read
+  // as 3, and 2^63 rounds read as -1 by the int64 round counter.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--ops", "-1"},
+      {"--rounds", "3x"},
+      {"--rounds", "9223372036854775808"},
+  };
+  for (const auto& [flag, token] : cases) {
+    SCOPED_TRACE(flag + " " + token);
+    const pid_t pid = testkit::spawn(
+        {CBC_NODE_BIN, "--config", config, "--id", "0", flag, token}, err);
+    EXPECT_EQ(testkit::wait_exit(pid, 2000), std::optional<int>(1));
+    EXPECT_NE(testkit::read_file(err).find(flag), std::string::npos);
+  }
+}
+
+TEST(Cluster, UnwritableReportPathIsNamedOnStderr) {
+  std::string dir;
+  const std::string config = single_member_config(dir);
+  const std::string err = dir + "/stderr.txt";
+  const std::string report = dir + "/missing/report.txt";
+  const std::string progress = dir + "/missing/progress.txt";
+  const pid_t pid = testkit::spawn(
+      {CBC_NODE_BIN, "--config", config, "--id", "0", "--rounds", "2", "--ops",
+       "2", "--report", report, "--progress", progress}, err);
+  // The lone member finishes its rounds at once and writes its report.
+  for (int waited = 0; waited < 5000; waited += 20) {
+    if (testkit::read_file(err).find(report) != std::string::npos) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ::kill(pid, SIGTERM);
+  EXPECT_EQ(testkit::wait_exit(pid, 5000), std::optional<int>(0));
+  const std::string text = testkit::read_file(err);
+  // One line per failing path, not one per rewrite of the progress file.
+  EXPECT_EQ(testkit::count_of(text, report), 1u) << text;
+  EXPECT_EQ(testkit::count_of(text, progress), 1u) << text;
 }
 
 }  // namespace
