@@ -35,6 +35,7 @@ Result run(double drop, std::uint64_t seed) {
   options.reliability = {.control_interval_us = 2000,
                          .retransmit_interval_us = 8000,
                          .enabled = true};
+  options.keep_delivery_log = true;  // latency is read from the whole log
   const std::size_t n = 3;
   Group<OSendMember> group(env.transport, n, options);
   Rng rng(seed);

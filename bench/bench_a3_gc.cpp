@@ -29,6 +29,7 @@ Result run(bool gc, int rounds) {
   config.seed = 61;
   SimEnv env(config);
   OSendMember::Options options;
+  options.record_graph = true;  // the table reports graph sizes
   options.keep_delivery_log = !gc;
   const std::size_t n = 4;
   Group<OSendMember> group(env.transport, n, options);

@@ -36,7 +36,11 @@ int main() {
 
   // --- 2. Three replicas of an integer counter. Counter::spec() tells the
   //        protocol that inc/dec are commutative and rd/set are sync ops.
-  ReplicaGroup<apps::Counter> group(transport, 3, apps::Counter::spec());
+  //        Each member records the dependency graph so step 5 can print it.
+  ReplicaNode<apps::Counter>::Options options;
+  options.member.record_graph = true;
+  ReplicaGroup<apps::Counter> group(transport, 3, apps::Counter::spec(),
+                                    options);
 
   // --- 3. Commutative traffic from different members (concurrent!).
   group.node(0).submit(apps::Counter::inc(5));

@@ -212,17 +212,10 @@ void OSendMember::adopt_baseline(const VectorClock& baseline) {
       continue;
     }
     stable_floor_.set(node, target);
-    if (delivered_prefix_.at(node) < target) {
-      delivered_prefix_.set(node, target);
-    }
     // Re-establish prefix contiguity over anything delivered above it.
-    auto& above = delivered_above_[view_.member_at(rank)];
-    std::uint64_t prefix = delivered_prefix_.at(node);
-    while (above.count(prefix + 1) != 0) {
-      above.erase(prefix + 1);
-      ++prefix;
-    }
-    delivered_prefix_.set(node, prefix);
+    PrefixSeqSet& delivered = delivered_by_sender_[view_.member_at(rank)];
+    delivered.raise_floor(target);
+    delivered_prefix_.set(node, delivered.floor());
     // Dependencies on messages at or below the baseline are now satisfied.
     for (const auto& [dep, waiting] : waiters_) {
       const auto dep_rank = view_.rank_of(dep.sender);
@@ -275,10 +268,8 @@ void OSendMember::adopt_baseline(const VectorClock& baseline) {
 }
 
 void OSendMember::try_deliver(Delivery delivery) {
-  if (delivered_.count(delivery.id) != 0 ||
-      pending_.count(delivery.id) != 0 ||
-      below_stable_floor(delivery.id)) {
-    // The floor check matters after crash recovery: peers retransmit
+  if (delivered_locally(delivery.id) || pending_.count(delivery.id) != 0) {
+    // The prefix check matters after crash recovery too: peers retransmit
     // messages the adopted baseline already covers; re-delivering one
     // would double-apply it to the replica.
     stats_.duplicates += 1;
@@ -286,7 +277,7 @@ void OSendMember::try_deliver(Delivery delivery) {
   }
   std::size_t missing = 0;
   for (const MessageId& dep : delivery.deps().ids()) {
-    if (delivered_.count(dep) == 0 && !below_stable_floor(dep)) {
+    if (!delivered_locally(dep)) {
       ++missing;
       waiters_[dep].push_back(delivery.id);
     }
@@ -340,17 +331,11 @@ void OSendMember::deliver_now(Delivery delivery,
                               std::int64_t held_since_us) {
   const auto rank = view_.rank_of(delivery.sender);
   protocol_ensure(rank.has_value(), "OSend: delivery from outside the view");
-  delivered_.insert(delivery.id);
 
   // Advance the contiguous delivered prefix for this sender.
-  auto& above = delivered_above_[delivery.sender];
-  above.insert(delivery.id.seq);
-  std::uint64_t prefix = delivered_prefix_.at(static_cast<NodeId>(*rank));
-  while (above.count(prefix + 1) != 0) {
-    above.erase(prefix + 1);
-    ++prefix;
-  }
-  delivered_prefix_.set(static_cast<NodeId>(*rank), prefix);
+  PrefixSeqSet& delivered = delivered_by_sender_[delivery.sender];
+  delivered.insert(delivery.id.seq);
+  delivered_prefix_.set(static_cast<NodeId>(*rank), delivered.floor());
   const auto self_rank = view_.rank_of(id());
   ensure(self_rank.has_value(), "OSend: self not in view");
   knowledge_.observe_row(static_cast<NodeId>(*self_rank), delivered_prefix_);
@@ -380,17 +365,14 @@ void OSendMember::deliver_now(Delivery delivery,
   deliver_(log_.back());
 }
 
-bool OSendMember::below_stable_floor(MessageId message) const {
-  const auto rank = view_.rank_of(message.sender);
-  if (!rank.has_value()) {
-    return false;
-  }
-  return message.seq <= stable_floor_.at(static_cast<NodeId>(*rank));
+bool OSendMember::delivered_locally(MessageId message) const {
+  const auto it = delivered_by_sender_.find(message.sender);
+  return it != delivered_by_sender_.end() && it->second.contains(message.seq);
 }
 
 bool OSendMember::has_delivered(MessageId message) const {
   const LockGuard guard(mutex_);
-  return delivered_.count(message) != 0 || below_stable_floor(message);
+  return delivered_locally(message);
 }
 
 std::size_t OSendMember::prune_stable() {
@@ -398,23 +380,26 @@ std::size_t OSendMember::prune_stable() {
   const VectorClock cut = knowledge_.stable_cut();
   std::size_t pruned = 0;
   for (std::size_t rank = 0; rank < view_.size(); ++rank) {
-    const NodeId sender = view_.member_at(rank);
-    const std::uint64_t floor = stable_floor_.at(static_cast<NodeId>(rank));
-    const std::uint64_t target = cut.at(static_cast<NodeId>(rank));
-    for (std::uint64_t seq = floor + 1; seq <= target; ++seq) {
-      const MessageId id{sender, seq};
-      // Stability implies local delivery (the cut includes our own row).
-      ensure(delivered_.count(id) != 0,
-             "prune_stable: stable message not delivered locally");
-      delivered_.erase(id);
-      if (options_.record_graph && graph_.contains(id)) {
-        graph_.remove(id);
+    const NodeId node = static_cast<NodeId>(rank);
+    const std::uint64_t floor = stable_floor_.at(node);
+    const std::uint64_t target = cut.at(node);
+    if (target <= floor) {
+      continue;
+    }
+    // Stability implies local delivery (the cut includes our own row).
+    ensure(target <= delivered_prefix_.at(node),
+           "prune_stable: stable message not delivered locally");
+    if (options_.record_graph) {
+      const NodeId sender = view_.member_at(rank);
+      for (std::uint64_t seq = floor + 1; seq <= target; ++seq) {
+        const MessageId id{sender, seq};
+        if (graph_.contains(id)) {
+          graph_.remove(id);
+        }
       }
-      ++pruned;
     }
-    if (target > floor) {
-      stable_floor_.set(static_cast<NodeId>(rank), target);
-    }
+    pruned += target - floor;
+    stable_floor_.set(node, target);
   }
   return pruned;
 }

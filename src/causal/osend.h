@@ -10,11 +10,16 @@
 // constraint, which yields strictly fewer hold-backs (bench C1).
 //
 // Each member also maintains:
-//  - the growing MessageGraph of R(M) as observed (identical at all
-//    members up to insertion order — the "stable form of the graph", §3.2);
 //  - a stability MatrixClock from piggybacked delivered-prefix vectors, so
 //    a member can tell when a message is known delivered everywhere
-//    without extra message rounds.
+//    without extra message rounds;
+//  - on request (Options::record_graph), the MessageGraph of R(M) as
+//    observed (identical at all members up to insertion order — the
+//    "stable form of the graph", §3.2).
+// By default nothing is retained per delivered message: delivered
+// membership is a per-sender contiguous prefix plus the few seqs
+// delivered above it, so per-delivery work is O(deps) and retained state
+// does not grow with the length of the run.
 //
 // Wire layout: [u64 view_id][VectorClock delivered_prefix][envelope
 // section] — the prelude is OSend-specific, the section is the shared
@@ -27,7 +32,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "causal/delivery.h"
@@ -41,6 +45,7 @@
 #include "time/vector_clock.h"
 #include "transport/reliable.h"
 #include "transport/transport.h"
+#include "util/prefix_seq_set.h"
 #include "util/thread_annotations.h"
 
 namespace cbc {
@@ -57,11 +62,12 @@ class OSendMember final : public ViewSyncMember {
     /// when the transport drops or duplicates).
     ReliableEndpoint::Options reliability{.enabled = false};
     /// When true, every delivered message is added to the local
-    /// MessageGraph (costs memory on long runs; benches may disable).
-    bool record_graph = true;
-    /// When false, only the most recent delivery is retained in log()
-    /// (memory-bounded long runs; pair with prune_stable()).
-    bool keep_delivery_log = true;
+    /// MessageGraph (O(history) memory unless prune_stable() runs; for
+    /// tests, benches and examples that inspect graph()).
+    bool record_graph = false;
+    /// When true, log() keeps every delivery; when false it holds only
+    /// the most recent one.
+    bool keep_delivery_log = false;
     /// Observability sinks: OrderingStats collector + holdback gauge, a
     /// causal-hold-time histogram, and per-envelope submit/deliver spans
     /// with Occurs_After flow edges. Default: off.
@@ -105,7 +111,8 @@ class OSendMember final : public ViewSyncMember {
     return pending_.size();
   }
 
-  /// Locally observed message dependency graph R(M).
+  /// Locally observed message dependency graph R(M) (empty unless
+  /// Options::record_graph).
   [[nodiscard]] const MessageGraph& graph() const { return graph_; }
 
   /// Contiguous delivered prefix per sender (rank-indexed by view).
@@ -125,12 +132,11 @@ class OSendMember final : public ViewSyncMember {
   [[nodiscard]] bool has_delivered(MessageId message) const;
 
   /// Garbage-collects bookkeeping for messages known delivered everywhere
-  /// (at or below the MatrixClock stable cut): their ids leave the
-  /// delivered set, their nodes leave the graph, and — when
-  /// keep_delivery_log is false — the log stays O(1). No ordering
-  /// decision can ever consult a stable message again (any dependency on
-  /// it is satisfied by the stable floor), so this is safe at any time.
-  /// Returns the number of messages pruned.
+  /// (at or below the MatrixClock stable cut): the stable floor rises to
+  /// the cut and, when record_graph is set, their nodes leave the graph.
+  /// No ordering decision can ever consult a stable message again (any
+  /// dependency on it is satisfied by the delivered prefix), so this is
+  /// safe at any time. Returns the number of messages pruned.
   std::size_t prune_stable();
 
   /// Per-sender floor (rank-indexed): everything at or below it has been
@@ -209,7 +215,7 @@ class OSendMember final : public ViewSyncMember {
   void try_deliver(Delivery delivery) CBC_REQUIRES(mutex_);
   void deliver_now(Delivery delivery, std::int64_t held_since_us)
       CBC_REQUIRES(mutex_);
-  [[nodiscard]] bool below_stable_floor(MessageId message) const
+  [[nodiscard]] bool delivered_locally(MessageId message) const
       CBC_REQUIRES(mutex_);
 
   Transport& transport_;
@@ -225,10 +231,10 @@ class OSendMember final : public ViewSyncMember {
   std::vector<WireFrame> foreign_buffer_ CBC_GUARDED_BY(mutex_);
 
   SeqNo next_seq_ CBC_GUARDED_BY(mutex_) = 1;
-  std::unordered_set<MessageId> delivered_ CBC_GUARDED_BY(mutex_);
-  // Per-sender delivered seq sets above the contiguous prefix, to advance
-  // delivered_prefix_ when deliveries complete out of seq order.
-  std::unordered_map<NodeId, std::unordered_set<SeqNo>> delivered_above_
+  // Delivered membership, keyed by NodeId rather than view rank so that a
+  // message from a sender who has since left the view still counts as
+  // delivered. delivered_prefix_ is its rank-indexed wire image.
+  std::unordered_map<NodeId, PrefixSeqSet> delivered_by_sender_
       CBC_GUARDED_BY(mutex_);
   std::unordered_map<MessageId, PendingMessage> pending_
       CBC_GUARDED_BY(mutex_);

@@ -1,6 +1,7 @@
 #include "check/invariant_checker.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "obs/flight_recorder.h"
 
@@ -50,10 +51,7 @@ InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
       options_(std::move(options)) {
   require(log_ != nullptr, "InvariantChecker: null violation log");
   if (options_.stable_spec.has_value()) {
-    detector_.emplace(*options_.stable_spec,
-                      [this](const StablePoint& point) {
-                        stable_history_.push_back(point);
-                      });
+    detector_.emplace(*options_.stable_spec, nullptr);
   }
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "check";
@@ -91,7 +89,7 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
   if (deliveries_counter_ != nullptr) {
     deliveries_counter_->inc();
   }
-  if (options_.check_duplicates && seen_.count(message) != 0) {
+  if (options_.check_duplicates && seen(message)) {
     record(ViolationKind::kDuplicateDelivery, message,
            "delivered again at position " + std::to_string(sequence_.size()));
     deliver_up(delivery);
@@ -99,7 +97,7 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
   }
   if (options_.check_dependencies) {
     for (const MessageId& dep : delivery.deps().ids()) {
-      if (seen_.count(dep) == 0 && dep.seq > floor_for(dep.sender)) {
+      if (!seen(dep)) {
         record(ViolationKind::kDependencyViolation, message,
                "Occurs_After(" + dep.to_string() +
                    ") not yet delivered locally at position " +
@@ -107,9 +105,8 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
       }
     }
   }
-  seen_.insert(message);
   sequence_.push_back(message);
-  per_sender_[message.sender].insert(message.seq);
+  seen_[message.sender].insert(message.seq);
   if (detector_.has_value()) {
     if (options_.digest_exempt_kinds.count(
             CommutativitySpec::kind_of(delivery.label())) == 0) {
@@ -134,9 +131,23 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
   deliver_up(delivery);
 }
 
-SeqNo InvariantChecker::floor_for(NodeId sender) const {
-  const auto it = restore_floor_.find(sender);
-  return it == restore_floor_.end() ? 0 : it->second;
+bool InvariantChecker::seen(MessageId message) const {
+  const auto it = seen_.find(message.sender);
+  return it != seen_.end() && it->second.contains(message.seq);
+}
+
+const std::vector<MessageId>& InvariantChecker::delivered_sequence() const {
+  // The record only grows, so the view lags it by a suffix at most.
+  sequence_view_.insert(
+      sequence_view_.end(),
+      sequence_.begin() + static_cast<std::ptrdiff_t>(sequence_view_.size()),
+      sequence_.end());
+  return sequence_view_;
+}
+
+const std::vector<StablePoint>& InvariantChecker::stable_history() const {
+  static const std::vector<StablePoint> kNone;
+  return detector_.has_value() ? detector_->history() : kNone;
 }
 
 void InvariantChecker::restore(std::vector<std::uint64_t> digests,
@@ -146,22 +157,22 @@ void InvariantChecker::restore(std::vector<std::uint64_t> digests,
   stable_digests_ = std::move(digests);
   digest_chain_ = stable_digests_.empty() ? 0 : stable_digests_.back();
   open_cycle_acc_ = 0;
-  restore_floor_ = std::move(baseline_floor);
+  for (const auto& [sender, floor] : baseline_floor) {
+    seen_[sender].raise_floor(floor);
+  }
 }
 
 void InvariantChecker::check_no_gaps() {
-  for (const auto& [sender, seqs] : per_sender_) {
-    SeqNo expected = floor_for(sender) + 1;
-    for (const SeqNo seq : seqs) {
-      if (seq != expected) {
-        record(ViolationKind::kSenderGap, MessageId{sender, expected},
-               "sender " + std::to_string(sender) + " delivered up to seq " +
-                   std::to_string(*seqs.rbegin()) + " but seq " +
-                   std::to_string(expected) + " is missing");
-        break;
-      }
-      ++expected;
+  // Anything above a sender's contiguous floor sits past a hole.
+  for (const auto& [sender, seqs] : seen_) {
+    if (seqs.above().empty()) {
+      continue;
     }
+    const SeqNo missing = seqs.floor() + 1;
+    record(ViolationKind::kSenderGap, MessageId{sender, missing},
+           "sender " + std::to_string(sender) + " delivered up to seq " +
+               std::to_string(*seqs.above().rbegin()) + " but seq " +
+               std::to_string(missing) + " is missing");
   }
 }
 

@@ -27,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "activity/commutativity.h"
@@ -41,6 +41,7 @@
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "stack/protocol_layer.h"
+#include "util/prefix_seq_set.h"
 
 namespace cbc::check {
 
@@ -74,14 +75,18 @@ class InvariantChecker final : public ProtocolLayer {
                    std::shared_ptr<ViolationLog> log, Options options);
 
   /// Message ids in local delivery order (never pruned; checker-owned).
-  [[nodiscard]] const std::vector<MessageId>& delivered_sequence() const {
-    return sequence_;
+  /// The record itself is kept in fixed-size chunks, so a delivery never
+  /// reallocates or copies O(history) memory; this contiguous view of it
+  /// catches up with the record on each call.
+  [[nodiscard]] const std::vector<MessageId>& delivered_sequence() const;
+
+  /// delivered_sequence().size(), without bringing the view up to date.
+  [[nodiscard]] std::size_t delivered_count() const {
+    return sequence_.size();
   }
 
   /// Stable points detected so far (empty unless stable_spec was given).
-  [[nodiscard]] const std::vector<StablePoint>& stable_history() const {
-    return stable_history_;
-  }
+  [[nodiscard]] const std::vector<StablePoint>& stable_history() const;
 
   /// Order-insensitive state digest per closed cycle: commutative messages
   /// of the cycle fold in XOR (order must not matter), chained through the
@@ -113,19 +118,16 @@ class InvariantChecker final : public ProtocolLayer {
 
  private:
   void record(ViolationKind kind, MessageId message, std::string detail);
-  [[nodiscard]] SeqNo floor_for(NodeId sender) const;
+  [[nodiscard]] bool seen(MessageId message) const;
 
   std::shared_ptr<ViolationLog> log_;
   Options options_;
-  std::unordered_set<MessageId> seen_;
-  std::vector<MessageId> sequence_;
-  std::map<NodeId, std::set<SeqNo>> per_sender_;  // for the no-gap check
-  // Per-sender baseline adopted at recovery: seqs at or below it were
-  // delivered by the pre-crash incarnation (or covered by the transferred
-  // checkpoint) and count as seen.
-  std::map<NodeId, SeqNo> restore_floor_;
+  std::deque<MessageId> sequence_;
+  mutable std::vector<MessageId> sequence_view_;  // delivered_sequence()
+  // Per-sender seqs delivered here; restore() seeds each floor with the
+  // baseline the pre-crash incarnation (or the checkpoint) covered.
+  std::map<NodeId, PrefixSeqSet> seen_;
   std::optional<StablePointDetector> detector_;
-  std::vector<StablePoint> stable_history_;
   std::vector<std::uint64_t> stable_digests_;
   std::uint64_t open_cycle_acc_ = 0;  ///< XOR of open-cycle message hashes
   std::uint64_t digest_chain_ = 0;    ///< digest after the last stable point

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -16,23 +17,35 @@ void MessageGraph::add(MessageId id, std::string label, const DepSpec& deps) {
   entry.node.id = id;
   entry.node.label = std::move(label);
   entry.node.deps = deps.ids();
-  // Wire up successor links on already-inserted predecessors.
+  entry.position = order_.size();
+  // Older nodes may have named us as a dependency before we arrived.
+  if (const auto waiting = waiting_on_.find(id); waiting != waiting_on_.end()) {
+    entry.successors = std::move(waiting->second);
+    waiting_on_.erase(waiting);
+  }
+  // Wire up successor links on already-inserted predecessors; index the
+  // absent ones so their arrival wires us.
   for (const MessageId& dep : entry.node.deps) {
+    if (dep == id) {
+      continue;  // a self-dependency never becomes a successor link
+    }
     auto it = nodes_.find(dep);
     if (it != nodes_.end()) {
       it->second.successors.push_back(id);
-    }
-  }
-  // Older nodes may have named us as a dependency before we arrived.
-  for (const auto& existing_id : order_) {
-    const Entry& existing = nodes_.at(existing_id);
-    if (std::binary_search(existing.node.deps.begin(),
-                           existing.node.deps.end(), id)) {
-      entry.successors.push_back(existing_id);
+    } else {
+      waiting_on_[dep].push_back(id);
     }
   }
   nodes_.emplace(id, std::move(entry));
   order_.push_back(id);
+}
+
+std::vector<MessageId> MessageGraph::insertion_order() const {
+  std::vector<MessageId> out;
+  out.reserve(nodes_.size());
+  std::copy_if(order_.begin(), order_.end(), std::back_inserter(out),
+               [](const MessageId& id) { return !id.is_null(); });
+  return out;
 }
 
 bool MessageGraph::contains(MessageId id) const {
@@ -151,7 +164,7 @@ std::vector<MessageId> MessageGraph::descendants(MessageId id) const {
 
 std::vector<MessageId> MessageGraph::roots() const {
   std::vector<MessageId> out;
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : insertion_order()) {
     const Entry& entry = nodes_.at(id);
     const bool has_inserted_dep =
         std::any_of(entry.node.deps.begin(), entry.node.deps.end(),
@@ -165,7 +178,7 @@ std::vector<MessageId> MessageGraph::roots() const {
 
 std::vector<MessageId> MessageGraph::leaves() const {
   std::vector<MessageId> out;
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : insertion_order()) {
     if (nodes_.at(id).successors.empty()) {
       out.push_back(id);
     }
@@ -176,8 +189,9 @@ std::vector<MessageId> MessageGraph::leaves() const {
 std::vector<MessageId> MessageGraph::topological_order() const {
   // Kahn's algorithm; the ready list is kept in insertion order so the
   // result is deterministic.
+  const std::vector<MessageId> order = insertion_order();
   std::unordered_map<MessageId, std::size_t> pending_deps;
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : order) {
     const Entry& entry = nodes_.at(id);
     std::size_t count = 0;
     for (const MessageId& dep : entry.node.deps) {
@@ -188,13 +202,13 @@ std::vector<MessageId> MessageGraph::topological_order() const {
     pending_deps[id] = count;
   }
   std::vector<MessageId> ready;
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : order) {
     if (pending_deps[id] == 0) {
       ready.push_back(id);
     }
   }
   std::vector<MessageId> out;
-  out.reserve(order_.size());
+  out.reserve(order.size());
   std::size_t cursor = 0;
   while (cursor < ready.size()) {
     const MessageId current = ready[cursor++];
@@ -207,7 +221,7 @@ std::vector<MessageId> MessageGraph::topological_order() const {
       }
     }
   }
-  ensure(out.size() == order_.size(),
+  ensure(out.size() == order.size(),
          "MessageGraph::topological_order: dependency cycle detected");
   return out;
 }
@@ -215,8 +229,9 @@ std::vector<MessageId> MessageGraph::topological_order() const {
 std::vector<std::vector<MessageId>> MessageGraph::all_topological_orders(
     std::size_t cap) const {
   std::vector<std::vector<MessageId>> results;
+  const std::vector<MessageId> order = insertion_order();
   std::unordered_map<MessageId, std::size_t> pending_deps;
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : order) {
     std::size_t count = 0;
     for (const MessageId& dep : nodes_.at(id).node.deps) {
       if (contains(dep)) {
@@ -226,7 +241,7 @@ std::vector<std::vector<MessageId>> MessageGraph::all_topological_orders(
     pending_deps[id] = count;
   }
   std::vector<MessageId> current;
-  current.reserve(order_.size());
+  current.reserve(order.size());
   std::unordered_set<MessageId> used;
 
   // Depth-first enumeration over the "ready" frontier; candidates are tried
@@ -235,12 +250,12 @@ std::vector<std::vector<MessageId>> MessageGraph::all_topological_orders(
     if (results.size() >= cap) {
       return;
     }
-    if (current.size() == order_.size()) {
+    if (current.size() == order.size()) {
       results.push_back(current);
       return;
     }
     std::vector<MessageId> candidates;
-    for (const MessageId& id : order_) {
+    for (const MessageId& id : order) {
       if (used.count(id) == 0 && pending_deps[id] == 0) {
         candidates.push_back(id);
       }
@@ -271,7 +286,7 @@ std::vector<std::vector<MessageId>> MessageGraph::all_topological_orders(
 
 bool MessageGraph::is_valid_delivery_order(
     const std::vector<MessageId>& sequence) const {
-  if (sequence.size() != order_.size()) {
+  if (sequence.size() != nodes_.size()) {
     return false;
   }
   std::unordered_set<MessageId> seen;
@@ -291,8 +306,8 @@ bool MessageGraph::is_valid_delivery_order(
 }
 
 bool MessageGraph::closed() const {
-  for (const MessageId& id : order_) {
-    for (const MessageId& dep : nodes_.at(id).node.deps) {
+  for (const auto& [id, entry] : nodes_) {
+    for (const MessageId& dep : entry.node.deps) {
       if (!contains(dep)) {
         return false;
       }
@@ -304,29 +319,59 @@ bool MessageGraph::closed() const {
 void MessageGraph::remove(MessageId id) {
   const auto it = nodes_.find(id);
   require(it != nodes_.end(), "MessageGraph::remove: unknown id");
-  // Unlink from predecessors' successor lists.
-  for (const MessageId& dep : it->second.node.deps) {
-    const auto dep_it = nodes_.find(dep);
-    if (dep_it != nodes_.end()) {
+  Entry& entry = it->second;
+  // Unlink from predecessors' successor lists, and from the waiter lists
+  // of the dependencies that never arrived.
+  for (const MessageId& dep : entry.node.deps) {
+    if (const auto dep_it = nodes_.find(dep); dep_it != nodes_.end()) {
       auto& successors = dep_it->second.successors;
       successors.erase(std::remove(successors.begin(), successors.end(), id),
                        successors.end());
+    } else if (const auto waiting = waiting_on_.find(dep);
+               waiting != waiting_on_.end()) {
+      auto& waiters = waiting->second;
+      waiters.erase(std::remove(waiters.begin(), waiters.end(), id),
+                    waiters.end());
+      if (waiters.empty()) {
+        waiting_on_.erase(waiting);
+      }
     }
   }
+  // Our successors still name us: should we be re-inserted, they are
+  // wired again exactly as on a late first arrival.
+  if (!entry.successors.empty()) {
+    waiting_on_.emplace(id, std::move(entry.successors));
+  }
+  order_[entry.position] = MessageId::null();
   nodes_.erase(it);
-  order_.erase(std::remove(order_.begin(), order_.end(), id), order_.end());
+  if (++tombstones_ * 2 > order_.size()) {
+    compact();
+  }
+}
+
+void MessageGraph::compact() {
+  std::size_t live = 0;
+  for (const MessageId& id : order_) {
+    if (!id.is_null()) {
+      nodes_.at(id).position = live;
+      order_[live++] = id;
+    }
+  }
+  order_.resize(live);
+  tombstones_ = 0;
 }
 
 std::string MessageGraph::to_dot(const std::string& graph_name) const {
   std::ostringstream out;
   out << "digraph " << graph_name << " {\n";
   out << "  rankdir=TB;\n";
-  for (const MessageId& id : order_) {
+  const std::vector<MessageId> order = insertion_order();
+  for (const MessageId& id : order) {
     const Entry& entry = nodes_.at(id);
     out << "  \"" << id.to_string() << "\" [label=\"" << entry.node.label
         << "\\n" << id.to_string() << "\"];\n";
   }
-  for (const MessageId& id : order_) {
+  for (const MessageId& id : order) {
     const Entry& entry = nodes_.at(id);
     for (const MessageId& dep : entry.node.deps) {
       // Edge direction follows the paper's Figure 3: ancestor -> descendant.

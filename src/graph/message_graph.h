@@ -39,6 +39,10 @@ struct GraphNode {
 /// on a message this member has not seen) — such edges are retained and
 /// become effective when the node arrives, which is exactly the hold-back
 /// situation the delivery engine manages.
+///
+/// add() and remove() cost O(deps) (amortised): a node that names an
+/// absent id is indexed under that id, so a late arrival wires its
+/// successors without scanning the graph.
 class MessageGraph {
  public:
   MessageGraph() = default;
@@ -48,7 +52,7 @@ class MessageGraph {
   void add(MessageId id, std::string label, const DepSpec& deps);
 
   [[nodiscard]] bool contains(MessageId id) const;
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Node lookup; nullopt when absent.
   [[nodiscard]] std::optional<GraphNode> node(MessageId id) const;
@@ -104,28 +108,34 @@ class MessageGraph {
   /// stability-driven garbage collector: once a message is known delivered
   /// everywhere, no ordering decision can ever consult it again, so its
   /// node may be dropped. Removing a node that others still depend on
-  /// leaves those deps dangling (treated as satisfied-by-absence by the
-  /// delivery engine's stable-floor check).
+  /// leaves those deps dangling (the delivery engine still counts the
+  /// message delivered through its per-sender delivered prefix).
   void remove(MessageId id);
 
   /// Graphviz DOT rendering (Figure 3 reproduction; stable node order).
   [[nodiscard]] std::string to_dot(const std::string& graph_name = "R") const;
 
-  /// Insertion order of all node ids.
-  [[nodiscard]] const std::vector<MessageId>& insertion_order() const {
-    return order_;
-  }
+  /// Insertion order of the node ids currently in the graph.
+  [[nodiscard]] std::vector<MessageId> insertion_order() const;
 
  private:
   struct Entry {
     GraphNode node;
     std::vector<MessageId> successors;  // inserted nodes depending on this
+    std::size_t position = 0;           // index of this node in order_
   };
 
   [[nodiscard]] const Entry* find(MessageId id) const;
+  /// Drops the tombstones from order_ and renumbers positions.
+  void compact();
 
   std::unordered_map<MessageId, Entry> nodes_;
-  std::vector<MessageId> order_;  // insertion order
+  // absent id -> inserted nodes that name it as a dependency
+  std::unordered_map<MessageId, std::vector<MessageId>> waiting_on_;
+  // Insertion order; a removed node leaves a null tombstone until the
+  // tombstones outnumber the live nodes and compact() runs.
+  std::vector<MessageId> order_;
+  std::size_t tombstones_ = 0;
 };
 
 }  // namespace cbc

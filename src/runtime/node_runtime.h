@@ -234,7 +234,7 @@ class NodeRuntime {
   [[nodiscard]] Replica& replica() { return *replica_; }
   [[nodiscard]] check::InvariantChecker& checker() { return *checker_; }
   [[nodiscard]] std::uint64_t delivered() const {
-    return checker_->delivered_sequence().size();
+    return checker_->delivered_count();
   }
 
  private:

@@ -231,6 +231,7 @@ TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
   SimEnv env(config);
   OSendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
+  options.keep_delivery_log = true;
   Group<OSendMember> group(env.transport, 3, options);
   std::vector<MessageId> chain;
   for (int i = 0; i < 10; ++i) {
@@ -245,6 +246,53 @@ TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
     // The chain is totally ordered by deps, so all logs equal the chain.
     EXPECT_EQ(delivered_ids(group[i].log()), chain) << "member " << i;
   }
+}
+
+TEST(OSend, DefaultMemberRetainsNoPerMessageHistory) {
+  SimEnv env;
+  Group<OSendMember> group(env.transport, 3, OSendMember::Options{});
+  std::vector<MessageId> last(3);  // FIFO chain: each names its previous
+  for (int round = 0; round < 60; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      last[i] = group[i].osend("op", bytes(1), DepSpec::after(last[i]));
+    }
+    env.run();
+  }
+  const MessageId first{0, 1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(group[i].stats().delivered, 180u) << "member " << i;
+    EXPECT_EQ(group[i].graph().size(), 0u) << "member " << i;
+    EXPECT_EQ(group[i].log().size(), 1u) << "member " << i;
+    EXPECT_TRUE(group[i].has_delivered(first)) << "member " << i;
+    EXPECT_FALSE(group[i].has_delivered(MessageId{0, 1'000'000}))
+        << "member " << i;
+  }
+}
+
+TEST(OSend, DepOnDepartedSendersMessageStillSatisfied) {
+  SimEnv env;
+  Group<OSendMember> group(env.transport, 3, OSendMember::Options{});
+  MessageId departed_last;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const MessageId sent = group[i].osend("op", bytes(1), DepSpec::none());
+      if (i == 2) {
+        departed_last = sent;
+      }
+    }
+    env.run();
+  }
+  // Member 2 leaves; its delivered messages stay delivered at the rest.
+  const GroupView survivors(2, {0, 1});
+  group[0].install_view(survivors);
+  group[1].install_view(survivors);
+  const MessageId after_departed =
+      group[0].osend("after", bytes(2), DepSpec::after(departed_last));
+  env.run();
+  EXPECT_EQ(group[0].holdback_depth(), 0u);
+  EXPECT_EQ(group[1].holdback_depth(), 0u);
+  EXPECT_TRUE(group[1].has_delivered(after_departed));
+  EXPECT_EQ(group[1].log().back().id, after_departed);
 }
 
 // Property: a random causally-well-formed workload (every dependency names

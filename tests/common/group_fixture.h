@@ -11,6 +11,19 @@
 
 namespace cbc::testkit {
 
+/// MemberT's default options, except that a member which can record its
+/// delivery history (OSend: record_graph, keep_delivery_log) does: the
+/// Group checks below and most tests read the whole log() and the graph().
+template <typename MemberT>
+typename MemberT::Options recording_options() {
+  typename MemberT::Options options{};
+  if constexpr (requires { options.record_graph; }) {
+    options.record_graph = true;
+    options.keep_delivery_log = true;
+  }
+  return options;
+}
+
 /// Constructs N members (ids 0..N-1) of the given member type over a
 /// transport. MemberT must be constructible as (Transport&, const
 /// GroupView&, DeliverFn, MemberT::Options).
@@ -18,7 +31,7 @@ template <typename MemberT>
 class Group {
  public:
   Group(Transport& transport, std::size_t n)
-      : Group(transport, n, typename MemberT::Options{}) {}
+      : Group(transport, n, recording_options<MemberT>()) {}
 
   Group(Transport& transport, std::size_t n, typename MemberT::Options options)
       : view_(make_view(n)) {

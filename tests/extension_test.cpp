@@ -69,6 +69,7 @@ TEST(Gc, DependencyOnPrunedMessageIsSatisfiedByFloor) {
 TEST(Gc, BoundedMemoryUnderLongRunWithPeriodicPrune) {
   SimEnv env;
   OSendMember::Options options;
+  options.record_graph = true;
   options.keep_delivery_log = false;
   Group<OSendMember> group(env.transport, 3, options);
   std::size_t max_graph = 0;
@@ -219,7 +220,8 @@ struct FlushGroup {
           [this, i](const GroupView& view) {
             installed.resize(std::max(installed.size(), i + 1));
             installed[i].push_back(view.id());
-          }));
+          },
+          testkit::recording_options<OSendMember>()));
     }
     app_logs.resize(n);
     installed.resize(n);

@@ -31,7 +31,10 @@ TEST(Integration, Figure2DeliveredStateIsTransitionPreserving) {
   config.jitter_us = 3000;
   config.seed = 5;
   SimEnv env(config);
-  ReplicaGroup<apps::Counter> group(env.transport, 3, apps::Counter::spec());
+  ReplicaNode<apps::Counter>::Options options;
+  options.member.record_graph = true;  // the checker walks the graph
+  ReplicaGroup<apps::Counter> group(env.transport, 3, apps::Counter::spec(),
+                                    options);
   group.node(2).submit(apps::Counter::set(10));
   env.run();
   group.node(0).submit(apps::Counter::inc(1));

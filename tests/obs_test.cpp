@@ -341,6 +341,7 @@ TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
   BatchingTransport batching(env.transport, batch_options);
 
   OSendMember::Options member_options;
+  member_options.keep_delivery_log = true;
   member_options.obs = obs_fixture.hooks("osend");
   Group<OSendMember> group(batching, 2, member_options);
   std::vector<MessageId> ids;
@@ -383,6 +384,7 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
   ObsFixture obs_fixture;
 
   OSendMember::Options member_options;
+  member_options.keep_delivery_log = true;
   member_options.reliability.enabled = true;
   member_options.obs = obs_fixture.hooks("osend");
   member_options.reliability.obs = obs_fixture.hooks("reliable");
@@ -429,6 +431,7 @@ TEST(ObsStack, CausalHoldShowsUpAsOccursAfterEdges) {
   SimEnv env;
   ObsFixture obs_fixture;
   OSendMember::Options member_options;
+  member_options.keep_delivery_log = true;
   member_options.obs = obs_fixture.hooks("osend");
   Group<OSendMember> group(env.transport, 2, member_options);
   const MessageId first = group[0].osend("first", bytes(1), DepSpec::none());

@@ -14,11 +14,20 @@ namespace {
 
 using testkit::SimEnv;
 
+/// Options whose OSend member records R(M): the front-end tests inspect
+/// the dependencies it generated through graph().
+ReplicaNode<apps::Counter>::Options graph_recording() {
+  ReplicaNode<apps::Counter>::Options options;
+  options.member.record_graph = true;
+  return options;
+}
+
 // ---------- FrontEndManager label/dependency generation ----------
 
 TEST(FrontEnd, CommutativeOpsOrderAfterLastSyncOnly) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
+                                    graph_recording());
   auto& node = group.node(0);
   const MessageId rd = node.submit(apps::Counter::rd());
   env.run();
@@ -34,7 +43,8 @@ TEST(FrontEnd, CommutativeOpsOrderAfterLastSyncOnly) {
 
 TEST(FrontEnd, SyncOpCoversOpenCommutativeSet) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
+                                    graph_recording());
   auto& node = group.node(0);
   const MessageId inc1 = node.submit(apps::Counter::inc(1));
   const MessageId inc2 = node.submit(apps::Counter::inc(2));
@@ -48,7 +58,8 @@ TEST(FrontEnd, SyncOpCoversOpenCommutativeSet) {
 
 TEST(FrontEnd, SyncWithoutOpenSetDependsOnPreviousSync) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
+                                    graph_recording());
   auto& node = group.node(0);
   const MessageId rd1 = node.submit(apps::Counter::rd());
   env.run();
@@ -59,7 +70,8 @@ TEST(FrontEnd, SyncWithoutOpenSetDependsOnPreviousSync) {
 
 TEST(FrontEnd, ObservesRemoteTrafficIntoCidSet) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
+                                    graph_recording());
   const MessageId remote_inc = group.node(1).submit(apps::Counter::inc(5));
   env.run();
   // Node 0's front end saw node 1's commutative request; node 0's next

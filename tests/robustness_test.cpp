@@ -164,7 +164,7 @@ void hostile_run(std::uint64_t seed) {
   config.duplicate_probability = 0.1;
   config.seed = seed;
   SimEnv env(config);
-  typename MemberT::Options options;
+  typename MemberT::Options options = testkit::recording_options<MemberT>();
   options.reliability = {.control_interval_us = 3000, .enabled = true};
   Group<MemberT> group(env.transport, 3, options);
   Rng rng(seed);

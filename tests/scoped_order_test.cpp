@@ -15,9 +15,11 @@ using testkit::SimEnv;
 struct ScopedGroup {
   ScopedGroup(Transport& transport, std::size_t n)
       : view(testkit::make_view(n)) {
+    ScopedOrderMember::Options options;
+    options.member.keep_delivery_log = true;
     for (std::size_t i = 0; i < n; ++i) {
       members.push_back(std::make_unique<ScopedOrderMember>(
-          transport, view, [](const Delivery&) {}));
+          transport, view, [](const Delivery&) {}, options));
     }
   }
   std::vector<std::string> labels(std::size_t i) const {

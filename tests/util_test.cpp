@@ -5,6 +5,7 @@
 
 #include "util/ensure.h"
 #include "util/logging.h"
+#include "util/prefix_seq_set.h"
 #include "util/rng.h"
 #include "util/serde.h"
 #include "util/stats.h"
@@ -41,6 +42,37 @@ TEST(Ensure, MessageContainsTextAndLocation) {
     EXPECT_NE(what.find("xyzzy-marker"), std::string::npos);
     EXPECT_NE(what.find("util_test.cpp"), std::string::npos);
   }
+}
+
+// ---------- PrefixSeqSet ----------
+
+TEST(PrefixSeqSet, OutOfOrderSeqsFoldIntoTheFloor) {
+  PrefixSeqSet seqs;
+  seqs.insert(1);
+  seqs.insert(3);
+  seqs.insert(5);
+  EXPECT_EQ(seqs.floor(), 1u);
+  EXPECT_EQ(seqs.above(), (std::set<SeqNo>{3, 5}));
+  EXPECT_TRUE(seqs.contains(3));
+  EXPECT_FALSE(seqs.contains(2));
+  seqs.insert(2);  // fills the hole: 3 folds in, 5 still sits past 4
+  EXPECT_EQ(seqs.floor(), 3u);
+  EXPECT_EQ(seqs.above(), (std::set<SeqNo>{5}));
+  seqs.insert(2);  // already present: no change
+  EXPECT_EQ(seqs.floor(), 3u);
+}
+
+TEST(PrefixSeqSet, RaisedFloorDropsCoveredSeqsAndAbsorbsTheRest) {
+  PrefixSeqSet seqs;
+  seqs.insert(4);
+  seqs.insert(7);
+  seqs.raise_floor(6);  // covers 4; 7 is now contiguous
+  EXPECT_EQ(seqs.floor(), 7u);
+  EXPECT_TRUE(seqs.above().empty());
+  seqs.raise_floor(2);  // lower than the floor: no change
+  EXPECT_EQ(seqs.floor(), 7u);
+  EXPECT_TRUE(seqs.contains(1));
+  EXPECT_FALSE(seqs.contains(8));
 }
 
 // ---------- rng ----------
