@@ -41,8 +41,10 @@ SimEnv::Config config_for(std::uint64_t seed) {
 
 Result run_stable_point(std::uint64_t f_bar, std::uint64_t seed) {
   SimEnv env(config_for(seed));
+  ReplicaNode<apps::Counter>::Options options;
+  options.keep_stable_history = true;  // coverage is read per stable point
   ReplicaGroup<apps::Counter> group(env.transport, kMembers,
-                                    apps::Counter::spec());
+                                    apps::Counter::spec(), options);
   Rng rng(seed + 1);
   Histogram read_latency;
   for (int cycle = 0; cycle < kCycles; ++cycle) {

@@ -57,7 +57,7 @@ Costs run_stable_point() {
     env.run();
   }
   costs.wire_msgs = env.network.stats().sent;
-  costs.agreement_events = group.node(0).detector().history().size();
+  costs.agreement_events = group.node(0).detector().cycles();
   costs.sim_time_us = env.scheduler.now();
   return costs;
 }

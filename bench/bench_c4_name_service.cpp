@@ -92,11 +92,11 @@ double run_total_order_query_latency(double update_fraction, SimTime jitter,
       // answer is available when the query is delivered at its issuer.
       const SimTime issued = env.scheduler.now();
       nodes[who]->submit(apps::Registry::qry("hot"));
-      const std::size_t before = nodes[who]->member().log().size();
+      const std::uint64_t before = nodes[who]->member().stats().delivered;
       env.run_until(env.scheduler.now() +
                     static_cast<SimTime>(rng.next_below(800)));
       // Ensure delivery to measure (run to quiescence if still pending).
-      if (nodes[who]->member().log().size() <= before) {
+      if (nodes[who]->member().stats().delivered <= before) {
         env.run();
       }
       latency.add(static_cast<double>(env.scheduler.now() - issued));

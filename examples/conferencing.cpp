@@ -52,6 +52,6 @@ int main() {
   std::cout << "\nAll participants agree at the checkpoint: "
             << (agreed ? "yes" : "NO") << "\n";
   std::cout << "Stable points observed by participant 0: "
-            << session.node(0).detector().history().size() << "\n";
+            << session.node(0).detector().cycles() << "\n";
   return agreed ? 0 : 1;
 }

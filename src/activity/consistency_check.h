@@ -61,13 +61,23 @@ ConsistencyVerdict check_causal_delivery(const MemberRange& members) {
 /// Checks stable-point agreement across detectors+snapshots: for every
 /// cycle where coverage was complete at ALL members, the snapshots must
 /// be equal. `snapshots_of(i)` returns the i-th member's stable_history();
-/// `detector_of(i)` its StablePointDetector.
+/// `detector_of(i)` its StablePointDetector. Both are histories a replica
+/// keeps only on request (ReplicaNode::Options::keep_stable_history); a
+/// member that closed cycles without keeping them fails the check rather
+/// than passing it vacuously.
 template <typename SnapshotsFn, typename DetectorFn>
 ConsistencyVerdict check_stable_points(std::size_t member_count,
                                        SnapshotsFn&& snapshots_of,
                                        DetectorFn&& detector_of) {
   if (member_count == 0) {
     return ConsistencyVerdict::ok();
+  }
+  for (std::size_t i = 0; i < member_count; ++i) {
+    if (detector_of(i).history().size() != detector_of(i).cycles()) {
+      return ConsistencyVerdict::fail(
+          "member " + std::to_string(i) +
+          " kept no stable-point history (keep_stable_history is off)");
+    }
   }
   const std::size_t cycles = detector_of(0).history().size();
   for (std::size_t i = 1; i < member_count; ++i) {

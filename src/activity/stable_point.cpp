@@ -5,8 +5,11 @@
 namespace cbc {
 
 StablePointDetector::StablePointDetector(CommutativitySpec spec,
-                                         StablePointFn on_stable)
-    : spec_(std::move(spec)), on_stable_(std::move(on_stable)) {}
+                                         StablePointFn on_stable,
+                                         bool keep_history)
+    : spec_(std::move(spec)),
+      on_stable_(std::move(on_stable)),
+      keep_history_(keep_history) {}
 
 void StablePointDetector::on_delivery(const Delivery& delivery) {
   if (spec_.is_commutative(delivery.label())) {
@@ -14,23 +17,30 @@ void StablePointDetector::on_delivery(const Delivery& delivery) {
     at_stable_point_ = false;
     return;
   }
-  // Non-commutative: closes the open cycle and forms a stable point.
-  StablePoint point;
+  // Non-commutative: closes the open cycle and forms a stable point. The
+  // open set moves into it; the previous point's storage, swapped out,
+  // holds the next cycle.
+  if (!last_.has_value()) {
+    last_.emplace();
+  }
+  StablePoint& point = *last_;
   point.cycle = ++cycle_;
   point.sync_message = delivery.id;
   point.sync_label = delivery.label();
-  point.commutative_set = open_set_;
+  point.commutative_set.swap(open_set_);
+  open_set_.clear();
   point.at = delivery.delivered_at;
   point.coverage_complete =
-      std::all_of(open_set_.begin(), open_set_.end(),
+      std::all_of(point.commutative_set.begin(), point.commutative_set.end(),
                   [&delivery](const MessageId& open_id) {
                     return delivery.deps().depends_on(open_id);
                   });
-  open_set_.clear();
   at_stable_point_ = true;
-  history_.push_back(point);
+  if (keep_history_) {
+    history_.push_back(point);
+  }
   if (on_stable_) {
-    on_stable_(history_.back());
+    on_stable_(point);
   }
 }
 

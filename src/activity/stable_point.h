@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,13 +42,19 @@ struct StablePoint {
 };
 
 /// Per-member stable-point tracker. Feed it every Delivery (in the local
-/// delivery order); it fires the callback at each stable point.
+/// delivery order); it fires the callback at each stable point. It keeps
+/// only the last point unless asked for the whole history, so its state
+/// is the open cycle however long the run.
 class StablePointDetector {
  public:
   using StablePointFn = std::function<void(const StablePoint&)>;
 
-  /// `spec` classifies operations; `on_stable` may be empty (query-only).
-  StablePointDetector(CommutativitySpec spec, StablePointFn on_stable);
+  /// `spec` classifies operations; `on_stable` may be empty (query-only);
+  /// the point it receives is last(), overwritten at the next stable
+  /// point. `keep_history` keeps every point in history() (tests, benches
+  /// and examples that inspect past cycles); else history() stays empty.
+  StablePointDetector(CommutativitySpec spec, StablePointFn on_stable,
+                      bool keep_history = false);
 
   /// Processes one delivered message.
   void on_delivery(const Delivery& delivery);
@@ -61,7 +68,16 @@ class StablePointDetector {
     return open_set_;
   }
 
-  /// All stable points detected so far, in order.
+  /// Stable points closed so far.
+  [[nodiscard]] std::uint64_t cycles() const { return cycle_; }
+
+  /// The most recent stable point (empty before the first).
+  [[nodiscard]] const std::optional<StablePoint>& last() const {
+    return last_;
+  }
+
+  /// All stable points detected so far, in order (empty unless
+  /// constructed with keep_history).
   [[nodiscard]] const std::vector<StablePoint>& history() const {
     return history_;
   }
@@ -77,7 +93,9 @@ class StablePointDetector {
   std::uint64_t cycle_ = 0;            // completed cycles
   std::vector<MessageId> open_set_;    // commutative msgs in the open cycle
   bool at_stable_point_ = true;        // initial state counts as stable
-  std::vector<StablePoint> history_;
+  bool keep_history_ = false;
+  std::optional<StablePoint> last_;
+  std::vector<StablePoint> history_;   // every point, with keep_history
 };
 
 }  // namespace cbc

@@ -51,6 +51,8 @@ OSendMember::OSendMember(Transport& transport, const GroupView& view,
           sink.counter(prefix + ".malformed", stats_.malformed);
           sink.gauge(prefix + ".holdback_depth",
                      static_cast<double>(pending_.size()));
+          sink.gauge(prefix + ".graph_nodes",
+                     static_cast<double>(graph_.size()));
         });
   }
   if (options_.reliability.enabled && options_.reliability.suspect_after_us > 0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 
 #include "obs/flight_recorder.h"
 
@@ -41,6 +42,11 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return x ^ (x >> 31);
 }
 
+/// Hash of one message id, for the set hash and the order digest.
+std::uint64_t hash_id(MessageId message) {
+  return mix(message.sender, message.seq);
+}
+
 }  // namespace
 
 InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
@@ -50,8 +56,8 @@ InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
       log_(std::move(log)),
       options_(std::move(options)) {
   require(log_ != nullptr, "InvariantChecker: null violation log");
-  if (options_.stable_spec.has_value()) {
-    detector_.emplace(*options_.stable_spec, nullptr);
+  if (options_.stable_spec.has_value() && options_.keep_full_record) {
+    detector_.emplace(*options_.stable_spec, nullptr, /*keep_history=*/true);
   }
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "check";
@@ -64,6 +70,12 @@ InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
                                                          ".violations");
     stable_points_counter_ =
         &options_.obs.metrics->counter(prefix + ".stable_points");
+    collector_ = options_.obs.metrics->register_collector(
+        [this](obs::CollectorSink& sink) {
+          const LockGuard guard(stack_mutex());
+          sink.gauge(options_.obs.prefix + ".retained",
+                     static_cast<double>(tail_.size()));
+        });
   }
 }
 
@@ -91,7 +103,7 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
   }
   if (options_.check_duplicates && seen(message)) {
     record(ViolationKind::kDuplicateDelivery, message,
-           "delivered again at position " + std::to_string(sequence_.size()));
+           "delivered again at position " + std::to_string(delivered_count()));
     deliver_up(delivery);
     return;
   }
@@ -101,13 +113,16 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
         record(ViolationKind::kDependencyViolation, message,
                "Occurs_After(" + dep.to_string() +
                    ") not yet delivered locally at position " +
-                   std::to_string(sequence_.size()));
+                   std::to_string(delivered_count()));
       }
     }
   }
-  sequence_.push_back(message);
+  tail_.push_back(message);
+  const std::uint64_t id_hash = hash_id(message);
+  set_hash_ += id_hash;  // a sum, so a repeated id still counts
+  order_digest_ = mix(order_digest_, id_hash);
   seen_[message.sender].insert(message.seq);
-  if (detector_.has_value()) {
+  if (options_.stable_spec.has_value()) {
     if (options_.digest_exempt_kinds.count(
             CommutativitySpec::kind_of(delivery.label())) == 0) {
       const std::uint64_t hash = hash_delivery(delivery);
@@ -118,17 +133,31 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
       } else {
         digest_chain_ = mix(digest_chain_ ^ open_cycle_acc_, hash);
         open_cycle_acc_ = 0;
-        stable_digests_.push_back(digest_chain_);
-        obs::flight_record(obs::FlightEvent::kStablePoint, message,
-                           stable_digests_.size());
-        if (stable_points_counter_ != nullptr) {
-          stable_points_counter_->inc();
-        }
+        close_cycle(delivery);
       }
     }
-    detector_->on_delivery(delivery);
+    if (detector_.has_value()) {
+      detector_->on_delivery(delivery);
+    }
   }
   deliver_up(delivery);
+}
+
+void InvariantChecker::close_cycle(const Delivery& sync) {
+  stable_cycles_ += 1;
+  if (!options_.keep_full_record) {
+    // The chain digest now stands in for the closed cycle's deliveries.
+    dropped_ += tail_.size();
+    tail_.clear();
+    if (stable_digests_.size() == kDigestWindow) {
+      stable_digests_.erase(stable_digests_.begin());
+    }
+  }
+  stable_digests_.push_back(digest_chain_);
+  obs::flight_record(obs::FlightEvent::kStablePoint, sync.id, stable_cycles_);
+  if (stable_points_counter_ != nullptr) {
+    stable_points_counter_->inc();
+  }
 }
 
 bool InvariantChecker::seen(MessageId message) const {
@@ -136,25 +165,43 @@ bool InvariantChecker::seen(MessageId message) const {
   return it != seen_.end() && it->second.contains(message.seq);
 }
 
-const std::vector<MessageId>& InvariantChecker::delivered_sequence() const {
-  // The record only grows, so the view lags it by a suffix at most.
-  sequence_view_.insert(
-      sequence_view_.end(),
-      sequence_.begin() + static_cast<std::ptrdiff_t>(sequence_view_.size()),
-      sequence_.end());
-  return sequence_view_;
-}
-
 const std::vector<StablePoint>& InvariantChecker::stable_history() const {
   static const std::vector<StablePoint> kNone;
   return detector_.has_value() ? detector_->history() : kNone;
 }
 
-void InvariantChecker::restore(std::vector<std::uint64_t> digests,
+std::optional<std::uint64_t> InvariantChecker::digest_at(
+    std::uint64_t cycle) const {
+  const std::uint64_t first = stable_cycles_ - stable_digests_.size() + 1;
+  if (cycle < first || cycle > stable_cycles_) {
+    return std::nullopt;
+  }
+  return stable_digests_[cycle - first];
+}
+
+const StablePoint* InvariantChecker::stable_point_at(
+    std::uint64_t cycle) const {
+  // The history holds the newest cycles; a restored prefix has none.
+  const std::vector<StablePoint>& history = stable_history();
+  if (history.size() > stable_cycles_ || cycle > stable_cycles_ ||
+      cycle + history.size() <= stable_cycles_) {
+    return nullptr;
+  }
+  return &history[cycle + history.size() - stable_cycles_ - 1];
+}
+
+void InvariantChecker::restore(std::uint64_t cycles,
+                               std::vector<std::uint64_t> digests,
                                std::map<NodeId, SeqNo> baseline_floor) {
-  require(sequence_.empty(),
+  require(delivered_count() == 0,
           "InvariantChecker::restore: deliveries already recorded");
+  require(digests.size() <= cycles,
+          "InvariantChecker::restore: more digests than cycles");
+  if (!options_.keep_full_record && digests.size() > kDigestWindow) {
+    digests.erase(digests.begin(), digests.end() - kDigestWindow);
+  }
   stable_digests_ = std::move(digests);
+  stable_cycles_ = cycles;
   digest_chain_ = stable_digests_.empty() ? 0 : stable_digests_.back();
   open_cycle_acc_ = 0;
   for (const auto& [sender, floor] : baseline_floor) {
@@ -198,102 +245,141 @@ bool InvariantMonitor::check_quiescent() {
   for (InvariantChecker* checker : checkers_) {
     checker->check_no_gaps();
   }
-  if (checkers_.size() < 2) {
-    return log_->empty();
+  if (checkers_.size() >= 2) {
+    check_sets();
+    check_orders();
+    check_stable_points();
   }
+  return log_->empty();
+}
 
+void InvariantMonitor::check_sets() {
   // Identical delivered message set everywhere.
+  const InvariantChecker& reference = *checkers_[0];
   const auto sorted_ids = [](const InvariantChecker& checker) {
     std::vector<MessageId> ids = checker.delivered_sequence();
     std::sort(ids.begin(), ids.end());
     return ids;
   };
-  const std::vector<MessageId> reference = sorted_ids(*checkers_[0]);
   for (std::size_t i = 1; i < checkers_.size(); ++i) {
-    const std::vector<MessageId> ids = sorted_ids(*checkers_[i]);
-    if (ids == reference) {
+    const InvariantChecker& checker = *checkers_[i];
+    if (checker.delivered_count() == reference.delivered_count() &&
+        checker.delivered_set_hash() == reference.delivered_set_hash()) {
       continue;
     }
-    std::vector<MessageId> diff;
-    std::set_symmetric_difference(reference.begin(), reference.end(),
-                                  ids.begin(), ids.end(),
-                                  std::back_inserter(diff));
-    log_->add(ViolationKind::kSetDivergence, checkers_[i]->id(),
-              diff.empty() ? MessageId::null() : diff.front(),
+    MessageId first = MessageId::null();
+    std::string extent;
+    if (reference.record_complete() && checker.record_complete()) {
+      const std::vector<MessageId> expected = sorted_ids(reference);
+      const std::vector<MessageId> actual = sorted_ids(checker);
+      std::vector<MessageId> diff;
+      std::set_symmetric_difference(expected.begin(), expected.end(),
+                                    actual.begin(), actual.end(),
+                                    std::back_inserter(diff));
+      first = diff.empty() ? MessageId::null() : diff.front();
+      extent = std::to_string(diff.size()) + " ids differ";
+    } else {
+      extent = "set hashes differ over " +
+               std::to_string(checker.delivered_count()) + " vs " +
+               std::to_string(reference.delivered_count()) + " deliveries";
+    }
+    log_->add(ViolationKind::kSetDivergence, checker.id(), first,
               "delivered set differs from member " +
-                  std::to_string(checkers_[0]->id()) + " (" +
-                  std::to_string(diff.size()) + " ids differ)");
+                  std::to_string(reference.id()) + " (" + extent + ")");
   }
+}
 
+void InvariantMonitor::check_orders() {
   // Identical sequence wherever total order was promised (ASend eq. 5).
-  const InvariantChecker* total_reference = nullptr;
+  const InvariantChecker* reference = nullptr;
   for (const InvariantChecker* checker : checkers_) {
     if (!checker->options().expect_total_order) {
       continue;
     }
-    if (total_reference == nullptr) {
-      total_reference = checker;
+    if (reference == nullptr) {
+      reference = checker;
       continue;
     }
-    const auto& expected = total_reference->delivered_sequence();
+    if (checker->delivered_count() == reference->delivered_count() &&
+        checker->delivery_order_digest() ==
+            reference->delivery_order_digest()) {
+      continue;
+    }
+    if (!reference->record_complete() || !checker->record_complete()) {
+      log_->add(ViolationKind::kOrderDivergence, checker->id(),
+                MessageId::null(),
+                "arbitration order diverges from member " +
+                    std::to_string(reference->id()) +
+                    " (order digests differ over " +
+                    std::to_string(checker->delivered_count()) + " vs " +
+                    std::to_string(reference->delivered_count()) +
+                    " deliveries)");
+      continue;
+    }
+    const auto& expected = reference->delivered_sequence();
     const auto& actual = checker->delivered_sequence();
     const std::size_t common = std::min(expected.size(), actual.size());
     std::size_t at = 0;
     while (at < common && expected[at] == actual[at]) {
       ++at;
     }
-    if (at == expected.size() && at == actual.size()) {
-      continue;
-    }
     log_->add(ViolationKind::kOrderDivergence, checker->id(),
               at < common ? actual[at] : MessageId::null(),
               "arbitration order diverges from member " +
-                  std::to_string(total_reference->id()) + " at position " +
+                  std::to_string(reference->id()) + " at position " +
                   std::to_string(at));
   }
+}
 
-  // Stable-point agreement wherever a commutativity spec was given.
-  const InvariantChecker* stable_reference = nullptr;
+void InvariantMonitor::check_stable_points() {
+  // Stable-point agreement wherever a commutativity spec was given: the
+  // same cycle count, and equal digests over the cycles both members
+  // keep. Each digest chains all earlier ones, so a divergence anywhere
+  // before the window still shows inside it.
+  const InvariantChecker* reference = nullptr;
   for (const InvariantChecker* checker : checkers_) {
     if (!checker->options().stable_spec.has_value()) {
       continue;
     }
-    if (stable_reference == nullptr) {
-      stable_reference = checker;
+    if (reference == nullptr) {
+      reference = checker;
       continue;
     }
-    const auto& expected = stable_reference->stable_history();
-    const auto& actual = checker->stable_history();
-    if (expected.size() != actual.size()) {
+    const std::uint64_t cycles = checker->stable_cycles();
+    if (cycles != reference->stable_cycles()) {
       log_->add(ViolationKind::kStableDivergence, checker->id(),
                 MessageId::null(),
-                "saw " + std::to_string(actual.size()) +
+                "saw " + std::to_string(cycles) +
                     " stable points vs member " +
-                    std::to_string(stable_reference->id()) + "'s " +
-                    std::to_string(expected.size()));
+                    std::to_string(reference->id()) + "'s " +
+                    std::to_string(reference->stable_cycles()));
       continue;
     }
-    for (std::size_t c = 0; c < expected.size(); ++c) {
-      if (actual[c].sync_message != expected[c].sync_message) {
-        log_->add(ViolationKind::kStableDivergence, checker->id(),
-                  actual[c].sync_message,
-                  "cycle " + std::to_string(c + 1) +
+    const std::size_t window = std::min(checker->stable_digests().size(),
+                                        reference->stable_digests().size());
+    for (std::uint64_t cycle = cycles - window + 1; cycle <= cycles;
+         ++cycle) {
+      const StablePoint* expected = reference->stable_point_at(cycle);
+      const StablePoint* actual = checker->stable_point_at(cycle);
+      const MessageId sync =
+          actual != nullptr ? actual->sync_message : MessageId::null();
+      if (expected != nullptr && actual != nullptr &&
+          actual->sync_message != expected->sync_message) {
+        log_->add(ViolationKind::kStableDivergence, checker->id(), sync,
+                  "cycle " + std::to_string(cycle) +
                       " closed on a different sync message than member " +
-                      std::to_string(stable_reference->id()));
+                      std::to_string(reference->id()));
         continue;
       }
-      if (checker->stable_digests()[c] !=
-          stable_reference->stable_digests()[c]) {
-        log_->add(ViolationKind::kStableDivergence, checker->id(),
-                  actual[c].sync_message,
-                  "state digest at stable point " + std::to_string(c + 1) +
+      if (checker->digest_at(cycle) != reference->digest_at(cycle)) {
+        log_->add(ViolationKind::kStableDivergence, checker->id(), sync,
+                  "state digest at stable point " + std::to_string(cycle) +
                       " differs from member " +
-                      std::to_string(stable_reference->id()) +
+                      std::to_string(reference->id()) +
                       " — states disagree at an activity endpoint");
       }
     }
   }
-  return log_->empty();
 }
 
 }  // namespace cbc::check

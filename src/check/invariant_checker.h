@@ -22,12 +22,21 @@
 //     order-insensitive state digest per cycle that must match across
 //     members — "identical state with no agreement protocol".
 //
+// Retained state is the open cycle, not the run. Every member agrees on
+// the state at a stable point without any agreement protocol (§4.1), so
+// that point's chained digest stands in for everything delivered before
+// it: at each stable point the checker drops its delivery record and
+// keeps per-sender seq sets, counts, an order-insensitive set hash, a
+// rolling order digest and the newest kDigestWindow chain digests. The
+// monitor compares those; Options::keep_full_record keeps the whole
+// record for tests that assert an exact diff or divergence position.
+//
 // Violations are recorded, never thrown: one schedule reports every
 // breakage it exhibits, which is what the schedule explorer minimizes on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -52,12 +61,18 @@ class InvariantChecker final : public ProtocolLayer {
     bool check_dependencies = true;  ///< Occurs_After precedence per delivery
     bool check_duplicates = true;    ///< no message delivered twice
     /// The wrapped discipline promises one identical delivery sequence at
-    /// every member (ASend, sequencer); the monitor then compares full
-    /// sequences, not just sets.
+    /// every member (ASend, sequencer); the monitor then compares delivery
+    /// order (an order digest), not just sets.
     bool expect_total_order = false;
-    /// When set, deliveries feed a StablePointDetector and the monitor
-    /// compares stable-point histories and state digests across members.
+    /// When set, non-commutative deliveries close stable cycles: the
+    /// checker chains their state digests, drops its delivery record at
+    /// each one, and the monitor compares digests across members.
     std::optional<CommutativitySpec> stable_spec;
+    /// Keeps the whole record: every delivered id in delivered_sequence(),
+    /// every StablePoint in stable_history() and the whole digest chain.
+    /// The monitor then names the first diverging id, position and sync
+    /// message. For tests; O(run) memory.
+    bool keep_full_record = false;
     /// Label kinds excluded from the stable digest (still checked for
     /// dependencies/duplicates and fed to the detector). Use for
     /// state-inert ops whose delivery is NOT ordered relative to the sync
@@ -71,30 +86,58 @@ class InvariantChecker final : public ProtocolLayer {
     obs::Hooks obs{};
   };
 
+  /// Digests stable_digests() keeps without keep_full_record.
+  static constexpr std::size_t kDigestWindow = 64;
+
   InvariantChecker(std::unique_ptr<BroadcastMember> lower,
                    std::shared_ptr<ViolationLog> log, Options options);
 
-  /// Message ids in local delivery order (never pruned; checker-owned).
-  /// The record itself is kept in fixed-size chunks, so a delivery never
-  /// reallocates or copies O(history) memory; this contiguous view of it
-  /// catches up with the record on each call.
-  [[nodiscard]] const std::vector<MessageId>& delivered_sequence() const;
-
-  /// delivered_sequence().size(), without bringing the view up to date.
-  [[nodiscard]] std::size_t delivered_count() const {
-    return sequence_.size();
+  /// Message ids in local delivery order since the last stable point: the
+  /// open cycle's tail. Without a stable spec, or with keep_full_record,
+  /// the whole run.
+  [[nodiscard]] const std::vector<MessageId>& delivered_sequence() const {
+    return tail_;
   }
 
-  /// Stable points detected so far (empty unless stable_spec was given).
+  /// Deliveries so far (those dropped at stable points included).
+  [[nodiscard]] std::size_t delivered_count() const {
+    return dropped_ + tail_.size();
+  }
+
+  /// True while delivered_sequence() still holds every delivery.
+  [[nodiscard]] bool record_complete() const { return dropped_ == 0; }
+
+  /// Order-insensitive hash of the delivered id multiset.
+  [[nodiscard]] std::uint64_t delivered_set_hash() const { return set_hash_; }
+
+  /// Rolling digest of the delivered id sequence.
+  [[nodiscard]] std::uint64_t delivery_order_digest() const {
+    return order_digest_;
+  }
+
+  /// Stable points detected so far (empty unless keep_full_record).
   [[nodiscard]] const std::vector<StablePoint>& stable_history() const;
+
+  /// The kept StablePoint of `cycle`, if keep_full_record holds it.
+  [[nodiscard]] const StablePoint* stable_point_at(std::uint64_t cycle) const;
 
   /// Order-insensitive state digest per closed cycle: commutative messages
   /// of the cycle fold in XOR (order must not matter), chained through the
   /// closing sync message. Equal digests at equal cycles == state
-  /// agreement at the stable point.
+  /// agreement at the stable point. Each digest folds every earlier one,
+  /// so only the newest kDigestWindow are kept (all with
+  /// keep_full_record); the last one ends cycle stable_cycles().
   [[nodiscard]] const std::vector<std::uint64_t>& stable_digests() const {
     return stable_digests_;
   }
+
+  /// Stable cycles closed, restored ones included: the report's
+  /// digest_count, the kStablePoint record's argument, Checkpoint::cycles.
+  [[nodiscard]] std::uint64_t stable_cycles() const { return stable_cycles_; }
+
+  /// The digest of `cycle` (1-based) while it is in the window.
+  [[nodiscard]] std::optional<std::uint64_t> digest_at(
+      std::uint64_t cycle) const;
 
   [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] std::size_t violation_count() const { return local_violations_; }
@@ -105,13 +148,20 @@ class InvariantChecker final : public ProtocolLayer {
   void check_no_gaps();
 
   /// Seeds the checker from a transferred checkpoint (crash recovery):
-  /// `digests` becomes the stable digest chain (the next closed cycle
-  /// chains off its tail), and deliveries at or below `baseline_floor`
-  /// (per-sender seq) are treated as already seen — dependencies on them
-  /// are satisfied and the no-gap check starts above the floor. Must be
+  /// `digests`, the newest part of the stable digest chain ending at
+  /// cycle `cycles`, becomes the chain (the next closed cycle chains off
+  /// its tail), and deliveries at or below `baseline_floor` (per-sender
+  /// seq) are treated as already seen — dependencies on them are
+  /// satisfied and the no-gap check starts above the floor. Must be
   /// called before any delivery flows through this checker.
-  void restore(std::vector<std::uint64_t> digests,
+  void restore(std::uint64_t cycles, std::vector<std::uint64_t> digests,
                std::map<NodeId, SeqNo> baseline_floor);
+  /// restore() from a whole chain (cycles == digests.size()).
+  void restore(std::vector<std::uint64_t> digests,
+               std::map<NodeId, SeqNo> baseline_floor) {
+    const std::uint64_t cycles = digests.size();
+    restore(cycles, std::move(digests), std::move(baseline_floor));
+  }
 
  protected:
   void on_lower_delivery(const Delivery& delivery) override;
@@ -119,22 +169,28 @@ class InvariantChecker final : public ProtocolLayer {
  private:
   void record(ViolationKind kind, MessageId message, std::string detail);
   [[nodiscard]] bool seen(MessageId message) const;
+  void close_cycle(const Delivery& sync);
 
   std::shared_ptr<ViolationLog> log_;
   Options options_;
-  std::deque<MessageId> sequence_;
-  mutable std::vector<MessageId> sequence_view_;  // delivered_sequence()
+  std::vector<MessageId> tail_;  // delivered_sequence()
+  std::size_t dropped_ = 0;      // deliveries folded into the chain
+  std::uint64_t set_hash_ = 0;
+  std::uint64_t order_digest_ = 0;
   // Per-sender seqs delivered here; restore() seeds each floor with the
   // baseline the pre-crash incarnation (or the checkpoint) covered.
   std::map<NodeId, PrefixSeqSet> seen_;
-  std::optional<StablePointDetector> detector_;
+  std::optional<StablePointDetector> detector_;  // keep_full_record only
   std::vector<std::uint64_t> stable_digests_;
+  std::uint64_t stable_cycles_ = 0;
   std::uint64_t open_cycle_acc_ = 0;  ///< XOR of open-cycle message hashes
   std::uint64_t digest_chain_ = 0;    ///< digest after the last stable point
   std::size_t local_violations_ = 0;
   obs::Counter* deliveries_counter_ = nullptr;
   obs::Counter* violations_counter_ = nullptr;
   obs::Counter* stable_points_counter_ = nullptr;
+  // Last member: unregisters before the state it reads is torn down.
+  obs::CollectorHandle collector_;
 };
 
 /// Group-level aggregation: wraps members in checkers sharing one log and
@@ -158,15 +214,22 @@ class InvariantMonitor {
   }
 
   /// Runs every quiescence-time check across the registered members:
-  /// per-member no-gap, same delivered set, identical sequence when total
-  /// order was promised, stable-point agreement when a spec was given.
-  /// Returns true when the log is still empty afterwards.
+  /// per-member no-gap; same delivered set (count and set hash); the same
+  /// sequence when total order was promised (count and order digest);
+  /// and, when a spec was given, the same stable-cycle count and digests
+  /// over the window both members keep. Where both records are complete
+  /// the report names the first diverging id or position. Returns true
+  /// when the log is still empty afterwards.
   bool check_quiescent();
 
   /// The full violation report (empty when clean).
   [[nodiscard]] std::string report() const { return log_->report(); }
 
  private:
+  void check_sets();
+  void check_orders();
+  void check_stable_points();
+
   std::shared_ptr<ViolationLog> log_;
   InvariantChecker::Options default_options_;
   std::vector<InvariantChecker*> checkers_;

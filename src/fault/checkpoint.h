@@ -8,8 +8,11 @@
 // dead member needs to resume as itself rather than as a blind observer:
 //
 //   - the app-state snapshot (opaque blob, the replica's stable state)
-//   - the stable digest chain up to that point (so the InvariantChecker
-//     can keep asserting agreement across the crash)
+//   - the newest part of the stable digest chain up to that point (so
+//     the InvariantChecker can keep asserting agreement across the
+//     crash): each digest folds every earlier one, so the checker's
+//     window of them plus the cycle count summarizes the whole chain and
+//     each write is bounded by the window, not the run
 //   - the delivered frontier (vector clock of the stable cut — the
 //     causal baseline the recovering member adopts)
 //   - the closing sync's MessageId (the front-end's causal anchor)
@@ -18,7 +21,7 @@
 //
 //     u32 magic 'CBCK'   u32 version
 //     u64 node           u64 cycles (stable points captured)
-//     u64_vec stable digest chain
+//     u64_vec stable digests (the chain's newest min(cycles, 64))
 //     MessageId last_sync   VectorClock frontier
 //     blob app_state
 //
@@ -26,7 +29,9 @@
 // previous checkpoint intact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +45,14 @@ namespace cbc::fault {
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x4342434BU;  // "CBCK"
   static constexpr std::uint32_t kVersion = 1;
+  /// Digests a checkpoint carries: the newest min(cycles, kDigestWindow).
+  static constexpr std::size_t kDigestWindow = 64;
 
   NodeId node = 0;
-  /// Stable cycles closed at capture time (== stable_digests.size()).
+  /// Stable cycles closed at capture time.
   std::uint64_t cycles = 0;
+  /// The chain's newest min(cycles, kDigestWindow) digests; the last one
+  /// is cycle `cycles`'s.
   std::vector<std::uint64_t> stable_digests;
   MessageId last_sync = MessageId::null();
   VectorClock frontier;
@@ -57,6 +66,15 @@ struct Checkpoint {
   void save(const std::string& path) const;
   /// Loads and validates a checkpoint file; throws on any failure.
   static Checkpoint load(const std::string& path);
+
+  /// The digest of `cycle` (1-based) while stable_digests holds it.
+  [[nodiscard]] std::optional<std::uint64_t> digest_at(
+      std::uint64_t cycle) const;
 };
+
+/// The first cycle both checkpoints hold a digest for on which they
+/// disagree; nullopt when their windows agree wherever they overlap.
+[[nodiscard]] std::optional<std::uint64_t> first_divergent_cycle(
+    const Checkpoint& a, const Checkpoint& b);
 
 }  // namespace cbc::fault

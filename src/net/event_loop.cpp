@@ -247,6 +247,16 @@ void EventLoop::run() {
   stop_requested_.store(false, std::memory_order_release);
   loop_thread_ = std::this_thread::get_id();
   running_.store(true, std::memory_order_release);
+  // Leaves the loop idle however run() exits: an exception from a
+  // callback unwinds through here, and ~EventLoop must not then find it
+  // still running.
+  struct Idle {
+    EventLoop& loop;
+    ~Idle() {
+      loop.running_.store(false, std::memory_order_release);
+      loop.loop_thread_ = std::thread::id{};
+    }
+  } idle{*this};
   assert_in_loop();  // run() IS the loop thread: claim the capability
 
   while (!stop_requested_.load(std::memory_order_acquire)) {
@@ -293,9 +303,6 @@ void EventLoop::run() {
       }
     }
   }
-
-  running_.store(false, std::memory_order_release);
-  loop_thread_ = std::thread::id{};
 }
 
 void EventLoop::stop() {

@@ -90,7 +90,7 @@ void usage() {
          "  --object NAME     replicated object from the catalog (counter,\n"
          "                    registry, document, card_game, set, queue;\n"
          "                    default counter)\n"
-         "  --rounds R        workload rounds (default 10)\n"
+         "  --rounds R        workload rounds (default 10; causal only)\n"
          "  --ops K           commutative ops per member per round "
          "(default 20)\n"
          "  --discipline D    causal (OSend, default) or total (ASend)\n"
@@ -112,6 +112,7 @@ NodeArgs parse_args(int argc, char** argv) {
   // Round arithmetic runs in int64, so counts stay within its range.
   constexpr std::uint64_t kMaxCount = std::numeric_limits<std::int64_t>::max();
   NodeArgs args;
+  bool rounds_given = false;
   rt::ArgReader in(argc, argv, 1);
   while (in.next()) {
     const std::string& flag = in.flag();
@@ -126,6 +127,7 @@ NodeArgs parse_args(int argc, char** argv) {
       args.object = in.value();
     } else if (flag == "--rounds") {
       args.rounds = in.number<std::uint64_t>(0, kMaxCount);
+      rounds_given = true;
     } else if (flag == "--ops") {
       args.ops_per_round = in.number<std::uint64_t>(0, kMaxCount);
     } else if (flag == "--discipline") {
@@ -155,6 +157,9 @@ NodeArgs parse_args(int argc, char** argv) {
   cbc::require(args.id != cbc::kNoNode, "--id is required");
   cbc::require(args.discipline == "causal" || args.discipline == "total",
                "--discipline must be causal or total");
+  cbc::require(args.discipline == "causal" || !rounds_given,
+               "--rounds requires the causal discipline; --discipline total "
+               "runs one shot of --ops per member");
   cbc::require(args.discipline == "causal" ||
                    (!args.recover && args.checkpoint_path.empty() &&
                     args.quiesce_at_round < 0),
@@ -164,6 +169,10 @@ NodeArgs parse_args(int argc, char** argv) {
                "--recover excludes --observer and the leader (id 0)");
   return args;
 }
+
+// A checkpoint carries exactly the checker's digest window.
+static_assert(cbc::fault::Checkpoint::kDigestWindow ==
+              cbc::check::InvariantChecker::kDigestWindow);
 
 /// One member: the shared runtime plus the round workload it drives.
 class Node {
@@ -293,13 +302,14 @@ class Node {
       }
     }
     if (own.has_value()) {
-      const std::size_t common = std::min(own->stable_digests.size(),
-                                          recovered_->stable_digests.size());
-      for (std::size_t c = 0; c < common; ++c) {
-        cbc::require(own->stable_digests[c] == recovered_->stable_digests[c],
-                     "recovery: stable digest chain diverges from the peer "
-                     "at cycle " + std::to_string(c + 1));
-      }
+      // Each checkpoint holds the newest window of the chain; a digest
+      // folds every earlier one, so agreeing where the windows overlap
+      // is agreeing on the whole chain up to there.
+      const std::optional<std::uint64_t> diverged =
+          cbc::fault::first_divergent_cycle(*own, *recovered_);
+      cbc::require(!diverged.has_value(),
+                   "recovery: stable digest chain diverges from the peer "
+                   "at cycle " + std::to_string(diverged.value_or(0)));
       // The pre-crash file can be AHEAD of the transferred snapshot (the
       // peer may not have closed the cycle we flushed last). Acks were
       // capped at our flushed frontier, so senders have pruned everything
@@ -319,7 +329,8 @@ class Node {
       floors[view.member_at(rank)] =
           snapshot.frontier.at(static_cast<cbc::NodeId>(rank));
     }
-    runtime_.checker().restore(snapshot.stable_digests, std::move(floors));
+    runtime_.checker().restore(snapshot.cycles, snapshot.stable_digests,
+                               std::move(floors));
     cbc::Reader state_reader(snapshot.app_state);
     replica().restore_state(cbc::object::Value::decode(state_reader));
     // Baseline adoption also fast-forwards our send seqs above the
@@ -411,7 +422,7 @@ class Node {
     cbc::fault::Checkpoint snapshot;
     snapshot.node = args_.id;
     snapshot.stable_digests = runtime_.checker().stable_digests();
-    snapshot.cycles = snapshot.stable_digests.size();
+    snapshot.cycles = runtime_.checker().stable_cycles();
     snapshot.last_sync = sync.id;
     snapshot.frontier = osend().delivered_prefix();
     cbc::Writer writer;

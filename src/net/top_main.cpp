@@ -335,17 +335,19 @@ void render_human(const std::vector<Target>& targets,
       family("flight.records"),
       family("fault.drops") + family("fault.duplicates") +
           family("fault.delays") + family("fault.reorders"));
-  std::printf("%-12s %-16s %-5s %10s %12s %12s %10s\n", "PROCESS",
+  std::printf("%-12s %-16s %-5s %10s %12s %12s %10s %8s %9s\n", "PROCESS",
               "ENDPOINT", "UP", "DELIVERED", "HOLD_P99us", "KVWAIT_P99us",
-              "FLIGHT");
+              "FLIGHT", "RSS_MB", "RETAINED");
   for (const Target& target : targets) {
-    std::printf("%-12s %-16s %-5s %10.0f %12.0f %12.0f %10.0f\n",
+    std::printf("%-12s %-16s %-5s %10.0f %12.0f %12.0f %10.0f %8.1f %9.0f\n",
                 target.label.c_str(), target.endpoint.c_str(),
                 target.up ? "yes" : "NO",
                 metric_or(target, "osend.delivered"),
                 metric_or(target, "osend.hold_us.p99"),
                 metric_or(target, "kv.context_wait_us.p99"),
-                metric_or(target, "flight.records"));
+                metric_or(target, "flight.records"),
+                metric_or(target, "process.rss_bytes") / (1024.0 * 1024.0),
+                metric_or(target, "check.retained"));
   }
   if (!shards.empty()) {
     std::printf("per-shard kv.context_wait_us:\n");

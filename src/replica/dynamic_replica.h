@@ -41,6 +41,8 @@ class DynamicReplicaNode {
     /// The replica's starting state — identical at every member (see
     /// ReplicaNode::Options::initial).
     State initial{};
+    /// See ReplicaNode::Options::keep_stable_history.
+    bool keep_stable_history = false;
   };
 
   DynamicReplicaNode(Transport& transport, const GroupView& view,
@@ -59,13 +61,18 @@ class DynamicReplicaNode {
             },
             options.member),
         front_end_(coordinator_.member(), spec),
-        detector_(spec,
-                  [this](const StablePoint& point) {
-                    last_stable_state_ = state_;
-                    stable_history_.push_back(state_);
-                    fire_deferred_reads(point);
-                  }),
-        state_(std::move(options.initial)) {
+        detector_(
+            spec,
+            [this](const StablePoint& point) {
+              last_stable_state_ = state_;
+              if (keep_stable_history_) {
+                stable_history_.push_back(state_);
+              }
+              fire_deferred_reads(point);
+            },
+            options.keep_stable_history),
+        state_(std::move(options.initial)),
+        keep_stable_history_(options.keep_stable_history) {
     coordinator_.enable_state_transfer(
         [this] { return make_snapshot(); },
         [this](std::span<const std::uint8_t> snapshot) {
@@ -162,7 +169,8 @@ class DynamicReplicaNode {
   StablePointDetector detector_;
   State state_{};
   std::optional<State> last_stable_state_;
-  std::vector<State> stable_history_;
+  bool keep_stable_history_ = false;
+  std::vector<State> stable_history_;  // with keep_stable_history only
   std::vector<StableReadFn> deferred_reads_;
   ViewInstalledFn on_view_;
 };

@@ -19,7 +19,7 @@
 // src/apps for the shipped state machines and src/object for the
 // runtime-polymorphic object::Value (an object chosen by name — seed it
 // via Options::initial). Requirements on State:
-//   copyable                                     snapshots, stable history
+//   copyable                                     stable-point snapshots
 //   std::vector<std::uint8_t> apply(kind, Reader&)  transition function F,
 //                                                returning the op response
 //   bool operator==(const State&)                agreement checks
@@ -70,6 +70,11 @@ class ReplicaNode {
     /// whenever State{} is not the real initial value (object::Value is
     /// empty until seeded with a catalog object).
     State initial{};
+    /// Keep a state snapshot per stable point in stable_history() and
+    /// every point in detector().history() (tests, benches and examples
+    /// that compare past cycles). Off, the node keeps only
+    /// last_stable_state(), so its memory does not grow with the run.
+    bool keep_stable_history = false;
   };
 
   ReplicaNode(Transport& transport, const GroupView& view,
@@ -82,19 +87,22 @@ class ReplicaNode {
                         transport, view, [](const Delivery&) {},
                         options.member),
                     std::move(spec), options.front_end,
-                    std::move(options.initial)) {}
+                    std::move(options.initial), options.keep_stable_history) {}
 
   /// Injects an ordering member (any discipline or layered stack); the
   /// node splices itself into the member's delivery path.
+  /// `keep_stable_history` is Options::keep_stable_history.
   ReplicaNode(std::unique_ptr<BroadcastMember> member, CommutativitySpec spec,
               FrontEndManager::Options front_end_options = {},
-              State initial = State{})
+              State initial = State{}, bool keep_stable_history = false)
       : member_(std::move(member)),
         front_end_(*member_, spec, front_end_options),
-        detector_(spec, [this](const StablePoint& point) {
-          on_stable_point(point);
-        }),
-        state_(std::move(initial)) {
+        detector_(
+            spec,
+            [this](const StablePoint& point) { on_stable_point(point); },
+            keep_stable_history),
+        state_(std::move(initial)),
+        keep_stable_history_(keep_stable_history) {
     member_->set_deliver(
         [this](const Delivery& delivery) { on_delivery(delivery); });
   }
@@ -161,12 +169,18 @@ class ReplicaNode {
     last_stable_state_ = std::move(snapshot);
   }
 
-  /// Snapshot at every stable point so far, in cycle order. Snapshot k
-  /// pairs with detector().history()[k]. Members agree on snapshot k
-  /// whenever cycle k's coverage was complete at every member — the
-  /// paper's agreement-at-stable-points property, directly checkable.
+  /// Snapshot at every stable point so far, in cycle order (empty unless
+  /// Options::keep_stable_history). Snapshot k pairs with
+  /// detector().history()[k]. Members agree on snapshot k whenever cycle
+  /// k's coverage was complete at every member — the paper's
+  /// agreement-at-stable-points property, directly checkable.
   [[nodiscard]] const std::vector<State>& stable_history() const {
     return stable_history_;
+  }
+
+  /// Stable-point state copies held: the history's, plus the last one.
+  [[nodiscard]] std::size_t stable_states() const {
+    return stable_history_.size() + (last_stable_state_.has_value() ? 1 : 0);
   }
 
   [[nodiscard]] BroadcastMember& member() { return *member_; }
@@ -219,7 +233,9 @@ class ReplicaNode {
 
   void on_stable_point(const StablePoint& point) {
     last_stable_state_ = state_;
-    stable_history_.push_back(state_);
+    if (keep_stable_history_) {
+      stable_history_.push_back(state_);
+    }
     if (deferred_reads_.empty()) {
       return;
     }
@@ -235,7 +251,8 @@ class ReplicaNode {
   StablePointDetector detector_;
   State state_{};
   std::optional<State> last_stable_state_;
-  std::vector<State> stable_history_;
+  bool keep_stable_history_ = false;
+  std::vector<State> stable_history_;  // with keep_stable_history only
   std::vector<StableReadFn> deferred_reads_;
   std::unordered_map<MessageId, AppliedFn> pending_result_;
   ApplyObserverFn apply_observer_;

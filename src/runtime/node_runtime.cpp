@@ -107,6 +107,17 @@ bool write_file_atomic(const std::string& path, std::string_view contents) {
   return false;
 }
 
+/// The KiB value of one /proc/self/status line ("VmHWM:", ...).
+std::uint64_t proc_status_kb(std::string_view key) {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::strtoull(line.c_str() + key.size(), nullptr, 10);
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 std::uint64_t parse_uint(std::string_view flag, std::string_view token,
@@ -167,6 +178,9 @@ bool write_kv_file(const std::string& path, const KeyValues& kv) {
   }
   return write_file_atomic(path, text);
 }
+
+std::uint64_t peak_rss_kb() { return proc_status_kb("VmHWM:"); }
+std::uint64_t rss_kb() { return proc_status_kb("VmRSS:"); }
 
 std::string hex64(std::uint64_t v) {
   char buffer[17];
@@ -241,14 +255,19 @@ NodeRuntime::NodeRuntime(const SharedFlags& flags, Config config)
       view_(1, config_.members),
       log_(std::make_shared<check::ViolationLog>()) {
   registry_.set_default_labels(config_.default_labels);
+  build_stack();
   // The flight ring is process-global and always on; export its
-  // occupancy whenever anything scrapes this registry.
-  flight_collector_ =
+  // occupancy, and what the process holds, whenever anything scrapes this
+  // registry.
+  process_collector_ =
       registry_.register_collector([this](obs::CollectorSink& sink) {
         sink.counter("flight.records", flight_->total_recorded());
         sink.gauge("flight.capacity", static_cast<double>(flight_->capacity()));
+        sink.gauge("process.rss_bytes", static_cast<double>(rss_kb() * 1024));
+        const LockGuard guard(replica_->member().stack_mutex());
+        sink.gauge("replica.stable_states",
+                   static_cast<double>(replica_->stable_states()));
       });
-  build_stack();
   if (flags_.metrics_port >= 0) {
     net::MetricsHttpServer::Options http_options;
     http_options.port = static_cast<std::uint16_t>(flags_.metrics_port);
@@ -403,9 +422,10 @@ void NodeRuntime::write_report(KeyValues keys) {
   keys.emplace_back("delivered", std::to_string(delivered()));
   // The digest chain folds every previous stable point, so
   // (digest_count, digest) summarizes the whole agreed history.
-  keys.emplace_back("digest_count", std::to_string(digests.size()));
+  keys.emplace_back("digest_count", std::to_string(checker_->stable_cycles()));
   keys.emplace_back("digest", digests.empty() ? "0" : hex64(digests.back()));
   keys.emplace_back("violations", std::to_string(log_->size()));
+  keys.emplace_back("peak_rss_kb", std::to_string(peak_rss_kb()));
   keys.emplace_back("metrics_port", metrics_port_text());
   // Where a postmortem of this process would read the flight ring.
   const obs::FlightRecorder::Options& ring = flight_->options();

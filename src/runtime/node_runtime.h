@@ -134,6 +134,11 @@ bool write_kv_file(const std::string& path, const KeyValues& kv);
 
 [[nodiscard]] std::string hex64(std::uint64_t v);
 
+/// This process's peak (VmHWM) and current (VmRSS) resident set size in
+/// KiB, from /proc/self/status; 0 where that is unreadable.
+[[nodiscard]] std::uint64_t peak_rss_kb();
+[[nodiscard]] std::uint64_t rss_kb();
+
 /// Installs the SIGTERM/SIGUSR2 flags and the object catalog, then runs
 /// `body`; an exception becomes "<binary>: fatal: ..." and status 1.
 int run_main(const char* binary, const std::function<int()>& body);
@@ -205,7 +210,8 @@ class NodeRuntime {
   void stop();
 
   /// Writes the report once: `keys`, then delivered, digest_count,
-  /// digest, violations, metrics_port and flight (violations to stderr).
+  /// digest, violations, peak_rss_kb, metrics_port and flight (violations
+  /// to stderr).
   void write_report(KeyValues keys);
   [[nodiscard]] bool report_written() const { return report_written_; }
   /// Rewrites the progress file: `keys`, then delivered and metrics_port
@@ -263,7 +269,6 @@ class NodeRuntime {
   // Declared before every component that registers collectors, so it is
   // destroyed last.
   obs::MetricsRegistry registry_;
-  obs::CollectorHandle flight_collector_;
   StackOptions options_;
   net::UdpTransport udp_;
   std::unique_ptr<fault::ChaosTransport> chaos_;  ///< batching_ rides it
@@ -272,6 +277,9 @@ class NodeRuntime {
   std::shared_ptr<check::ViolationLog> log_;
   check::InvariantChecker* checker_ = nullptr;  // owned via replica_
   std::unique_ptr<Replica> replica_;
+  /// flight.*, process.rss_bytes and replica.stable_states; declared after
+  /// what it reads, so it unregisters first.
+  obs::CollectorHandle process_collector_;
   std::unique_ptr<net::MetricsHttpServer> metrics_http_;
   std::vector<check::HistoryOp> history_;
   bool report_written_ = false;

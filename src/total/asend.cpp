@@ -191,6 +191,9 @@ void ASendMember::try_close_rounds() {
       // deliver spans carry no Occurs_After edges; round closing is the
       // hold, but per-message hold is not tracked here (arg 0).
       obs::flight_record(obs::FlightEvent::kDeliver, delivery.id);
+      if (!options_.keep_delivery_log) {
+        log_.clear();
+      }
       log_.push_back(std::move(delivery));
       stats_.delivered += 1;
       deliver_(log_.back());

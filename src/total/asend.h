@@ -50,6 +50,9 @@ class ASendMember final : public BroadcastMember {
  public:
   struct Options {
     ReliableEndpoint::Options reliability{.enabled = false};
+    /// When true, log() keeps every delivery; when false it holds only
+    /// the most recent one (each delivery aliases its wire frame).
+    bool keep_delivery_log = false;
     /// Observability sinks: OrderingStats collector + round gauges and
     /// per-envelope submit/deliver spans. Default: off.
     obs::Hooks obs{};

@@ -242,7 +242,8 @@ TEST(StablePointDetector, SyncMessageClosesCycleWithCoverage) {
 }
 
 TEST(StablePointDetector, IncompleteCoverageFlagged) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr);
+  StablePointDetector detector(apps::Counter::spec(), nullptr,
+                               /*keep_history=*/true);
   detector.on_delivery(make_delivery(id(0, 1), "inc#1", DepSpec::none()));
   detector.on_delivery(make_delivery(id(1, 1), "inc#2", DepSpec::none()));
   // Sync message only names one of the two open commutative messages.
@@ -253,7 +254,8 @@ TEST(StablePointDetector, IncompleteCoverageFlagged) {
 }
 
 TEST(StablePointDetector, RepeatedCyclesCount) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr);
+  StablePointDetector detector(apps::Counter::spec(), nullptr,
+                               /*keep_history=*/true);
   SeqNo seq = 1;
   for (std::uint64_t cycle = 1; cycle <= 5; ++cycle) {
     std::vector<MessageId> cids;
@@ -270,8 +272,29 @@ TEST(StablePointDetector, RepeatedCyclesCount) {
   EXPECT_EQ(detector.open_cycle(), 6u);
 }
 
-TEST(StablePointDetector, BackToBackSyncMessagesFormEmptyCycles) {
+TEST(StablePointDetector, DefaultKeepsOnlyTheLastPoint) {
   StablePointDetector detector(apps::Counter::spec(), nullptr);
+  EXPECT_FALSE(detector.last().has_value());
+  SeqNo seq = 1;
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    const MessageId c = id(0, seq++);
+    detector.on_delivery(make_delivery(c, "inc#x", DepSpec::none()));
+    detector.on_delivery(
+        make_delivery(id(1, seq++), "rd#y", DepSpec::after(c)));
+  }
+  EXPECT_TRUE(detector.history().empty());
+  EXPECT_EQ(detector.cycles(), 100u);
+  ASSERT_TRUE(detector.last().has_value());
+  EXPECT_EQ(detector.last()->cycle, 100u);
+  EXPECT_EQ(detector.last()->sync_message, id(1, seq - 1));
+  EXPECT_EQ(detector.last()->commutative_set,
+            std::vector<MessageId>{id(0, seq - 2)});
+  EXPECT_TRUE(detector.last()->coverage_complete);
+}
+
+TEST(StablePointDetector, BackToBackSyncMessagesFormEmptyCycles) {
+  StablePointDetector detector(apps::Counter::spec(), nullptr,
+                               /*keep_history=*/true);
   detector.on_delivery(make_delivery(id(0, 1), "rd#1", DepSpec::none()));
   detector.on_delivery(make_delivery(id(0, 2), "rd#2", DepSpec::after(id(0, 1))));
   ASSERT_EQ(detector.history().size(), 2u);

@@ -181,6 +181,7 @@ class StableActivityScenario final : public check::Scenario {
     spec.mark_commutative("inc");
     InvariantChecker::Options options;
     options.stable_spec = spec;
+    options.keep_full_record = true;  // on_quiescent reads stable_history()
     for (std::size_t i = 0; i < 3; ++i) {
       checkers_.push_back(monitor_.attach(
           std::make_unique<OSendMember>(transport, view_,

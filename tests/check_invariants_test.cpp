@@ -196,8 +196,15 @@ InvariantChecker::Options stable_options() {
   return options;
 }
 
+/// stable_options() that also keeps the whole record (stable_history()).
+InvariantChecker::Options recording_stable_options() {
+  InvariantChecker::Options options = stable_options();
+  options.keep_full_record = true;
+  return options;
+}
+
 TEST(InvariantChecker, StableDigestIsOrderInsensitive) {
-  CheckerRig rig(stable_options(), 2);
+  CheckerRig rig(recording_stable_options(), 2);
   const MessageId i1{0, 1};
   const MessageId i2{1, 1};
   const MessageId sync{0, 2};
@@ -267,6 +274,166 @@ TEST(InvariantChecker, StableDivergenceIsReported) {
     found = found || violation.kind == ViolationKind::kStableDivergence;
   }
   EXPECT_TRUE(found) << rig.monitor.report();
+}
+
+// ---------- retention bounded by the open cycle ----------
+
+/// Next free seq of senders 0 and 1.
+struct Seqs {
+  SeqNo zero = 1;
+  SeqNo one = 1;
+};
+
+/// Feeds every member of `rig` the same `cycles` stable cycles — an inc
+/// from each of senders 0 and 1, then sender 0's covering sync.
+void close_cycles(CheckerRig& rig, int cycles, Seqs& next) {
+  for (int c = 0; c < cycles; ++c) {
+    const MessageId a{0, next.zero++};
+    const MessageId b{1, next.one++};
+    const MessageId sync{0, next.zero++};
+    for (StubMember* stub : rig.stubs) {
+      stub->inject(a, "inc(x)");
+      stub->inject(b, "inc(x)");
+      stub->inject(sync, "read(x)", {a, b});
+    }
+  }
+}
+
+std::vector<ViolationKind> kinds(const InvariantMonitor& monitor) {
+  std::vector<ViolationKind> out;
+  for (const check::Violation& violation : monitor.log()->violations()) {
+    out.push_back(violation.kind);
+  }
+  return out;
+}
+
+TEST(InvariantChecker, DefaultCheckerRetainsAtMostTheOpenCycle) {
+  CheckerRig rig(stable_options(), 2);
+  Seqs next;
+  close_cycles(rig, 200, next);
+  // The open cycle: two commutative deliveries, no sync yet.
+  for (StubMember* stub : rig.stubs) {
+    stub->inject({0, next.zero}, "inc(x)");
+    stub->inject({1, next.one}, "inc(x)");
+  }
+  for (const auto& checker : rig.checkers) {
+    EXPECT_EQ(checker->delivered_count(), 602u);
+    EXPECT_EQ(checker->delivered_sequence().size(), 2u);
+    EXPECT_FALSE(checker->record_complete());
+    EXPECT_TRUE(checker->stable_history().empty());
+    EXPECT_EQ(checker->stable_cycles(), 200u);
+    EXPECT_EQ(checker->stable_digests().size(),
+              InvariantChecker::kDigestWindow);
+    EXPECT_EQ(checker->digest_at(200), checker->stable_digests().back());
+    EXPECT_EQ(checker->digest_at(200 - InvariantChecker::kDigestWindow),
+              std::nullopt);
+  }
+  EXPECT_TRUE(rig.monitor.check_quiescent()) << rig.monitor.report();
+}
+
+TEST(InvariantChecker, KeepFullRecordKeepsTheWholeRun) {
+  CheckerRig rig(recording_stable_options(), 2);
+  Seqs next;
+  close_cycles(rig, 100, next);
+  for (const auto& checker : rig.checkers) {
+    EXPECT_EQ(checker->delivered_sequence().size(), 300u);
+    EXPECT_TRUE(checker->record_complete());
+    EXPECT_EQ(checker->stable_history().size(), 100u);
+    EXPECT_EQ(checker->stable_digests().size(), 100u);
+  }
+  EXPECT_TRUE(rig.monitor.check_quiescent()) << rig.monitor.report();
+}
+
+TEST(InvariantChecker, SetDivergenceFiresWithDefaultOptions) {
+  CheckerRig rig(stable_options(), 2);
+  Seqs next;
+  close_cycles(rig, 3, next);
+  // Equal counts, different sets.
+  rig.stubs[0]->inject({0, next.zero}, "inc(x)");
+  rig.stubs[1]->inject({1, next.one}, "inc(x)");
+  ASSERT_FALSE(rig.checkers[0]->record_complete());
+  EXPECT_FALSE(rig.monitor.check_quiescent());
+  EXPECT_EQ(kinds(rig.monitor),
+            std::vector<ViolationKind>{ViolationKind::kSetDivergence})
+      << rig.monitor.report();
+}
+
+TEST(InvariantChecker, OrderDivergenceFiresWithDefaultOptions) {
+  InvariantChecker::Options options = stable_options();
+  options.expect_total_order = true;
+  CheckerRig rig(options, 2);
+  Seqs next;
+  close_cycles(rig, 3, next);
+  const MessageId a{0, next.zero};
+  const MessageId b{1, next.one};
+  rig.stubs[0]->inject(a, "inc(x)");
+  rig.stubs[0]->inject(b, "inc(x)");
+  rig.stubs[1]->inject(b, "inc(x)");
+  rig.stubs[1]->inject(a, "inc(x)");
+  ASSERT_FALSE(rig.checkers[0]->record_complete());
+  EXPECT_FALSE(rig.monitor.check_quiescent());
+  EXPECT_EQ(kinds(rig.monitor),
+            std::vector<ViolationKind>{ViolationKind::kOrderDivergence})
+      << rig.monitor.report();
+}
+
+TEST(InvariantChecker, StableDivergenceFiresWithDefaultOptions) {
+  CheckerRig rig(stable_options(), 2);
+  // Cycle 1 closes before sender 1's inc at member 1 and after it at
+  // member 0: the sets agree, the states at the stable point do not.
+  const MessageId inc{1, 1};
+  const MessageId sync{0, 1};
+  rig.stubs[0]->inject(inc, "inc(x)");
+  rig.stubs[0]->inject(sync, "read(x)");
+  rig.stubs[1]->inject(sync, "read(x)");
+  rig.stubs[1]->inject(inc, "inc(x)");
+  // Enough clean cycles that cycle 1 leaves the digest window: the chain
+  // carries the divergence into every later digest.
+  Seqs next{.zero = 2, .one = 2};
+  close_cycles(rig, 100, next);
+  ASSERT_EQ(rig.checkers[0]->digest_at(1), std::nullopt);
+  EXPECT_FALSE(rig.monitor.check_quiescent());
+  const std::vector<ViolationKind> found = kinds(rig.monitor);
+  ASSERT_FALSE(found.empty());
+  for (const ViolationKind kind : found) {
+    EXPECT_EQ(kind, ViolationKind::kStableDivergence) << rig.monitor.report();
+  }
+}
+
+TEST(InvariantChecker, SenderGapFiresWithDefaultOptions) {
+  CheckerRig rig(stable_options(), 1);
+  Seqs next;
+  close_cycles(rig, 3, next);
+  rig.stubs[0]->inject({1, next.one + 1}, "inc(x)");  // skips next.one
+  ASSERT_FALSE(rig.checkers[0]->record_complete());
+  EXPECT_FALSE(rig.monitor.check_quiescent());
+  ASSERT_EQ(kinds(rig.monitor),
+            std::vector<ViolationKind>{ViolationKind::kSenderGap});
+  EXPECT_EQ(rig.monitor.log()->violations()[0].message,
+            (MessageId{1, next.one}));
+}
+
+TEST(InvariantChecker, FullRecordNamesTheDivergingIdAndSync) {
+  // With keep_full_record the report names the first diverging id after
+  // stable points, and a cycle that closed on another sync message.
+  CheckerRig rig(recording_stable_options(), 2);
+  Seqs next;
+  close_cycles(rig, 3, next);
+  const MessageId extra{1, next.one};
+  rig.stubs[0]->inject(extra, "inc(x)");
+  rig.stubs[0]->inject({0, next.zero}, "read(x)", {extra});
+  rig.stubs[1]->inject({1, next.one + 1}, "read(x)");
+  EXPECT_FALSE(rig.monitor.check_quiescent());
+  const std::string report = rig.monitor.report();
+  EXPECT_NE(report.find("3 ids differ"), std::string::npos) << report;
+  EXPECT_NE(report.find("cycle 4 closed on a different sync message"),
+            std::string::npos)
+      << report;
+  for (const check::Violation& violation : rig.monitor.log()->violations()) {
+    if (violation.kind == ViolationKind::kSetDivergence) {
+      EXPECT_EQ(violation.message, (MessageId{0, next.zero}));  // smallest
+    }
+  }
 }
 
 TEST(InvariantChecker, ViolationReportNamesKindMemberAndMessage) {

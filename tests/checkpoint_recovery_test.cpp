@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,96 @@ TEST(CheckerRestore, SeqBelowFloorIsNotAGapAboveItIs) {
   stub->inject({1, 6}, "inc");
   checker->check_no_gaps();
   EXPECT_GT(checker->violation_count(), 0u);
+}
+
+/// Closes `cycles` stable cycles through `stub` (one inc, then a sync).
+void close_cycles(StubMember& stub, int cycles) {
+  for (int c = 0; c < cycles; ++c) {
+    const SeqNo seq = static_cast<SeqNo>(2 * c + 1);
+    stub.inject({0, seq}, "inc");
+    stub.inject({0, seq + 1}, "rd", {{0, seq}});
+  }
+}
+
+/// A checkpoint the way cbc_node captures one from its checker.
+Checkpoint capture(const InvariantChecker& checker) {
+  Checkpoint snapshot = sample_checkpoint();
+  snapshot.cycles = checker.stable_cycles();
+  snapshot.stable_digests = checker.stable_digests();
+  return snapshot;
+}
+
+TEST(CheckpointFile, EncodedSizeIsFlatAcrossCycles) {
+  InvariantChecker::Options options;
+  options.stable_spec = apps::Counter::spec();
+  std::vector<std::size_t> sizes;
+  for (const int cycles : {100, 1000}) {
+    InvariantMonitor monitor(options);
+    auto stub_owner = std::make_unique<StubMember>(0);
+    StubMember* stub = stub_owner.get();
+    const std::unique_ptr<InvariantChecker> checker =
+        monitor.attach(std::move(stub_owner));
+    close_cycles(*stub, cycles);
+    const Checkpoint snapshot = capture(*checker);
+    EXPECT_EQ(snapshot.cycles, static_cast<std::uint64_t>(cycles));
+    Writer writer;
+    snapshot.encode(writer);
+    sizes.push_back(writer.size());
+    Reader reader(writer.bytes());
+    EXPECT_EQ(Checkpoint::decode(reader).digest_at(snapshot.cycles),
+              checker->stable_digests().back());
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
+}
+
+TEST(CheckpointFile, FirstDivergentCycleComparesTheOverlappingWindow) {
+  Checkpoint newer = sample_checkpoint();
+  newer.cycles = 100;
+  newer.stable_digests.clear();
+  for (std::uint64_t cycle = 37; cycle <= 100; ++cycle) {
+    newer.stable_digests.push_back(cycle * 7);
+  }
+  Checkpoint older = newer;
+  older.cycles = 90;
+  older.stable_digests.clear();
+  for (std::uint64_t cycle = 27; cycle <= 90; ++cycle) {
+    older.stable_digests.push_back(cycle * 7);
+  }
+  EXPECT_EQ(fault::first_divergent_cycle(newer, older), std::nullopt);
+  older.stable_digests[50 - 27] ^= 1;  // cycle 50, inside the overlap
+  EXPECT_EQ(fault::first_divergent_cycle(newer, older),
+            std::optional<std::uint64_t>(50));
+  EXPECT_EQ(fault::first_divergent_cycle(older, newer),
+            std::optional<std::uint64_t>(50));
+  older.stable_digests[50 - 27] ^= 1;
+  older.stable_digests[0] ^= 1;  // cycle 27: only the older one holds it
+  EXPECT_EQ(fault::first_divergent_cycle(newer, older), std::nullopt);
+}
+
+TEST(CheckerRestore, WindowedChainResumesAtItsCycleCount) {
+  // A checkpoint of cycle 1,000 carries only the chain's newest digests;
+  // the restored checker counts on from 1,000 and chains off the last.
+  InvariantChecker::Options options;
+  options.stable_spec = apps::Counter::spec();
+  InvariantMonitor monitor(options);
+  auto stub_owner = std::make_unique<StubMember>(0);
+  StubMember* stub = stub_owner.get();
+  const std::unique_ptr<InvariantChecker> checker =
+      monitor.attach(std::move(stub_owner));
+  std::vector<std::uint64_t> window;
+  for (std::uint64_t d = 1; d <= InvariantChecker::kDigestWindow; ++d) {
+    window.push_back(d);
+  }
+  checker->restore(1000, window, {{0, 2000}, {1, 2000}});
+  EXPECT_EQ(checker->stable_cycles(), 1000u);
+  EXPECT_EQ(checker->digest_at(1000), window.back());
+  stub->inject({0, 2001}, "inc");
+  stub->inject({0, 2002}, "rd", {{0, 2001}});
+  EXPECT_EQ(checker->violation_count(), 0u) << monitor.report();
+  EXPECT_EQ(checker->stable_cycles(), 1001u);
+  ASSERT_EQ(checker->stable_digests().size(), window.size());
+  EXPECT_EQ(checker->digest_at(1000), window.back());
+  EXPECT_NE(checker->digest_at(1001), window.back());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class ClusterHarness {
     /// and artifact paths.
     std::size_t groups = 1;
     std::size_t nodes = 3;
-    std::uint64_t rounds = 10;
+    std::uint64_t rounds = 10;  ///< --rounds; causal only (total is one shot)
     std::uint64_t ops_per_round = 20;
     std::string discipline = "causal";
     /// Replicated object to run (--object). Empty resolves to the
@@ -125,7 +125,6 @@ class ClusterHarness {
           CBC_NODE_BIN,
           "--config", config_path(group),
           "--id", std::to_string(id),
-          "--rounds", std::to_string(options_.rounds),
           "--ops", std::to_string(options_.ops_per_round),
           "--discipline", options_.discipline,
           "--object", options_.object,
@@ -135,6 +134,11 @@ class ClusterHarness {
           // tests can decode what a killed member was doing.
           "--flight", flight_path(group, id),
       };
+      if (options_.discipline == "causal") {
+        // Total order runs one shot; cbc_node rejects --rounds there.
+        args.push_back("--rounds");
+        args.push_back(std::to_string(options_.rounds));
+      }
       if (options_.record_history) {
         args.push_back("--record-history");
         args.push_back(history_path(group, id));

@@ -12,13 +12,16 @@
 namespace cbc::testkit {
 
 /// MemberT's default options, except that a member which can record its
-/// delivery history (OSend: record_graph, keep_delivery_log) does: the
-/// Group checks below and most tests read the whole log() and the graph().
+/// delivery history (OSend: record_graph, keep_delivery_log; ASend:
+/// keep_delivery_log) does: the Group checks below and most tests read
+/// the whole log() and the graph().
 template <typename MemberT>
 typename MemberT::Options recording_options() {
   typename MemberT::Options options{};
   if constexpr (requires { options.record_graph; }) {
     options.record_graph = true;
+  }
+  if constexpr (requires { options.keep_delivery_log; }) {
     options.keep_delivery_log = true;
   }
   return options;

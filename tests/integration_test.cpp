@@ -76,6 +76,7 @@ TEST(Integration, ReplicaGroupSurvivesHostileNetwork) {
   SimEnv env(config);
   typename ReplicaNode<apps::Counter>::Options options;
   options.member.reliability = {.control_interval_us = 3000, .enabled = true};
+  options.keep_stable_history = true;  // every cycle's coverage is checked
   ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec(),
                                     options);
   Rng rng(17);
@@ -225,7 +226,8 @@ TEST(Integration, ASendOnThreadTransportTotalOrder) {
   std::vector<std::unique_ptr<ASendMember>> members;
   for (std::size_t i = 0; i < 3; ++i) {
     members.push_back(std::make_unique<ASendMember>(
-        transport, view, [](const Delivery&) {}));
+        transport, view, [](const Delivery&) {},
+        ASendMember::Options{.keep_delivery_log = true}));
   }
   for (int k = 0; k < 10; ++k) {
     members[static_cast<std::size_t>(k) % 3]->asend("m" + std::to_string(k),

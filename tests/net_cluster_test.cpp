@@ -10,8 +10,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "apps/install.h"
 #include "check/history.h"
@@ -464,15 +467,23 @@ TEST(Cluster, FlightDumpOfKilledNodeMergesIntoSurvivorTimeline) {
   EXPECT_GE(report.deliver.p99, report.deliver.p50);
 }
 
-/// A one-member cluster config on a reserved loopback port, in a fresh
-/// temp directory (returned through `dir`).
-std::string single_member_config(std::string& dir) {
+/// An n-member cluster config on reserved loopback ports, in a fresh temp
+/// directory (returned through `dir`).
+std::string cluster_config(std::string& dir, std::size_t n) {
   dir = "/tmp/cbc_node_flags_XXXXXX";
   require(::mkdtemp(dir.data()) != nullptr, "mkdtemp failed");
   const std::string path = dir + "/cluster.txt";
-  std::ofstream(path) << "0 127.0.0.1:" << testkit::reserve_udp_ports(1)[0]
-                      << "\n";
+  std::ofstream config(path);
+  const std::vector<std::uint16_t> ports = testkit::reserve_udp_ports(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    config << i << " 127.0.0.1:" << ports[i] << "\n";
+  }
   return path;
+}
+
+/// A one-member cluster config (see cluster_config).
+std::string single_member_config(std::string& dir) {
+  return cluster_config(dir, 1);
 }
 
 TEST(Cluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
@@ -518,6 +529,50 @@ TEST(Cluster, UnwritableReportPathIsNamedOnStderr) {
   // One line per failing path, not one per rewrite of the progress file.
   EXPECT_EQ(testkit::count_of(text, report), 1u) << text;
   EXPECT_EQ(testkit::count_of(text, progress), 1u) << text;
+}
+
+TEST(Cluster, TotalDisciplineRejectsAnExplicitRoundsFlag) {
+  // Total order runs one shot of --ops per member, so an accepted
+  // --rounds 5 would be ignored behind a report of done=1 and
+  // rounds_started=0.
+  std::string dir;
+  const std::string config = single_member_config(dir);
+  const std::string err = dir + "/stderr.txt";
+  const pid_t pid = testkit::spawn(
+      {CBC_NODE_BIN, "--config", config, "--id", "0", "--discipline", "total",
+       "--rounds", "5", "--ops", "10"}, err);
+  EXPECT_EQ(testkit::wait_exit(pid, 2000), std::optional<int>(1));
+  const std::string text = testkit::read_file(err);
+  EXPECT_NE(text.find("fatal:"), std::string::npos) << text;
+  EXPECT_NE(text.find("--rounds"), std::string::npos) << text;
+}
+
+TEST(Cluster, UnwritableCheckpointPathExitsOne) {
+  // Node 1's first checkpoint write throws inside an event-loop callback;
+  // the exception must reach run_main's fatal line, not abort the process
+  // while the loop is still marked running.
+  std::string dir;
+  const std::string config = cluster_config(dir, 3);
+  std::vector<pid_t> pids;
+  for (std::size_t id = 0; id < 3; ++id) {
+    std::vector<std::string> args = {CBC_NODE_BIN, "--config", config,
+                                     "--id", std::to_string(id),
+                                     "--rounds", "5", "--ops", "5"};
+    if (id == 1) {
+      args.insert(args.end(), {"--checkpoint", "/nonexistent/dir/ck.bin"});
+    }
+    pids.push_back(testkit::spawn(
+        args, dir + "/stderr" + std::to_string(id) + ".txt"));
+  }
+  EXPECT_EQ(testkit::wait_exit(pids[1], 10000), std::optional<int>(1));
+  for (const std::size_t id : {0, 2}) {
+    ::kill(pids[id], SIGKILL);
+    (void)testkit::wait_exit(pids[id], 5000);
+  }
+  const std::string text = testkit::read_file(dir + "/stderr1.txt");
+  EXPECT_NE(text.find("cbc_node: fatal: "), std::string::npos) << text;
+  EXPECT_NE(text.find("/nonexistent/dir/ck.bin"), std::string::npos) << text;
+  EXPECT_EQ(text.find("destroyed while running"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -217,6 +218,23 @@ TEST_P(EventLoopTest, InLoopThreadIsAccurate) {
   });
   loop.run();
   EXPECT_TRUE(inside);
+}
+
+TEST_P(EventLoopTest, ThrowingCallbackLeavesTheLoopIdleAndRerunnable) {
+  // An exception from a callback leaves run() through the stack; the loop
+  // must end up idle (its destructor asserts that) and run again.
+  EventLoop loop(options());
+  loop.schedule(1'000, [] { throw std::runtime_error("callback failed"); });
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_FALSE(loop.running());
+  EXPECT_FALSE(loop.in_loop_thread());
+  bool ran = false;
+  loop.post([&] {
+    ran = true;
+    loop.stop();
+  });
+  loop.run();
+  EXPECT_TRUE(ran);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,

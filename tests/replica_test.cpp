@@ -22,6 +22,15 @@ ReplicaNode<apps::Counter>::Options graph_recording() {
   return options;
 }
 
+/// Options whose replicas keep a snapshot and a StablePoint per cycle: the
+/// agreement tests compare past stable points.
+template <typename State>
+typename ReplicaNode<State>::Options history_keeping() {
+  typename ReplicaNode<State>::Options options;
+  options.keep_stable_history = true;
+  return options;
+}
+
 // ---------- FrontEndManager label/dependency generation ----------
 
 TEST(FrontEnd, CommutativeOpsOrderAfterLastSyncOnly) {
@@ -151,7 +160,8 @@ TEST(Replica, StableHistoryAgreesAcrossMembersWithCleanCycles) {
   config.jitter_us = 4000;
   config.seed = 17;
   SimEnv env(config);
-  ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec(),
+                                    history_keeping<apps::Counter>());
   Rng rng(99);
   std::int64_t expected = 0;
   for (int cycle = 0; cycle < 6; ++cycle) {
@@ -192,7 +202,8 @@ TEST_P(ReplicaRacingWorkload, AgreementHoldsWhereCoverageComplete) {
   config.seed = seed;
   SimEnv env(config);
   const std::size_t n = 4;
-  ReplicaGroup<apps::Counter> group(env.transport, n, apps::Counter::spec());
+  ReplicaGroup<apps::Counter> group(env.transport, n, apps::Counter::spec(),
+                                    history_keeping<apps::Counter>());
   Rng rng(seed * 31 + 5);
   std::int64_t expected = 0;
   for (int step = 0; step < 60; ++step) {
@@ -273,7 +284,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaRacingWorkload,
 TEST(Replica, NoneCommutativeSpecMakesEveryMessageAStablePoint) {
   SimEnv env;
   ReplicaGroup<apps::Counter> group(env.transport, 2,
-                                    CommutativitySpec::none_commutative());
+                                    CommutativitySpec::none_commutative(),
+                                    history_keeping<apps::Counter>());
   group.node(0).submit(apps::Counter::inc(1));
   group.node(0).submit(apps::Counter::inc(1));
   env.run();
@@ -283,7 +295,8 @@ TEST(Replica, NoneCommutativeSpecMakesEveryMessageAStablePoint) {
 
 TEST(Replica, RegistryStateMachineWorksThroughProtocol) {
   SimEnv env;
-  ReplicaGroup<apps::Registry> group(env.transport, 3, apps::Registry::spec());
+  ReplicaGroup<apps::Registry> group(env.transport, 3, apps::Registry::spec(),
+                                     history_keeping<apps::Registry>());
   group.node(0).submit(apps::Registry::upd("svc", "host-1"));
   env.run();
   group.node(1).submit(apps::Registry::qry("svc"));
@@ -294,6 +307,40 @@ TEST(Replica, RegistryStateMachineWorksThroughProtocol) {
   EXPECT_EQ(group.node(0).state().lookup("svc"), "host-2");
   // upd is non-commutative: each one closed a cycle.
   EXPECT_EQ(group.node(0).detector().history().size(), 2u);
+}
+
+TEST(Replica, DefaultNodeKeepsOnlyTheLastStableState) {
+  SimEnv env;
+  ReplicaGroup<apps::Counter> group(env.transport, 3, apps::Counter::spec());
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    group.node(1).submit(apps::Counter::inc(1));
+    group.node(2).submit(apps::Counter::inc(1));
+    env.run();
+    group.node(0).submit(apps::Counter::rd());
+    env.run();
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ReplicaNode<apps::Counter>& node = group.node(i);
+    EXPECT_TRUE(node.stable_history().empty()) << "member " << i;
+    EXPECT_TRUE(node.detector().history().empty()) << "member " << i;
+    EXPECT_EQ(node.detector().cycles(), 20u) << "member " << i;
+    ASSERT_TRUE(node.detector().last().has_value()) << "member " << i;
+    EXPECT_EQ(node.detector().last()->cycle, 20u) << "member " << i;
+    EXPECT_EQ(node.stable_states(), 1u) << "member " << i;
+    EXPECT_EQ(node.last_stable_state()->value(), 40) << "member " << i;
+  }
+  EXPECT_TRUE(group.stable_states_agree());
+  // Without kept histories the per-cycle oracle refuses rather than
+  // passing vacuously.
+  const ConsistencyVerdict verdict = check_stable_points(
+      group.size(),
+      [&](std::size_t i) -> const std::vector<apps::Counter>& {
+        return group.node(i).stable_history();
+      },
+      [&](std::size_t i) -> const StablePointDetector& {
+        return group.node(i).detector();
+      });
+  EXPECT_FALSE(verdict.consistent);
 }
 
 TEST(Replica, GroupValidation) {

@@ -139,6 +139,7 @@ TEST(Robustness, AsendTotalOrderSurvivesPartitionHeal) {
   SimEnv env(config);
   ASendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
+  options.keep_delivery_log = true;
   Group<ASendMember> group(env.transport, 3, options);
 
   group[0].asend("before", {});
@@ -200,6 +201,7 @@ TEST_P(HostileNetwork, ASendDeliversEverythingInTotalOrder) {
   SimEnv env(config);
   ASendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
+  options.keep_delivery_log = true;
   Group<ASendMember> group(env.transport, 3, options);
   Rng rng(GetParam());
   for (int k = 0; k < 30; ++k) {

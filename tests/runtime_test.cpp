@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 
 #include "apps/install.h"
 #include "common/child_process.h"
+#include "common/udp_ports.h"
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
 #include "obs/metrics.h"
@@ -206,6 +208,76 @@ TEST(Runtime, StackOptionsAreTheProductionSet) {
     EXPECT_EQ(hooks.metrics, &registry);
     EXPECT_FALSE(hooks.prefix.empty());
   }
+}
+
+TEST(Runtime, StackOptionsKeepNoWholeHistories) {
+  // Both binaries run the library defaults: retained state is the open
+  // stable cycle, not the run.
+  apps::install_objects();
+  const auto entry = object::Catalog::instance().find("counter");
+  ASSERT_TRUE(entry.has_value());
+  Config config;
+  config.total_order = true;
+  const StackOptions options = stack_options(
+      config, object::derive_commutativity(entry->spec()), nullptr);
+  EXPECT_FALSE(options.asend.keep_delivery_log);
+  EXPECT_FALSE(options.osend.keep_delivery_log);
+  EXPECT_FALSE(options.osend.record_graph);
+  EXPECT_FALSE(options.check.keep_full_record);
+}
+
+TEST(Runtime, ProcessRssReadsProcStatus) {
+  const std::uint64_t current = rss_kb();
+  EXPECT_GT(current, 0u);
+  EXPECT_GE(peak_rss_kb(), current);
+}
+
+TEST(Runtime, RetainedStateGaugesAndReportStayBoundedByTheOpenCycle) {
+  apps::install_objects();
+  std::string dir = "/tmp/cbc_runtime_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string cluster = dir + "/cluster.txt";
+  std::ofstream(cluster) << "0 127.0.0.1:" << testkit::reserve_udp_ports(1)[0]
+                         << "\n";
+  SharedFlags flags;
+  flags.report_path = dir + "/report.txt";
+  flags.metrics_snapshot_path = dir + "/metrics.prom";  // metrics on
+  Config config;
+  config.cluster = net::ClusterConfig::load(cluster);
+  config.members = config.cluster.to_view();
+  config.self = 0;
+  config.object = "counter";
+  config.flight_fallback = dir + "/flight.bin";
+  config.name = "runtime test";
+  {
+    NodeRuntime runtime(flags, config);
+    const object::CatalogEntry& entry = runtime.entry();
+    // A lone member delivers its own broadcasts inside submit().
+    const int cycles = 50;
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      for (std::uint64_t op = 0; op < 4; ++op) {
+        runtime.replica().submit(
+            entry.workload_op(0, static_cast<std::uint64_t>(cycle), op));
+      }
+      runtime.replica().submit(entry.sync_op);
+    }
+    for (std::uint64_t op = 0; op < 3; ++op) {  // the open cycle
+      runtime.replica().submit(entry.workload_op(0, cycles, op));
+    }
+    ASSERT_EQ(runtime.delivered(), 50u * 5 + 3);
+    const auto snap = runtime.metrics()->snapshot();
+    EXPECT_GT(snap.at("process.rss_bytes"), 0.0);
+    EXPECT_EQ(snap.at("check.retained"), 3.0);
+    EXPECT_EQ(snap.at("replica.stable_states"), 1.0);
+    EXPECT_EQ(snap.at("osend.graph_nodes"), 0.0);
+    runtime.write_report({});
+  }
+  const std::string report = testkit::read_file(flags.report_path);
+  EXPECT_NE(report.find("\ndigest_count=50\n"), std::string::npos) << report;
+  const std::size_t at = report.find("\npeak_rss_kb=");
+  ASSERT_NE(at, std::string::npos) << report;
+  EXPECT_GT(std::stoull(report.substr(at + 13)), 0u) << report;
+  ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
 }  // namespace

@@ -109,6 +109,26 @@ TEST(ASend, StatsCountRealMessagesOnly) {
   EXPECT_EQ(group[0].stats().broadcasts, 1u);
 }
 
+TEST(ASend, DefaultMemberLogHoldsAtMostOneDelivery) {
+  SimEnv env;
+  Group<ASendMember> group(env.transport, 3, ASendMember::Options{});
+  std::vector<std::size_t> seen(3, 0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    group[i].set_deliver([&seen, i](const Delivery&) { seen[i] += 1; });
+  }
+  for (int k = 0; k < 30; ++k) {
+    group[static_cast<std::size_t>(k) % 3].asend("m" + std::to_string(k),
+                                                 bytes(1));
+    env.run();
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i], 30u) << "member " << i;
+    EXPECT_EQ(group[i].stats().delivered, 30u) << "member " << i;
+    ASSERT_EQ(group[i].log().size(), 1u) << "member " << i;
+    EXPECT_EQ(group[i].log().back().label(), "m29") << "member " << i;
+  }
+}
+
 TEST(ASend, FlightRingJournalsSubmitEncodeAndEveryDelivery) {
   if (!obs::kCompiledIn) {
     GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";

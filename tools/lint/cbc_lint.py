@@ -38,7 +38,8 @@ Rules
                       obs `prefix` — must be one of the registered
                       families in docs/OBSERVABILITY.md (udp, fault,
                       reliable, recovery, batch, osend, asend, check,
-                      explorer, stack, kv). An off-catalog family mints
+                      explorer, stack, kv, flight, clock, process,
+                      replica). An off-catalog family mints
                       a cbc_<family>_* namespace no CI baseline gates.
 
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
@@ -88,7 +89,8 @@ METRIC_CALL = re.compile(r"\.(counter|gauge|histogram)\s*\(")
 # catalog table and bench/cluster_metrics_baseline.prom alongside.
 METRIC_FAMILIES = frozenset({
     "udp", "fault", "reliable", "recovery", "batch", "osend", "asend",
-    "check", "explorer", "stack", "kv", "flight", "clock",
+    "check", "explorer", "stack", "kv", "flight", "clock", "process",
+    "replica",
 })
 # An obs prefix assignment names a family for every series the instance
 # registers (variables literally named `prefix`; `*_prefix` helpers for
