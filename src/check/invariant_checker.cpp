@@ -149,7 +149,7 @@ void InvariantChecker::close_cycle(const Delivery& sync) {
     // The chain digest now stands in for the closed cycle's deliveries.
     dropped_ += tail_.size();
     tail_.clear();
-    if (stable_digests_.size() == kDigestWindow) {
+    if (stable_digests_.size() == DigestWindow::kCapacity) {
       stable_digests_.erase(stable_digests_.begin());
     }
   }
@@ -170,26 +170,6 @@ const std::vector<StablePoint>& InvariantChecker::stable_history() const {
   return detector_.has_value() ? detector_->history() : kNone;
 }
 
-std::optional<std::uint64_t> InvariantChecker::digest_at(
-    std::uint64_t cycle) const {
-  const std::uint64_t first = stable_cycles_ - stable_digests_.size() + 1;
-  if (cycle < first || cycle > stable_cycles_) {
-    return std::nullopt;
-  }
-  return stable_digests_[cycle - first];
-}
-
-const StablePoint* InvariantChecker::stable_point_at(
-    std::uint64_t cycle) const {
-  // The history holds the newest cycles; a restored prefix has none.
-  const std::vector<StablePoint>& history = stable_history();
-  if (history.size() > stable_cycles_ || cycle > stable_cycles_ ||
-      cycle + history.size() <= stable_cycles_) {
-    return nullptr;
-  }
-  return &history[cycle + history.size() - stable_cycles_ - 1];
-}
-
 void InvariantChecker::restore(std::uint64_t cycles,
                                std::vector<std::uint64_t> digests,
                                std::map<NodeId, SeqNo> baseline_floor) {
@@ -197,8 +177,8 @@ void InvariantChecker::restore(std::uint64_t cycles,
           "InvariantChecker::restore: deliveries already recorded");
   require(digests.size() <= cycles,
           "InvariantChecker::restore: more digests than cycles");
-  if (!options_.keep_full_record && digests.size() > kDigestWindow) {
-    digests.erase(digests.begin(), digests.end() - kDigestWindow);
+  if (!options_.keep_full_record && digests.size() > DigestWindow::kCapacity) {
+    digests.erase(digests.begin(), digests.end() - DigestWindow::kCapacity);
   }
   stable_digests_ = std::move(digests);
   stable_cycles_ = cycles;
@@ -355,24 +335,13 @@ void InvariantMonitor::check_stable_points() {
                     std::to_string(reference->stable_cycles()));
       continue;
     }
-    const std::size_t window = std::min(checker->stable_digests().size(),
-                                        reference->stable_digests().size());
-    for (std::uint64_t cycle = cycles - window + 1; cycle <= cycles;
-         ++cycle) {
-      const StablePoint* expected = reference->stable_point_at(cycle);
-      const StablePoint* actual = checker->stable_point_at(cycle);
-      const MessageId sync =
-          actual != nullptr ? actual->sync_message : MessageId::null();
-      if (expected != nullptr && actual != nullptr &&
-          actual->sync_message != expected->sync_message) {
-        log_->add(ViolationKind::kStableDivergence, checker->id(), sync,
-                  "cycle " + std::to_string(cycle) +
-                      " closed on a different sync message than member " +
-                      std::to_string(reference->id()));
-        continue;
-      }
-      if (checker->digest_at(cycle) != reference->digest_at(cycle)) {
-        log_->add(ViolationKind::kStableDivergence, checker->id(), sync,
+    const DigestWindow expected = reference->stable_window();
+    const DigestWindow actual = checker->stable_window();
+    for (std::uint64_t cycle = std::max(expected.first(), actual.first());
+         cycle <= cycles; ++cycle) {
+      if (actual.at(cycle) != expected.at(cycle)) {
+        log_->add(ViolationKind::kStableDivergence, checker->id(),
+                  MessageId::null(),
                   "state digest at stable point " + std::to_string(cycle) +
                       " differs from member " +
                       std::to_string(reference->id()) +

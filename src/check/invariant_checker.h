@@ -27,7 +27,7 @@
 // that point's chained digest stands in for everything delivered before
 // it: at each stable point the checker drops its delivery record and
 // keeps per-sender seq sets, counts, an order-insensitive set hash, a
-// rolling order digest and the newest kDigestWindow chain digests. The
+// rolling order digest and the newest chain digests (a DigestWindow). The
 // monitor compares those; Options::keep_full_record keeps the whole
 // record for tests that assert an exact diff or divergence position.
 //
@@ -50,6 +50,7 @@
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "stack/protocol_layer.h"
+#include "util/digest_window.h"
 #include "util/prefix_seq_set.h"
 
 namespace cbc::check {
@@ -70,8 +71,8 @@ class InvariantChecker final : public ProtocolLayer {
     std::optional<CommutativitySpec> stable_spec;
     /// Keeps the whole record: every delivered id in delivered_sequence(),
     /// every StablePoint in stable_history() and the whole digest chain.
-    /// The monitor then names the first diverging id, position and sync
-    /// message. For tests; O(run) memory.
+    /// The monitor then names the first diverging id or position. For
+    /// tests; O(run) memory.
     bool keep_full_record = false;
     /// Label kinds excluded from the stable digest (still checked for
     /// dependencies/duplicates and fed to the detector). Use for
@@ -85,9 +86,6 @@ class InvariantChecker final : public ProtocolLayer {
     /// kStablePoint flight record (a `stable_point` trace instant).
     obs::Hooks obs{};
   };
-
-  /// Digests stable_digests() keeps without keep_full_record.
-  static constexpr std::size_t kDigestWindow = 64;
 
   InvariantChecker(std::unique_ptr<BroadcastMember> lower,
                    std::shared_ptr<ViolationLog> log, Options options);
@@ -118,14 +116,11 @@ class InvariantChecker final : public ProtocolLayer {
   /// Stable points detected so far (empty unless keep_full_record).
   [[nodiscard]] const std::vector<StablePoint>& stable_history() const;
 
-  /// The kept StablePoint of `cycle`, if keep_full_record holds it.
-  [[nodiscard]] const StablePoint* stable_point_at(std::uint64_t cycle) const;
-
   /// Order-insensitive state digest per closed cycle: commutative messages
   /// of the cycle fold in XOR (order must not matter), chained through the
   /// closing sync message. Equal digests at equal cycles == state
   /// agreement at the stable point. Each digest folds every earlier one,
-  /// so only the newest kDigestWindow are kept (all with
+  /// so only the newest DigestWindow::kCapacity are kept (all with
   /// keep_full_record); the last one ends cycle stable_cycles().
   [[nodiscard]] const std::vector<std::uint64_t>& stable_digests() const {
     return stable_digests_;
@@ -135,9 +130,11 @@ class InvariantChecker final : public ProtocolLayer {
   /// digest_count, the kStablePoint record's argument, Checkpoint::cycles.
   [[nodiscard]] std::uint64_t stable_cycles() const { return stable_cycles_; }
 
-  /// The digest of `cycle` (1-based) while it is in the window.
-  [[nodiscard]] std::optional<std::uint64_t> digest_at(
-      std::uint64_t cycle) const;
+  /// stable_digests() as the window of cycles ending at stable_cycles()
+  /// (a view, valid until the next stable point).
+  [[nodiscard]] DigestWindow stable_window() const {
+    return {stable_cycles_, stable_digests_};
+  }
 
   [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] std::size_t violation_count() const { return local_violations_; }

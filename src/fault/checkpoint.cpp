@@ -33,31 +33,10 @@ Checkpoint Checkpoint::decode(Reader& reader) {
   checkpoint.frontier = VectorClock::decode(reader);
   checkpoint.app_state = reader.blob();
   require(checkpoint.stable_digests.size() ==
-              std::min<std::uint64_t>(checkpoint.cycles, kDigestWindow),
+              std::min<std::uint64_t>(checkpoint.cycles,
+                                      DigestWindow::kCapacity),
           "Checkpoint: digest window does not match the cycle count");
   return checkpoint;
-}
-
-std::optional<std::uint64_t> Checkpoint::digest_at(std::uint64_t cycle) const {
-  const std::uint64_t first = cycles - stable_digests.size() + 1;
-  if (cycle < first || cycle > cycles) {
-    return std::nullopt;
-  }
-  return stable_digests[cycle - first];
-}
-
-std::optional<std::uint64_t> first_divergent_cycle(const Checkpoint& a,
-                                                   const Checkpoint& b) {
-  const std::uint64_t last = std::min(a.cycles, b.cycles);
-  for (std::uint64_t cycle =
-           std::max(a.cycles - a.stable_digests.size(),
-                    b.cycles - b.stable_digests.size()) + 1;
-       cycle <= last; ++cycle) {
-    if (a.digest_at(cycle) != b.digest_at(cycle)) {
-      return cycle;
-    }
-  }
-  return std::nullopt;
 }
 
 void Checkpoint::save(const std::string& path) const {

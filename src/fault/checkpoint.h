@@ -21,7 +21,8 @@
 //
 //     u32 magic 'CBCK'   u32 version
 //     u64 node           u64 cycles (stable points captured)
-//     u64_vec stable digests (the chain's newest min(cycles, 64))
+//     u64_vec stable digests (the chain's newest
+//             min(cycles, DigestWindow::kCapacity))
 //     MessageId last_sync   VectorClock frontier
 //     blob app_state
 //
@@ -29,15 +30,14 @@
 // previous checkpoint intact.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/message_id.h"
 #include "time/vector_clock.h"
 #include "transport/transport.h"
+#include "util/digest_window.h"
 #include "util/serde.h"
 
 namespace cbc::fault {
@@ -45,14 +45,12 @@ namespace cbc::fault {
 struct Checkpoint {
   static constexpr std::uint32_t kMagic = 0x4342434BU;  // "CBCK"
   static constexpr std::uint32_t kVersion = 1;
-  /// Digests a checkpoint carries: the newest min(cycles, kDigestWindow).
-  static constexpr std::size_t kDigestWindow = 64;
 
   NodeId node = 0;
   /// Stable cycles closed at capture time.
   std::uint64_t cycles = 0;
-  /// The chain's newest min(cycles, kDigestWindow) digests; the last one
-  /// is cycle `cycles`'s.
+  /// The chain's newest min(cycles, DigestWindow::kCapacity) digests; the
+  /// last one is cycle `cycles`'s.
   std::vector<std::uint64_t> stable_digests;
   MessageId last_sync = MessageId::null();
   VectorClock frontier;
@@ -67,14 +65,9 @@ struct Checkpoint {
   /// Loads and validates a checkpoint file; throws on any failure.
   static Checkpoint load(const std::string& path);
 
-  /// The digest of `cycle` (1-based) while stable_digests holds it.
-  [[nodiscard]] std::optional<std::uint64_t> digest_at(
-      std::uint64_t cycle) const;
+  /// The digest chain this checkpoint carries (a view into
+  /// stable_digests, valid while this checkpoint is).
+  [[nodiscard]] DigestWindow window() const { return {cycles, stable_digests}; }
 };
-
-/// The first cycle both checkpoints hold a digest for on which they
-/// disagree; nullopt when their windows agree wherever they overlap.
-[[nodiscard]] std::optional<std::uint64_t> first_divergent_cycle(
-    const Checkpoint& a, const Checkpoint& b);
 
 }  // namespace cbc::fault

@@ -51,6 +51,7 @@
 #include "object/value.h"
 #include "obs/metrics.h"
 #include "runtime/node_runtime.h"
+#include "util/digest_window.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -170,10 +171,6 @@ NodeArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-// A checkpoint carries exactly the checker's digest window.
-static_assert(cbc::fault::Checkpoint::kDigestWindow ==
-              cbc::check::InvariantChecker::kDigestWindow);
-
 /// One member: the shared runtime plus the round workload it drives.
 class Node {
  public:
@@ -203,6 +200,7 @@ class Node {
           &registry->counter("recovery.checkpoints_written");
       recovery_transfers_ = &registry->counter("recovery.transfers_served");
       recovery_restored_ = &registry->gauge("recovery.restored_cycles");
+      recovery_checked_ = &registry->gauge("recovery.chain_checked_cycles");
     }
     if (checkpoints_enabled() && !args_.observer) {
       // Start acknowledging nothing: a frame is only ever acked once a
@@ -301,15 +299,30 @@ class Node {
         // No readable pre-crash checkpoint — nothing to cross-check.
       }
     }
+    std::uint64_t checked = 0;
     if (own.has_value()) {
       // Each checkpoint holds the newest window of the chain; a digest
       // folds every earlier one, so agreeing where the windows overlap
       // is agreeing on the whole chain up to there.
+      const cbc::DigestWindow mine = own->window();
+      const cbc::DigestWindow peer = recovered_->window();
       const std::optional<std::uint64_t> diverged =
-          cbc::fault::first_divergent_cycle(*own, *recovered_);
+          cbc::first_divergent_cycle(mine, peer);
       cbc::require(!diverged.has_value(),
                    "recovery: stable digest chain diverges from the peer "
                    "at cycle " + std::to_string(diverged.value_or(0)));
+      checked = cbc::overlap(mine, peer);
+      if (checked == 0) {
+        // One chain ran more than a window past the other: no cycle is
+        // in both, so nothing vouches for the transferred chain. Say so
+        // rather than pass silently.
+        std::cerr << "cbc_node " << args_.id
+                  << ": recovery: digest chain not cross-checked: the "
+                     "pre-crash checkpoint holds cycles "
+                  << mine.first() << ".." << mine.cycles
+                  << ", the transferred one " << peer.first() << ".."
+                  << peer.cycles << "\n";
+      }
       // The pre-crash file can be AHEAD of the transferred snapshot (the
       // peer may not have closed the cycle we flushed last). Acks were
       // capped at our flushed frontier, so senders have pruned everything
@@ -345,6 +358,7 @@ class Node {
     apply_ack_ceilings(snapshot);
     if (recovery_restored_ != nullptr) {
       recovery_restored_->set(static_cast<std::int64_t>(snapshot.cycles));
+      recovery_checked_->set(static_cast<std::int64_t>(checked));
     }
   }
 
@@ -654,6 +668,7 @@ class Node {
   cbc::obs::Counter* recovery_checkpoints_ = nullptr;
   cbc::obs::Counter* recovery_transfers_ = nullptr;
   cbc::obs::Gauge* recovery_restored_ = nullptr;
+  cbc::obs::Gauge* recovery_checked_ = nullptr;  // cycles cross-checked
 };
 
 /// Recovery bootstrap, run BEFORE the stack exists: fetch a live peer's

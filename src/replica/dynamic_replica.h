@@ -41,8 +41,6 @@ class DynamicReplicaNode {
     /// The replica's starting state — identical at every member (see
     /// ReplicaNode::Options::initial).
     State initial{};
-    /// See ReplicaNode::Options::keep_stable_history.
-    bool keep_stable_history = false;
   };
 
   DynamicReplicaNode(Transport& transport, const GroupView& view,
@@ -65,14 +63,11 @@ class DynamicReplicaNode {
             spec,
             [this](const StablePoint& point) {
               last_stable_state_ = state_;
-              if (keep_stable_history_) {
-                stable_history_.push_back(state_);
-              }
+              stable_history_.push_back(state_);
               fire_deferred_reads(point);
             },
-            options.keep_stable_history),
-        state_(std::move(options.initial)),
-        keep_stable_history_(options.keep_stable_history) {
+            /*keep_history=*/true),
+        state_(std::move(options.initial)) {
     coordinator_.enable_state_transfer(
         [this] { return make_snapshot(); },
         [this](std::span<const std::uint8_t> snapshot) {
@@ -169,8 +164,7 @@ class DynamicReplicaNode {
   StablePointDetector detector_;
   State state_{};
   std::optional<State> last_stable_state_;
-  bool keep_stable_history_ = false;
-  std::vector<State> stable_history_;  // with keep_stable_history only
+  std::vector<State> stable_history_;
   std::vector<StableReadFn> deferred_reads_;
   ViewInstalledFn on_view_;
 };

@@ -15,6 +15,7 @@
 #include "common/sim_env.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "util/digest_window.h"
 
 namespace cbc {
 namespace {
@@ -322,10 +323,10 @@ TEST(InvariantChecker, DefaultCheckerRetainsAtMostTheOpenCycle) {
     EXPECT_FALSE(checker->record_complete());
     EXPECT_TRUE(checker->stable_history().empty());
     EXPECT_EQ(checker->stable_cycles(), 200u);
-    EXPECT_EQ(checker->stable_digests().size(),
-              InvariantChecker::kDigestWindow);
-    EXPECT_EQ(checker->digest_at(200), checker->stable_digests().back());
-    EXPECT_EQ(checker->digest_at(200 - InvariantChecker::kDigestWindow),
+    EXPECT_EQ(checker->stable_digests().size(), DigestWindow::kCapacity);
+    EXPECT_EQ(checker->stable_window().at(200),
+              checker->stable_digests().back());
+    EXPECT_EQ(checker->stable_window().at(200 - DigestWindow::kCapacity),
               std::nullopt);
   }
   EXPECT_TRUE(rig.monitor.check_quiescent()) << rig.monitor.report();
@@ -391,7 +392,7 @@ TEST(InvariantChecker, StableDivergenceFiresWithDefaultOptions) {
   // carries the divergence into every later digest.
   Seqs next{.zero = 2, .one = 2};
   close_cycles(rig, 100, next);
-  ASSERT_EQ(rig.checkers[0]->digest_at(1), std::nullopt);
+  ASSERT_EQ(rig.checkers[0]->stable_window().at(1), std::nullopt);
   EXPECT_FALSE(rig.monitor.check_quiescent());
   const std::vector<ViolationKind> found = kinds(rig.monitor);
   ASSERT_FALSE(found.empty());
@@ -413,9 +414,9 @@ TEST(InvariantChecker, SenderGapFiresWithDefaultOptions) {
             (MessageId{1, next.one}));
 }
 
-TEST(InvariantChecker, FullRecordNamesTheDivergingIdAndSync) {
+TEST(InvariantChecker, FullRecordNamesTheFirstDivergingId) {
   // With keep_full_record the report names the first diverging id after
-  // stable points, and a cycle that closed on another sync message.
+  // stable points; the cycle closed on another sync shows in its digest.
   CheckerRig rig(recording_stable_options(), 2);
   Seqs next;
   close_cycles(rig, 3, next);
@@ -426,8 +427,7 @@ TEST(InvariantChecker, FullRecordNamesTheDivergingIdAndSync) {
   EXPECT_FALSE(rig.monitor.check_quiescent());
   const std::string report = rig.monitor.report();
   EXPECT_NE(report.find("3 ids differ"), std::string::npos) << report;
-  EXPECT_NE(report.find("cycle 4 closed on a different sync message"),
-            std::string::npos)
+  EXPECT_NE(report.find("state digest at stable point 4"), std::string::npos)
       << report;
   for (const check::Violation& violation : rig.monitor.log()->violations()) {
     if (violation.kind == ViolationKind::kSetDivergence) {

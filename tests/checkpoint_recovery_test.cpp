@@ -19,6 +19,7 @@
 #include "common/group_fixture.h"
 #include "fault/checkpoint.h"
 #include "time/vector_clock.h"
+#include "util/digest_window.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
@@ -244,7 +245,8 @@ TEST(CheckpointFile, EncodedSizeIsFlatAcrossCycles) {
     snapshot.encode(writer);
     sizes.push_back(writer.size());
     Reader reader(writer.bytes());
-    EXPECT_EQ(Checkpoint::decode(reader).digest_at(snapshot.cycles),
+    const Checkpoint decoded = Checkpoint::decode(reader);
+    EXPECT_EQ(decoded.window().at(snapshot.cycles),
               checker->stable_digests().back());
   }
   EXPECT_EQ(sizes[0], sizes[1]);
@@ -263,15 +265,28 @@ TEST(CheckpointFile, FirstDivergentCycleComparesTheOverlappingWindow) {
   for (std::uint64_t cycle = 27; cycle <= 90; ++cycle) {
     older.stable_digests.push_back(cycle * 7);
   }
-  EXPECT_EQ(fault::first_divergent_cycle(newer, older), std::nullopt);
+  EXPECT_EQ(overlap(newer.window(), older.window()), 54u);  // 37..90
+  EXPECT_EQ(first_divergent_cycle(newer.window(), older.window()),
+            std::nullopt);
   older.stable_digests[50 - 27] ^= 1;  // cycle 50, inside the overlap
-  EXPECT_EQ(fault::first_divergent_cycle(newer, older),
+  EXPECT_EQ(first_divergent_cycle(newer.window(), older.window()),
             std::optional<std::uint64_t>(50));
-  EXPECT_EQ(fault::first_divergent_cycle(older, newer),
+  EXPECT_EQ(first_divergent_cycle(older.window(), newer.window()),
             std::optional<std::uint64_t>(50));
   older.stable_digests[50 - 27] ^= 1;
+  older.stable_digests[37 - 27] ^= 1;  // the first cycle both hold
+  EXPECT_EQ(first_divergent_cycle(newer.window(), older.window()),
+            std::optional<std::uint64_t>(37));
+  older.stable_digests[37 - 27] ^= 1;
   older.stable_digests[0] ^= 1;  // cycle 27: only the older one holds it
-  EXPECT_EQ(fault::first_divergent_cycle(newer, older), std::nullopt);
+  EXPECT_EQ(first_divergent_cycle(newer.window(), older.window()),
+            std::nullopt);
+  // More than a window apart, nothing overlaps: nothing is compared,
+  // which recovery reports instead of passing silently.
+  newer.cycles = 200;
+  EXPECT_EQ(overlap(newer.window(), older.window()), 0u);
+  EXPECT_EQ(first_divergent_cycle(newer.window(), older.window()),
+            std::nullopt);
 }
 
 TEST(CheckerRestore, WindowedChainResumesAtItsCycleCount) {
@@ -285,19 +300,19 @@ TEST(CheckerRestore, WindowedChainResumesAtItsCycleCount) {
   const std::unique_ptr<InvariantChecker> checker =
       monitor.attach(std::move(stub_owner));
   std::vector<std::uint64_t> window;
-  for (std::uint64_t d = 1; d <= InvariantChecker::kDigestWindow; ++d) {
+  for (std::uint64_t d = 1; d <= DigestWindow::kCapacity; ++d) {
     window.push_back(d);
   }
   checker->restore(1000, window, {{0, 2000}, {1, 2000}});
   EXPECT_EQ(checker->stable_cycles(), 1000u);
-  EXPECT_EQ(checker->digest_at(1000), window.back());
+  EXPECT_EQ(checker->stable_window().at(1000), window.back());
   stub->inject({0, 2001}, "inc");
   stub->inject({0, 2002}, "rd", {{0, 2001}});
   EXPECT_EQ(checker->violation_count(), 0u) << monitor.report();
   EXPECT_EQ(checker->stable_cycles(), 1001u);
   ASSERT_EQ(checker->stable_digests().size(), window.size());
-  EXPECT_EQ(checker->digest_at(1000), window.back());
-  EXPECT_NE(checker->digest_at(1001), window.back());
+  EXPECT_EQ(checker->stable_window().at(1000), window.back());
+  EXPECT_NE(checker->stable_window().at(1001), window.back());
 }
 
 }  // namespace

@@ -470,19 +470,16 @@ TEST(DynamicReplica, SnapshotCarriesFrontEndContext) {
   // open at the join cut (the snapshot restores {Cid} and Ncid).
   SimEnv env;
   const GroupView view1(1, {0, 1});
-  // The coverage check below reads node 0's stable-point history.
-  DynamicReplicaNode<apps::Counter>::Options keeping;
-  keeping.keep_stable_history = true;
   std::vector<std::unique_ptr<DynamicReplicaNode<apps::Counter>>> nodes;
   for (int i = 0; i < 2; ++i) {
     nodes.push_back(std::make_unique<DynamicReplicaNode<apps::Counter>>(
-        env.transport, view1, apps::Counter::spec(), keeping));
+        env.transport, view1, apps::Counter::spec()));
   }
   nodes[0]->submit(apps::Counter::inc(1));  // open commutative set
   env.run();
   const GroupView view2(2, {0, 1, 2});
   nodes.push_back(std::make_unique<DynamicReplicaNode<apps::Counter>>(
-      env.transport, view2, apps::Counter::spec(), keeping));
+      env.transport, view2, apps::Counter::spec()));
   nodes[0]->propose_view(view2);
   env.run();
   // Joiner issues the cycle-closing read; its AND-set must cover the
