@@ -93,7 +93,7 @@ Result run_causal() {
     for (;;) {
       bool everywhere = true;
       for (std::size_t i = 0; i < kMembers; ++i) {
-        everywhere = everywhere && group[i].log().size() >= expected;
+        everywhere = everywhere && group.log(i).size() >= expected;
       }
       if (everywhere) {
         break;

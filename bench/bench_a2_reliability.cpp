@@ -35,7 +35,6 @@ Result run(double drop, std::uint64_t seed) {
   options.reliability = {.control_interval_us = 2000,
                          .retransmit_interval_us = 8000,
                          .enabled = true};
-  options.keep_delivery_log = true;  // latency is read from the whole log
   const std::size_t n = 3;
   Group<OSendMember> group(env.transport, n, options);
   Rng rng(seed);
@@ -56,7 +55,7 @@ Result run(double drop, std::uint64_t seed) {
   Histogram latency;
   for (std::size_t i = 0; i < n; ++i) {
     result.delivered += group[i].stats().delivered;
-    for (const Delivery& delivery : group[i].log()) {
+    for (const Delivery& delivery : group.log(i)) {
       if (delivery.sender != group[i].id()) {
         latency.add(
             static_cast<double>(delivery.delivered_at - delivery.sent_at));

@@ -57,7 +57,7 @@ Result run_discipline(std::size_t n, SimTime jitter, std::uint64_t seed,
   Result result;
   result.wire_msgs = env.network.stats().sent;
   for (std::size_t i = 0; i < n; ++i) {
-    for (const Delivery& delivery : group[i].log()) {
+    for (const Delivery& delivery : group.log(i)) {
       if (delivery.sender != group[i].id()) {  // remote deliveries only
         result.latency.add(
             static_cast<double>(delivery.delivered_at - delivery.sent_at));

@@ -11,6 +11,7 @@
 #include "apps/counter.h"
 #include "baseline/total_replica.h"
 #include "bench_common.h"
+#include "common/recorder.h"
 #include "replica/replica_group.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -41,10 +42,10 @@ SimEnv::Config config_for(std::uint64_t seed) {
 
 Result run_stable_point(std::uint64_t f_bar, std::uint64_t seed) {
   SimEnv env(config_for(seed));
-  ReplicaNode<apps::Counter>::Options options;
-  options.keep_stable_history = true;  // coverage is read per stable point
   ReplicaGroup<apps::Counter> group(env.transport, kMembers,
-                                    apps::Counter::spec(), options);
+                                    apps::Counter::spec());
+  // Coverage is read per stable point.
+  const auto recorders = testkit::record_replicas(group);
   Rng rng(seed + 1);
   Histogram read_latency;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -66,11 +67,11 @@ Result run_stable_point(std::uint64_t f_bar, std::uint64_t seed) {
   result.total_sim_us = env.scheduler.now();
   result.mean_read_latency_us = read_latency.mean();
   result.wire_msgs = env.network.stats().sent;
-  result.stable_points = group.node(0).detector().history().size();
+  result.stable_points = recorders[0]->points().size();
   std::uint64_t covered = 0;
   std::uint64_t points = 0;
   for (std::size_t i = 0; i < kMembers; ++i) {
-    for (const StablePoint& point : group.node(i).detector().history()) {
+    for (const StablePoint& point : recorders[i]->points()) {
       ++points;
       covered += point.coverage_complete ? 1 : 0;
     }

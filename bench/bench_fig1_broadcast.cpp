@@ -34,7 +34,7 @@ void trace_figure() {
 
   Table table({"entity", "message", "VAL", "delivered_at_us"});
   for (std::size_t i = 0; i < n; ++i) {
-    const Delivery& delivery = group[i].log().at(0);
+    const Delivery& delivery = group.log(i).at(0);
     Reader reader(delivery.payload());
     table.row({"a_" + std::to_string(i), delivery.label(),
                benchkit::num(reader.i64()),
@@ -58,7 +58,7 @@ void sweep_group_size() {
     env.run();
     SimTime last = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      last = std::max(last, group[i].log().at(0).delivered_at);
+      last = std::max(last, group.log(i).at(0).delivered_at);
     }
     table.row({benchkit::num(static_cast<std::uint64_t>(n)),
                benchkit::num(env.network.stats().sent),

@@ -70,7 +70,7 @@ int run() {
     for (std::size_t i = 0; i < 3; ++i) {
       apps::Counter counter;
       std::string prefix;
-      for (const Delivery& delivery : group[i].log()) {
+      for (const Delivery& delivery : group.log(i)) {
         if (delivery.label() == "m3'=rd") {
           at_sync[i] = counter.value();
           break;
@@ -87,11 +87,11 @@ int run() {
     const bool agree = at_sync[0] == at_sync[1] && at_sync[1] == at_sync[2];
     diverged_count += diverged ? 1 : 0;
     agree_count += agree ? 1 : 0;
-    table.row({benchkit::num(seed), order_string(group[0].log()),
-               order_string(group[1].log()), order_string(group[2].log()),
+    table.row({benchkit::num(seed), order_string(group.log(0)),
+               order_string(group.log(1)), order_string(group.log(2)),
                diverged ? "yes" : "no", agree ? "yes" : "no"});
     if (seed == 1) {
-      dot = group[0].graph().to_dot("fig2");
+      dot = group.graph(0).to_dot("fig2");
     }
   }
   table.print();

@@ -37,7 +37,7 @@ std::size_t distinct_sequences(const SimEnv::Config& config, std::size_t n,
   std::set<std::string> sequences;
   for (std::size_t i = 0; i < n; ++i) {
     std::string seq;
-    for (const Delivery& delivery : group[i].log()) {
+    for (const Delivery& delivery : group.log(i)) {
       seq += delivery.label() + ";";
     }
     sequences.insert(seq);

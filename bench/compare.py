@@ -11,6 +11,13 @@ Exits non-zero when any benchmark present in the baseline
   * is missing from the fresh run (coverage silently lost), or
   * regressed by more than --threshold (fractional; 0.5 == +50% time).
 
+A file recorded with --benchmark_repetitions is read through its
+`median` aggregate rows (keyed by run_name, so "BM_X/4_median" compares
+as "BM_X/4"); a file without them through its per-iteration rows. CI
+records with --benchmark_repetitions=5
+--benchmark_report_aggregates_only=true, so one noisy repetition moves
+neither side of the gate.
+
 Benchmarks new in the fresh run are reported but never fail the gate, so
 adding benchmarks does not require touching the baseline in the same
 change. The default threshold is deliberately loose: shared CI runners
@@ -37,18 +44,26 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times(path):
-    """Returns {benchmark name: real_time in ns} for per-iteration entries."""
+    """Returns {benchmark name: real_time in ns}: the median aggregate of
+    each benchmark when the file has them, else its per-iteration row."""
     with open(path) as fh:
         data = json.load(fh)
+    rows = data.get("benchmarks", [])
+    medians = any(bench.get("aggregate_name") == "median" for bench in rows)
     times = {}
-    for bench in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repeated runs).
-        if bench.get("run_type") == "aggregate":
-            continue
+    for bench in rows:
+        if medians:
+            if bench.get("aggregate_name") != "median":
+                continue
+            name = bench.get("run_name", bench["name"])
+        elif bench.get("run_type") == "aggregate":
+            continue  # mean/stddev/cv without a median: not gated
+        else:
+            name = bench["name"]
         unit = _UNIT_NS.get(bench.get("time_unit", "ns"))
         if unit is None or "real_time" not in bench:
             continue
-        times[bench["name"]] = bench["real_time"] * unit
+        times[name] = bench["real_time"] * unit
     return times
 
 

@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "apps/counter.h"
+#include "common/recorder.h"
 #include "replica/replica_group.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
@@ -36,11 +37,10 @@ int main() {
 
   // --- 2. Three replicas of an integer counter. Counter::spec() tells the
   //        protocol that inc/dec are commutative and rd/set are sync ops.
-  //        Each member records the dependency graph so step 5 can print it.
-  ReplicaNode<apps::Counter>::Options options;
-  options.member.record_graph = true;
-  ReplicaGroup<apps::Counter> group(transport, 3, apps::Counter::spec(),
-                                    options);
+  //        Replica 0's deliveries are recorded outside the protocol so
+  //        step 5 can print the dependency graph they describe.
+  ReplicaGroup<apps::Counter> group(transport, 3, apps::Counter::spec());
+  testkit::ReplicaRecorder<apps::Counter> recorded(group.node(0));
 
   // --- 3. Commutative traffic from different members (concurrent!).
   group.node(0).submit(apps::Counter::inc(5));
@@ -76,7 +76,7 @@ int main() {
 
   // --- 5. The dependency graph R(M) is the same at every member; print it.
   std::cout << "\nObserved dependency graph (DOT):\n"
-            << group.node(0).osend().graph().to_dot("quickstart");
+            << recorded.graph().to_dot("quickstart");
 
   std::cout << "Value at every replica: " << group.node(0).state().value()
             << " " << group.node(1).state().value() << " "

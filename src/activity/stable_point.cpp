@@ -5,11 +5,8 @@
 namespace cbc {
 
 StablePointDetector::StablePointDetector(CommutativitySpec spec,
-                                         StablePointFn on_stable,
-                                         bool keep_history)
-    : spec_(std::move(spec)),
-      on_stable_(std::move(on_stable)),
-      keep_history_(keep_history) {}
+                                         StablePointFn on_stable)
+    : spec_(std::move(spec)), on_stable_(std::move(on_stable)) {}
 
 void StablePointDetector::on_delivery(const Delivery& delivery) {
   if (spec_.is_commutative(delivery.label())) {
@@ -36,9 +33,6 @@ void StablePointDetector::on_delivery(const Delivery& delivery) {
                     return delivery.deps().depends_on(open_id);
                   });
   at_stable_point_ = true;
-  if (keep_history_) {
-    history_.push_back(point);
-  }
   if (on_stable_) {
     on_stable_(point);
   }

@@ -43,18 +43,16 @@ struct StablePoint {
 
 /// Per-member stable-point tracker. Feed it every Delivery (in the local
 /// delivery order); it fires the callback at each stable point. It keeps
-/// only the last point unless asked for the whole history, so its state
-/// is the open cycle however long the run.
+/// only the last point, so its state is the open cycle however long the
+/// run; a caller that wants every point collects them in the callback.
 class StablePointDetector {
  public:
   using StablePointFn = std::function<void(const StablePoint&)>;
 
   /// `spec` classifies operations; `on_stable` may be empty (query-only);
   /// the point it receives is last(), overwritten at the next stable
-  /// point. `keep_history` keeps every point in history() (tests, benches
-  /// and examples that inspect past cycles); else history() stays empty.
-  StablePointDetector(CommutativitySpec spec, StablePointFn on_stable,
-                      bool keep_history = false);
+  /// point.
+  StablePointDetector(CommutativitySpec spec, StablePointFn on_stable);
 
   /// Processes one delivered message.
   void on_delivery(const Delivery& delivery);
@@ -76,12 +74,6 @@ class StablePointDetector {
     return last_;
   }
 
-  /// All stable points detected so far, in order (empty unless
-  /// constructed with keep_history).
-  [[nodiscard]] const std::vector<StablePoint>& history() const {
-    return history_;
-  }
-
   /// True when the last delivered message closed a cycle, i.e. the state
   /// right now is a stable point (agreed at all members once their
   /// detectors reach the same message).
@@ -93,9 +85,7 @@ class StablePointDetector {
   std::uint64_t cycle_ = 0;            // completed cycles
   std::vector<MessageId> open_set_;    // commutative msgs in the open cycle
   bool at_stable_point_ = true;        // initial state counts as stable
-  bool keep_history_ = false;
   std::optional<StablePoint> last_;
-  std::vector<StablePoint> history_;   // every point, with keep_history
 };
 
 }  // namespace cbc

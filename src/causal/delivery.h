@@ -11,7 +11,9 @@
 // A Delivery wraps an immutable refcounted Envelope: copying a Delivery is
 // a refcount bump plus a few scalar fields — the label, dependency set,
 // and payload bytes are shared with the wire frame and never duplicated on
-// the message path (hold-back queues, delivery logs, app callbacks).
+// the message path (hold-back queues, app callbacks). A member keeps no
+// delivery once its upward callback returns: a callee that needs one
+// later copies it.
 #pragma once
 
 #include <cstdint>
@@ -119,9 +121,6 @@ class BroadcastMember {
   virtual MessageId broadcast(std::string label,
                               std::vector<std::uint8_t> payload,
                               const DepSpec& deps) = 0;
-
-  /// Messages delivered so far, in delivery order.
-  [[nodiscard]] virtual const std::vector<Delivery>& log() const = 0;
 
   [[nodiscard]] virtual const OrderingStats& stats() const = 0;
 

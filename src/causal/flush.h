@@ -93,7 +93,7 @@ class FlushCoordinator : public ProtocolLayer {
   [[nodiscard]] ViewSyncMember& member() { return *sync_; }
   [[nodiscard]] const ViewSyncMember& member() const { return *sync_; }
 
-  /// Checked downcast for OSend-specific accessors (graph, stability, GC);
+  /// Checked downcast for OSend-specific accessors (stability, GC);
   /// only valid when the coordinator runs over the default OSend member.
   [[nodiscard]] OSendMember& osend() {
     auto* concrete = dynamic_cast<OSendMember*>(sync_);

@@ -51,8 +51,6 @@ OSendMember::OSendMember(Transport& transport, const GroupView& view,
           sink.counter(prefix + ".malformed", stats_.malformed);
           sink.gauge(prefix + ".holdback_depth",
                      static_cast<double>(pending_.size()));
-          sink.gauge(prefix + ".graph_nodes",
-                     static_cast<double>(graph_.size()));
         });
   }
   if (options_.reliability.enabled && options_.reliability.suspect_after_us > 0) {
@@ -342,9 +340,6 @@ void OSendMember::deliver_now(Delivery delivery,
   ensure(self_rank.has_value(), "OSend: self not in view");
   knowledge_.observe_row(static_cast<NodeId>(*self_rank), delivered_prefix_);
 
-  if (options_.record_graph) {
-    graph_.add(delivery.id, delivery.label(), delivery.deps());
-  }
   delivery.delivered_at = transport_.now_us();
   if (options_.obs.any() || obs::flight_recorder() != nullptr) {
     const std::int64_t hold_us =
@@ -359,12 +354,8 @@ void OSendMember::deliver_now(Delivery delivery,
     }
     obs::flight_record(obs::FlightEvent::kDeliver, delivery.id, held);
   }
-  if (!options_.keep_delivery_log) {
-    log_.clear();
-  }
-  log_.push_back(std::move(delivery));
   stats_.delivered += 1;
-  deliver_(log_.back());
+  deliver_(delivery);
 }
 
 bool OSendMember::delivered_locally(MessageId message) const {
@@ -391,15 +382,6 @@ std::size_t OSendMember::prune_stable() {
     // Stability implies local delivery (the cut includes our own row).
     ensure(target <= delivered_prefix_.at(node),
            "prune_stable: stable message not delivered locally");
-    if (options_.record_graph) {
-      const NodeId sender = view_.member_at(rank);
-      for (std::uint64_t seq = floor + 1; seq <= target; ++seq) {
-        const MessageId id{sender, seq};
-        if (graph_.contains(id)) {
-          graph_.remove(id);
-        }
-      }
-    }
     pruned += target - floor;
     stable_floor_.set(node, target);
   }

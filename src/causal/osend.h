@@ -9,23 +9,21 @@
 // Skeen): incidental transport-level ordering is not promoted to a
 // constraint, which yields strictly fewer hold-backs (bench C1).
 //
-// Each member also maintains:
-//  - a stability MatrixClock from piggybacked delivered-prefix vectors, so
-//    a member can tell when a message is known delivered everywhere
-//    without extra message rounds;
-//  - on request (Options::record_graph), the MessageGraph of R(M) as
-//    observed (identical at all members up to insertion order — the
-//    "stable form of the graph", §3.2).
-// By default nothing is retained per delivered message: delivered
-// membership is a per-sender contiguous prefix plus the few seqs
-// delivered above it, so per-delivery work is O(deps) and retained state
-// does not grow with the length of the run.
+// Each member also maintains a stability MatrixClock from piggybacked
+// delivered-prefix vectors, so a member can tell when a message is known
+// delivered everywhere without extra message rounds. Nothing is retained
+// per delivered message: delivered membership is a per-sender contiguous
+// prefix plus the few seqs delivered above it, so per-delivery work is
+// O(deps) and retained state does not grow with the length of the run.
+// R(M) is stable information, identical at every member (§3.2), so a
+// caller that wants the graph builds it from the delivery stream it is
+// handed (tests/common/recorder.h does).
 //
 // Wire layout: [u64 view_id][VectorClock delivered_prefix][envelope
 // section] — the prelude is OSend-specific, the section is the shared
 // Envelope codec (causal/envelope.h). A broadcast encodes ONE frame shared
 // by every destination and by the sender's self-delivery; receivers parse
-// in place and hold-back/log entries alias the same frame.
+// in place and hold-back entries alias the same frame.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +59,6 @@ class OSendMember final : public ViewSyncMember {
     /// Reliability layer configuration (pass-through by default; enable
     /// when the transport drops or duplicates).
     ReliableEndpoint::Options reliability{.enabled = false};
-    /// When true, every delivered message is added to the local
-    /// MessageGraph (O(history) memory unless prune_stable() runs; for
-    /// tests, benches and examples that inspect graph()).
-    bool record_graph = false;
-    /// When true, log() keeps every delivery; when false it holds only
-    /// the most recent one.
-    bool keep_delivery_log = false;
     /// Observability sinks: OrderingStats collector + holdback gauge, a
     /// causal-hold-time histogram, and per-envelope submit/deliver spans
     /// with Occurs_After flow edges. Default: off.
@@ -97,9 +88,6 @@ class OSendMember final : public ViewSyncMember {
     return broadcast(std::move(label), std::move(payload), deps);
   }
 
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
-  }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
 
   /// Rebinds the upward delivery callback (stack splicing).
@@ -111,9 +99,12 @@ class OSendMember final : public ViewSyncMember {
     return pending_.size();
   }
 
-  /// Locally observed message dependency graph R(M) (empty unless
-  /// Options::record_graph).
-  [[nodiscard]] const MessageGraph& graph() const { return graph_; }
+  /// Always empty: the member records no graph. Only perfbench reads it
+  /// (its traced causal.graph_nodes gauge).
+  [[nodiscard]] const MessageGraph& graph() const {
+    static const MessageGraph kNone;
+    return kNone;
+  }
 
   /// Contiguous delivered prefix per sender (rank-indexed by view).
   [[nodiscard]] const VectorClock& delivered_prefix() const override {
@@ -133,10 +124,9 @@ class OSendMember final : public ViewSyncMember {
 
   /// Garbage-collects bookkeeping for messages known delivered everywhere
   /// (at or below the MatrixClock stable cut): the stable floor rises to
-  /// the cut and, when record_graph is set, their nodes leave the graph.
-  /// No ordering decision can ever consult a stable message again (any
-  /// dependency on it is satisfied by the delivered prefix), so this is
-  /// safe at any time. Returns the number of messages pruned.
+  /// the cut. No ordering decision can ever consult a stable message
+  /// again (any dependency on it is satisfied by the delivered prefix), so
+  /// this is safe at any time. Returns the number of messages pruned.
   std::size_t prune_stable();
 
   /// Per-sender floor (rank-indexed): everything at or below it has been
@@ -245,8 +235,6 @@ class OSendMember final : public ViewSyncMember {
   VectorClock delivered_prefix_;
   VectorClock stable_floor_;
   MatrixClock knowledge_;
-  MessageGraph graph_;
-  std::vector<Delivery> log_;
   OrderingStats stats_;
   obs::LatencyHistogram* hold_hist_ = nullptr;
   // Last member: unregisters before the state it reads is torn down.

@@ -56,9 +56,6 @@ InvariantChecker::InvariantChecker(std::unique_ptr<BroadcastMember> lower,
       log_(std::move(log)),
       options_(std::move(options)) {
   require(log_ != nullptr, "InvariantChecker: null violation log");
-  if (options_.stable_spec.has_value() && options_.keep_full_record) {
-    detector_.emplace(*options_.stable_spec, nullptr, /*keep_history=*/true);
-  }
   if (options_.obs.prefix.empty()) {
     options_.obs.prefix = "check";
   }
@@ -136,22 +133,17 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
         close_cycle(delivery);
       }
     }
-    if (detector_.has_value()) {
-      detector_->on_delivery(delivery);
-    }
   }
   deliver_up(delivery);
 }
 
 void InvariantChecker::close_cycle(const Delivery& sync) {
   stable_cycles_ += 1;
-  if (!options_.keep_full_record) {
-    // The chain digest now stands in for the closed cycle's deliveries.
-    dropped_ += tail_.size();
-    tail_.clear();
-    if (stable_digests_.size() == DigestWindow::kCapacity) {
-      stable_digests_.erase(stable_digests_.begin());
-    }
+  // The chain digest now stands in for the closed cycle's deliveries.
+  dropped_ += tail_.size();
+  tail_.clear();
+  if (stable_digests_.size() == DigestWindow::kCapacity) {
+    stable_digests_.erase(stable_digests_.begin());
   }
   stable_digests_.push_back(digest_chain_);
   obs::flight_record(obs::FlightEvent::kStablePoint, sync.id, stable_cycles_);
@@ -165,11 +157,6 @@ bool InvariantChecker::seen(MessageId message) const {
   return it != seen_.end() && it->second.contains(message.seq);
 }
 
-const std::vector<StablePoint>& InvariantChecker::stable_history() const {
-  static const std::vector<StablePoint> kNone;
-  return detector_.has_value() ? detector_->history() : kNone;
-}
-
 void InvariantChecker::restore(std::uint64_t cycles,
                                std::vector<std::uint64_t> digests,
                                std::map<NodeId, SeqNo> baseline_floor) {
@@ -177,7 +164,7 @@ void InvariantChecker::restore(std::uint64_t cycles,
           "InvariantChecker::restore: deliveries already recorded");
   require(digests.size() <= cycles,
           "InvariantChecker::restore: more digests than cycles");
-  if (!options_.keep_full_record && digests.size() > DigestWindow::kCapacity) {
+  if (digests.size() > DigestWindow::kCapacity) {
     digests.erase(digests.begin(), digests.end() - DigestWindow::kCapacity);
   }
   stable_digests_ = std::move(digests);

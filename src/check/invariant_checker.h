@@ -28,8 +28,8 @@
 // it: at each stable point the checker drops its delivery record and
 // keeps per-sender seq sets, counts, an order-insensitive set hash, a
 // rolling order digest and the newest chain digests (a DigestWindow). The
-// monitor compares those; Options::keep_full_record keeps the whole
-// record for tests that assert an exact diff or divergence position.
+// monitor compares those. Without a stable spec nothing is dropped, and
+// the report names the first diverging id or position.
 //
 // Violations are recorded, never thrown: one schedule reports every
 // breakage it exhibits, which is what the schedule explorer minimizes on.
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "activity/commutativity.h"
-#include "activity/stable_point.h"
 #include "check/violation.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
@@ -69,14 +68,9 @@ class InvariantChecker final : public ProtocolLayer {
     /// checker chains their state digests, drops its delivery record at
     /// each one, and the monitor compares digests across members.
     std::optional<CommutativitySpec> stable_spec;
-    /// Keeps the whole record: every delivered id in delivered_sequence(),
-    /// every StablePoint in stable_history() and the whole digest chain.
-    /// The monitor then names the first diverging id or position. For
-    /// tests; O(run) memory.
-    bool keep_full_record = false;
     /// Label kinds excluded from the stable digest (still checked for
-    /// dependencies/duplicates and fed to the detector). Use for
-    /// state-inert ops whose delivery is NOT ordered relative to the sync
+    /// dependencies/duplicates). Use for state-inert ops whose delivery
+    /// is NOT ordered relative to the sync
     /// chain — e.g. a departure marker racing an in-flight sync lands in
     /// cycle k at one member and cycle k+1 at another, so folding it into
     /// the digest would report divergence where states actually agree.
@@ -91,8 +85,7 @@ class InvariantChecker final : public ProtocolLayer {
                    std::shared_ptr<ViolationLog> log, Options options);
 
   /// Message ids in local delivery order since the last stable point: the
-  /// open cycle's tail. Without a stable spec, or with keep_full_record,
-  /// the whole run.
+  /// open cycle's tail. Without a stable spec, the whole run.
   [[nodiscard]] const std::vector<MessageId>& delivered_sequence() const {
     return tail_;
   }
@@ -113,15 +106,12 @@ class InvariantChecker final : public ProtocolLayer {
     return order_digest_;
   }
 
-  /// Stable points detected so far (empty unless keep_full_record).
-  [[nodiscard]] const std::vector<StablePoint>& stable_history() const;
-
   /// Order-insensitive state digest per closed cycle: commutative messages
   /// of the cycle fold in XOR (order must not matter), chained through the
   /// closing sync message. Equal digests at equal cycles == state
   /// agreement at the stable point. Each digest folds every earlier one,
-  /// so only the newest DigestWindow::kCapacity are kept (all with
-  /// keep_full_record); the last one ends cycle stable_cycles().
+  /// so only the newest DigestWindow::kCapacity are kept; the last one
+  /// ends cycle stable_cycles().
   [[nodiscard]] const std::vector<std::uint64_t>& stable_digests() const {
     return stable_digests_;
   }
@@ -177,7 +167,6 @@ class InvariantChecker final : public ProtocolLayer {
   // Per-sender seqs delivered here; restore() seeds each floor with the
   // baseline the pre-crash incarnation (or the checkpoint) covered.
   std::map<NodeId, PrefixSeqSet> seen_;
-  std::optional<StablePointDetector> detector_;  // keep_full_record only
   std::vector<std::uint64_t> stable_digests_;
   std::uint64_t stable_cycles_ = 0;
   std::uint64_t open_cycle_acc_ = 0;  ///< XOR of open-cycle message hashes

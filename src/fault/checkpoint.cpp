@@ -43,15 +43,18 @@ void Checkpoint::save(const std::string& path) const {
   Writer writer;
   encode(writer);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "Checkpoint: cannot write '" + tmp + "'");
-    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-              static_cast<std::streamsize>(writer.size()));
-    require(out.good(), "Checkpoint: short write to '" + tmp + "'");
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  require(out.good(), "Checkpoint: cannot write '" + tmp + "'");
+  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+            static_cast<std::streamsize>(writer.size()));
+  // A checkpoint this small sits in the stream buffer until the close
+  // flushes it, so a full disk shows only here. The previous file stays.
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    require(false, "Checkpoint: cannot replace '" + path + "' with '" + tmp +
+                       "' (short write or failed rename)");
   }
-  require(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "Checkpoint: rename to '" + path + "' failed");
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {

@@ -70,11 +70,6 @@ class ReplicaNode {
     /// whenever State{} is not the real initial value (object::Value is
     /// empty until seeded with a catalog object).
     State initial{};
-    /// Keep a state snapshot per stable point in stable_history() and
-    /// every point in detector().history() (tests, benches and examples
-    /// that compare past cycles). Off, the node keeps only
-    /// last_stable_state(), so its memory does not grow with the run.
-    bool keep_stable_history = false;
   };
 
   ReplicaNode(Transport& transport, const GroupView& view,
@@ -87,22 +82,18 @@ class ReplicaNode {
                         transport, view, [](const Delivery&) {},
                         options.member),
                     std::move(spec), options.front_end,
-                    std::move(options.initial), options.keep_stable_history) {}
+                    std::move(options.initial)) {}
 
   /// Injects an ordering member (any discipline or layered stack); the
   /// node splices itself into the member's delivery path.
-  /// `keep_stable_history` is Options::keep_stable_history.
   ReplicaNode(std::unique_ptr<BroadcastMember> member, CommutativitySpec spec,
               FrontEndManager::Options front_end_options = {},
-              State initial = State{}, bool keep_stable_history = false)
+              State initial = State{})
       : member_(std::move(member)),
         front_end_(*member_, spec, front_end_options),
-        detector_(
-            spec,
-            [this](const StablePoint& point) { on_stable_point(point); },
-            keep_stable_history),
-        state_(std::move(initial)),
-        keep_stable_history_(keep_stable_history) {
+        detector_(spec,
+                  [this](const StablePoint& point) { on_stable_point(point); }),
+        state_(std::move(initial)) {
     member_->set_deliver(
         [this](const Delivery& delivery) { on_delivery(delivery); });
   }
@@ -169,24 +160,22 @@ class ReplicaNode {
     last_stable_state_ = std::move(snapshot);
   }
 
-  /// Snapshot at every stable point so far, in cycle order (empty unless
-  /// Options::keep_stable_history). Snapshot k pairs with
-  /// detector().history()[k]. Members agree on snapshot k whenever cycle
-  /// k's coverage was complete at every member — the paper's
-  /// agreement-at-stable-points property, directly checkable.
+  /// Always empty: the node keeps only last_stable_state(). Only
+  /// perfbench reads it (its traced replica.stable_states gauge).
   [[nodiscard]] const std::vector<State>& stable_history() const {
-    return stable_history_;
+    static const std::vector<State> kNone;
+    return kNone;
   }
 
-  /// Stable-point state copies held: the history's, plus the last one.
+  /// Stable-point state copies held: last_stable_state()'s, once set.
   [[nodiscard]] std::size_t stable_states() const {
-    return stable_history_.size() + (last_stable_state_.has_value() ? 1 : 0);
+    return last_stable_state_.has_value() ? 1 : 0;
   }
 
   [[nodiscard]] BroadcastMember& member() { return *member_; }
   [[nodiscard]] const BroadcastMember& member() const { return *member_; }
 
-  /// Checked downcast for OSend-specific accessors (graph, stability);
+  /// Checked downcast for OSend-specific accessors (stability, GC);
   /// only valid when the node runs over the OSend discipline, possibly
   /// under a stack of ProtocolLayer decorators (checker, tracing, taps) —
   /// the chain is unwrapped until the concrete member surfaces.
@@ -206,6 +195,12 @@ class ReplicaNode {
     return detector_;
   }
   [[nodiscard]] NodeId id() const { return member_->id(); }
+
+ protected:
+  /// Replaces the working state with a transferred one, leaving
+  /// last_stable_state() alone: a joiner adopts its snapshot at a view's
+  /// install cut, not at a stable point (DynamicReplicaNode).
+  void adopt_state(State snapshot) { state_ = std::move(snapshot); }
 
  private:
   [[nodiscard]] SeqNo next_local_seq() const {
@@ -233,9 +228,6 @@ class ReplicaNode {
 
   void on_stable_point(const StablePoint& point) {
     last_stable_state_ = state_;
-    if (keep_stable_history_) {
-      stable_history_.push_back(state_);
-    }
     if (deferred_reads_.empty()) {
       return;
     }
@@ -251,8 +243,6 @@ class ReplicaNode {
   StablePointDetector detector_;
   State state_{};
   std::optional<State> last_stable_state_;
-  bool keep_stable_history_ = false;
-  std::vector<State> stable_history_;  // with keep_stable_history only
   std::vector<StableReadFn> deferred_reads_;
   std::unordered_map<MessageId, AppliedFn> pending_result_;
   ApplyObserverFn apply_observer_;

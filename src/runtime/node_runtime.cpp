@@ -318,17 +318,17 @@ void NodeRuntime::build_stack() {
   replica_ = std::make_unique<Replica>(
       std::move(member), *options_.check.stable_spec, options_.front_end,
       object::Value(entry_.make()));
-  const bool keep_history =
+  const bool record_ops =
       !flags_.record_history_path.empty() || !config_.trace_path.empty();
-  if (!keep_history && !config_.on_apply) {
+  if (!record_ops && !config_.on_apply) {
     return;
   }
   // One (id, deps, response) buffer serves the cbc_check history and the
   // Occurs_After edges of cbc_node --trace.
   replica_->set_apply_observer(
-      [this, keep_history](const Delivery& delivery,
-                           const std::vector<std::uint8_t>& response) {
-        if (keep_history) {
+      [this, record_ops](const Delivery& delivery,
+                         const std::vector<std::uint8_t>& response) {
+        if (record_ops) {
           const NodeId base = config_.history_origin;
           check::HistoryOp op;
           op.id = MessageId{base + delivery.id.sender, delivery.id.seq};

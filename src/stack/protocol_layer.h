@@ -48,9 +48,6 @@ class ProtocolLayer : public BroadcastMember {
     return lower_->broadcast(std::move(label), std::move(payload), deps);
   }
 
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return lower_->log();
-  }
   [[nodiscard]] const OrderingStats& stats() const override {
     return lower_->stats();
   }

@@ -50,9 +50,6 @@ class ASendMember final : public BroadcastMember {
  public:
   struct Options {
     ReliableEndpoint::Options reliability{.enabled = false};
-    /// When true, log() keeps every delivery; when false it holds only
-    /// the most recent one (each delivery aliases its wire frame).
-    bool keep_delivery_log = false;
     /// Observability sinks: OrderingStats collector + round gauges and
     /// per-envelope submit/deliver spans. Default: off.
     obs::Hooks obs{};
@@ -79,9 +76,6 @@ class ASendMember final : public BroadcastMember {
     return broadcast(std::move(label), std::move(payload), DepSpec::none());
   }
 
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
-  }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
 
   void set_deliver(DeliverFn deliver) override;
@@ -150,7 +144,6 @@ class ASendMember final : public BroadcastMember {
   // round -> (member rank -> frame)
   std::map<std::uint64_t, std::map<std::size_t, Frame>> rounds_
       CBC_GUARDED_BY(mutex_);
-  std::vector<Delivery> log_;
   OrderingStats stats_;
   // Last member: unregisters before the state it reads is torn down.
   obs::CollectorHandle collector_;

@@ -99,7 +99,7 @@ void ScopedOrderMember::on_delivery(const Delivery& delivery) {
   bool is_open = false;
   bool is_close = false;
   if (!parse_scope(delivery.label(), scope, inner, is_open, is_close)) {
-    emit(delivery);  // plain causal traffic
+    deliver_(delivery);  // plain causal traffic
     return;
   }
   if (is_open) {
@@ -108,7 +108,7 @@ void ScopedOrderMember::on_delivery(const Delivery& delivery) {
     scopes_.emplace(scope, std::move(state));
     Delivery ascendant = delivery;
     ascendant.override_label(inner);
-    emit(ascendant);  // lbl_a is ordinary causal traffic to the app
+    deliver_(ascendant);  // lbl_a is ordinary causal traffic to the app
     return;
   }
   const auto it = scopes_.find(scope);
@@ -128,12 +128,12 @@ void ScopedOrderMember::on_delivery(const Delivery& delivery) {
     for (Delivery& held : state.held) {
       const std::string& wire_label = held.label();
       held.override_label(wire_label.substr(wire_label.find('|') + 1));
-      emit(held);
+      deliver_(held);
     }
     state.held.clear();
     Delivery closer = delivery;
     closer.override_label(inner);
-    emit(closer);
+    deliver_(closer);
     return;
   }
   // In-scope member message.
@@ -142,16 +142,11 @@ void ScopedOrderMember::on_delivery(const Delivery& delivery) {
     // never promised for it — release in causal (arrival) order.
     Delivery straggler = delivery;
     straggler.override_label(inner);
-    emit(straggler);
+    deliver_(straggler);
     return;
   }
   state.seen_ids.push_back(delivery.id);
   state.held.push_back(delivery);  // label un-mangled at release
-}
-
-void ScopedOrderMember::emit(const Delivery& delivery) {
-  app_log_.push_back(delivery);
-  deliver_(app_log_.back());
 }
 
 }  // namespace cbc

@@ -93,12 +93,6 @@ class ScopedOrderMember {
   [[nodiscard]] const BroadcastMember& member() const { return *member_; }
   [[nodiscard]] NodeId id() const { return member_->id(); }
 
-  /// Application-order log (scoped messages appear at their release
-  /// point, not their wire delivery point).
-  [[nodiscard]] const std::vector<Delivery>& app_log() const {
-    return app_log_;
-  }
-
  private:
   struct ScopeState {
     MessageId ascendant;
@@ -111,13 +105,11 @@ class ScopedOrderMember {
   static bool parse_scope(const std::string& label, ScopeId& scope,
                           std::string& inner, bool& is_open, bool& is_close);
   void on_delivery(const Delivery& delivery);
-  void emit(const Delivery& delivery);
 
   DeliverFn deliver_;
   std::unique_ptr<BroadcastMember> member_;
   std::uint64_t next_scope_ = 1;
   std::map<ScopeId, ScopeState> scopes_;
-  std::vector<Delivery> app_log_;
 };
 
 }  // namespace cbc

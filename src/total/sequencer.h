@@ -51,9 +51,9 @@ class SequencerMember final : public BroadcastMember {
   MessageId broadcast(std::string label, std::vector<std::uint8_t> payload,
                       const DepSpec& deps) override;
 
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
-  }
+  /// Messages delivered so far, in delivery order (a reference baseline
+  /// keeps its whole log; the paper's protocols keep none).
+  [[nodiscard]] const std::vector<Delivery>& log() const { return log_; }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
 
   void set_deliver(DeliverFn deliver) override;

@@ -9,6 +9,7 @@
 #include "apps/counter.h"
 #include "apps/document.h"
 #include "apps/registry.h"
+#include "common/recorder.h"
 #include "graph/message_graph.h"
 
 namespace cbc {
@@ -213,12 +214,13 @@ TEST(StablePointDetector, InitialStateIsStable) {
 }
 
 TEST(StablePointDetector, CommutativeMessagesOpenACycle) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr);
+  testkit::Recorder recorded;
+  StablePointDetector detector(apps::Counter::spec(), recorded.point_tap());
   detector.on_delivery(make_delivery(id(0, 1), "inc#1", DepSpec::none()));
   detector.on_delivery(make_delivery(id(1, 1), "dec#1", DepSpec::none()));
   EXPECT_FALSE(detector.at_stable_point());
   EXPECT_EQ(detector.open_set().size(), 2u);
-  EXPECT_TRUE(detector.history().empty());
+  EXPECT_TRUE(recorded.points().empty());
 }
 
 TEST(StablePointDetector, SyncMessageClosesCycleWithCoverage) {
@@ -242,20 +244,20 @@ TEST(StablePointDetector, SyncMessageClosesCycleWithCoverage) {
 }
 
 TEST(StablePointDetector, IncompleteCoverageFlagged) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr,
-                               /*keep_history=*/true);
+  testkit::Recorder recorded;
+  StablePointDetector detector(apps::Counter::spec(), recorded.point_tap());
   detector.on_delivery(make_delivery(id(0, 1), "inc#1", DepSpec::none()));
   detector.on_delivery(make_delivery(id(1, 1), "inc#2", DepSpec::none()));
   // Sync message only names one of the two open commutative messages.
   detector.on_delivery(
       make_delivery(id(2, 1), "rd#1", DepSpec::after(id(0, 1))));
-  ASSERT_EQ(detector.history().size(), 1u);
-  EXPECT_FALSE(detector.history()[0].coverage_complete);
+  ASSERT_EQ(recorded.points().size(), 1u);
+  EXPECT_FALSE(recorded.points()[0].coverage_complete);
 }
 
 TEST(StablePointDetector, RepeatedCyclesCount) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr,
-                               /*keep_history=*/true);
+  testkit::Recorder recorded;
+  StablePointDetector detector(apps::Counter::spec(), recorded.point_tap());
   SeqNo seq = 1;
   for (std::uint64_t cycle = 1; cycle <= 5; ++cycle) {
     std::vector<MessageId> cids;
@@ -266,8 +268,8 @@ TEST(StablePointDetector, RepeatedCyclesCount) {
     }
     detector.on_delivery(
         make_delivery(id(1, seq++), "rd#y", DepSpec::after_all(cids)));
-    EXPECT_EQ(detector.history().size(), cycle);
-    EXPECT_TRUE(detector.history().back().coverage_complete);
+    EXPECT_EQ(recorded.points().size(), cycle);
+    EXPECT_TRUE(recorded.points().back().coverage_complete);
   }
   EXPECT_EQ(detector.open_cycle(), 6u);
 }
@@ -282,7 +284,6 @@ TEST(StablePointDetector, DefaultKeepsOnlyTheLastPoint) {
     detector.on_delivery(
         make_delivery(id(1, seq++), "rd#y", DepSpec::after(c)));
   }
-  EXPECT_TRUE(detector.history().empty());
   EXPECT_EQ(detector.cycles(), 100u);
   ASSERT_TRUE(detector.last().has_value());
   EXPECT_EQ(detector.last()->cycle, 100u);
@@ -293,14 +294,14 @@ TEST(StablePointDetector, DefaultKeepsOnlyTheLastPoint) {
 }
 
 TEST(StablePointDetector, BackToBackSyncMessagesFormEmptyCycles) {
-  StablePointDetector detector(apps::Counter::spec(), nullptr,
-                               /*keep_history=*/true);
+  testkit::Recorder recorded;
+  StablePointDetector detector(apps::Counter::spec(), recorded.point_tap());
   detector.on_delivery(make_delivery(id(0, 1), "rd#1", DepSpec::none()));
   detector.on_delivery(make_delivery(id(0, 2), "rd#2", DepSpec::after(id(0, 1))));
-  ASSERT_EQ(detector.history().size(), 2u);
-  EXPECT_TRUE(detector.history()[0].commutative_set.empty());
-  EXPECT_TRUE(detector.history()[0].coverage_complete);  // vacuous
-  EXPECT_TRUE(detector.history()[1].commutative_set.empty());
+  ASSERT_EQ(recorded.points().size(), 2u);
+  EXPECT_TRUE(recorded.points()[0].commutative_set.empty());
+  EXPECT_TRUE(recorded.points()[0].coverage_complete);  // vacuous
+  EXPECT_TRUE(recorded.points()[1].commutative_set.empty());
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 
 #include <algorithm>
 
-#include "activity/consistency_check.h"
 #include "causal/osend.h"
+#include "common/consistency_check.h"
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
 #include "util/rng.h"
@@ -12,6 +12,7 @@
 namespace cbc {
 namespace {
 
+using testkit::ConsistencyVerdict;
 using testkit::Group;
 using testkit::SimEnv;
 
@@ -22,13 +23,13 @@ TEST(OSend, SenderDeliversOwnMessageImmediately) {
   Group<OSendMember> group(env.transport, 3);
   const MessageId id = group[0].osend("m", bytes(1), DepSpec::none());
   // Local delivery is synchronous inside osend().
-  ASSERT_EQ(group[0].log().size(), 1u);
-  EXPECT_EQ(group[0].log()[0].id, id);
+  ASSERT_EQ(group.log(0).size(), 1u);
+  EXPECT_EQ(group.log(0)[0].id, id);
   EXPECT_TRUE(group[0].has_delivered(id));
-  EXPECT_TRUE(group[1].log().empty());  // network not yet run
+  EXPECT_TRUE(group.log(1).empty());  // network not yet run
   env.run();
-  EXPECT_EQ(group[1].log().size(), 1u);
-  EXPECT_EQ(group[2].log().size(), 1u);
+  EXPECT_EQ(group.log(1).size(), 1u);
+  EXPECT_EQ(group.log(2).size(), 1u);
 }
 
 TEST(OSend, UnconstrainedMessagesReachEveryMember) {
@@ -40,7 +41,7 @@ TEST(OSend, UnconstrainedMessagesReachEveryMember) {
   }
   env.run();
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(group[i].log().size(), 4u);
+    EXPECT_EQ(group.log(i).size(), 4u);
     EXPECT_EQ(group[i].stats().delivered, 4u);
   }
   EXPECT_TRUE(group.all_delivered_same_set());
@@ -52,8 +53,8 @@ TEST(OSend, DeliveryCarriesLabelDepsPayloadTimes) {
   const MessageId first = group[0].osend("first", bytes(7), DepSpec::none());
   group[0].osend("second", bytes(9), DepSpec::after(first));
   env.run();
-  ASSERT_EQ(group[1].log().size(), 2u);
-  const Delivery& delivery = group[1].log()[1];
+  ASSERT_EQ(group.log(1).size(), 2u);
+  const Delivery& delivery = group.log(1)[1];
   EXPECT_EQ(delivery.label(), "second");
   EXPECT_EQ(std::vector<std::uint8_t>(delivery.payload().begin(),
                                       delivery.payload().end()),
@@ -76,7 +77,7 @@ TEST(OSend, DependencyEnforcedUnderHeavyJitter) {
     const MessageId m2 = group[1].osend("m2", bytes(2), DepSpec::after(m1));
     env.run();
     for (std::size_t i = 0; i < 3; ++i) {
-      const auto ids = delivered_ids(group[i].log());
+      const auto ids = delivered_ids(group.log(i));
       const auto pos1 = std::find(ids.begin(), ids.end(), m1);
       const auto pos2 = std::find(ids.begin(), ids.end(), m2);
       ASSERT_NE(pos1, ids.end()) << "seed " << seed;
@@ -102,7 +103,7 @@ TEST(OSend, SemanticOrderingOnly_NoFifoImposedOnIndependentMessages) {
     const MessageId b = group[0].osend("b", bytes(2), DepSpec::none());
     env.run();
     EXPECT_EQ(group[1].stats().held_back, 0u);
-    const auto ids = delivered_ids(group[1].log());
+    const auto ids = delivered_ids(group.log(1));
     ASSERT_EQ(ids.size(), 2u);
     saw_swap = (ids[0] == b && ids[1] == a);
   }
@@ -124,13 +125,13 @@ TEST(OSend, Figure2Scenario) {
       group[1].osend("m3'", bytes(3), DepSpec::after_all({m1, m2}));
   env.run();
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto ids = delivered_ids(group[i].log());
+    const auto ids = delivered_ids(group.log(i));
     ASSERT_EQ(ids.size(), 4u);
     EXPECT_EQ(ids.front(), mk);  // mk precedes everything
     EXPECT_EQ(ids.back(), m3);   // the sync message closes the activity
     // The member's own graph validates its own delivery order.
-    EXPECT_TRUE(group[i].graph().is_valid_delivery_order(ids));
-    EXPECT_TRUE(group[i].graph().concurrent(m1, m2));
+    EXPECT_TRUE(group.graph(i).is_valid_delivery_order(ids));
+    EXPECT_TRUE(group.graph(i).concurrent(m1, m2));
   }
 }
 
@@ -147,12 +148,12 @@ TEST(OSend, GraphIdenticalAtAllMembers) {
   // The *stable form* of the dependency graph (§3.2): same nodes, same
   // edges at every member, regardless of local delivery order.
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(group[i].graph().size(), 3u);
-    EXPECT_TRUE(group[i].graph().closed());
-    for (const MessageId& id : group[0].graph().insertion_order()) {
-      ASSERT_TRUE(group[i].graph().contains(id));
-      EXPECT_EQ(group[i].graph().direct_deps(id),
-                group[0].graph().direct_deps(id));
+    EXPECT_EQ(group.graph(i).size(), 3u);
+    EXPECT_TRUE(group.graph(i).closed());
+    for (const MessageId& id : group.graph(0).insertion_order()) {
+      ASSERT_TRUE(group.graph(i).contains(id));
+      EXPECT_EQ(group.graph(i).direct_deps(id),
+                group.graph(0).direct_deps(id));
     }
   }
 }
@@ -170,7 +171,7 @@ TEST(OSend, HoldbackCascadeDrainsInOneArrival) {
   const MessageId m2 = group[1].osend("m2", bytes(2), DepSpec::after(m1));
   const MessageId m3 = group[1].osend("m3", bytes(3), DepSpec::after(m2));
   scheduler.run();
-  const auto ids = delivered_ids(group[2].log());
+  const auto ids = delivered_ids(group.log(2));
   EXPECT_EQ(ids, (std::vector<MessageId>{m1, m2, m3}));
   EXPECT_EQ(group[2].stats().held_back, 2u);  // m2 and m3 waited
   EXPECT_EQ(group[2].holdback_depth(), 0u);   // drained
@@ -183,15 +184,15 @@ TEST(OSend, DependencyOnNotYetSentMessageHolds) {
   const MessageId future{1, 1};
   group[0].osend("needs-future", bytes(9), DepSpec::after(future));
   env.run();
-  EXPECT_EQ(group[1].log().size(), 0u);  // held everywhere
-  EXPECT_EQ(group[0].log().size(), 0u);  // even at its own sender
+  EXPECT_EQ(group.log(1).size(), 0u);  // held everywhere
+  EXPECT_EQ(group.log(0).size(), 0u);  // even at its own sender
   EXPECT_EQ(group[0].holdback_depth(), 1u);
   // Now the awaited message appears.
   group[1].osend("the-dep", bytes(1), DepSpec::none());
   env.run();
-  EXPECT_EQ(group[0].log().size(), 2u);
-  EXPECT_EQ(group[1].log().size(), 2u);
-  EXPECT_EQ(group[1].log()[0].label(), "the-dep");
+  EXPECT_EQ(group.log(0).size(), 2u);
+  EXPECT_EQ(group.log(1).size(), 2u);
+  EXPECT_EQ(group.log(1)[0].label(), "the-dep");
 }
 
 TEST(OSend, RawDuplicatesDroppedById) {
@@ -202,7 +203,7 @@ TEST(OSend, RawDuplicatesDroppedById) {
   Group<OSendMember> group(env.transport, 2);
   group[0].osend("m", bytes(1), DepSpec::none());
   env.run();
-  EXPECT_EQ(group[1].log().size(), 1u);
+  EXPECT_EQ(group.log(1).size(), 1u);
   EXPECT_GE(group[1].stats().duplicates, 1u);
 }
 
@@ -231,7 +232,6 @@ TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
   SimEnv env(config);
   OSendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
-  options.keep_delivery_log = true;
   Group<OSendMember> group(env.transport, 3, options);
   std::vector<MessageId> chain;
   for (int i = 0; i < 10; ++i) {
@@ -244,7 +244,7 @@ TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
   env.run();
   for (std::size_t i = 0; i < 3; ++i) {
     // The chain is totally ordered by deps, so all logs equal the chain.
-    EXPECT_EQ(delivered_ids(group[i].log()), chain) << "member " << i;
+    EXPECT_EQ(delivered_ids(group.log(i)), chain) << "member " << i;
   }
 }
 
@@ -261,8 +261,6 @@ TEST(OSend, DefaultMemberRetainsNoPerMessageHistory) {
   const MessageId first{0, 1};
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(group[i].stats().delivered, 180u) << "member " << i;
-    EXPECT_EQ(group[i].graph().size(), 0u) << "member " << i;
-    EXPECT_EQ(group[i].log().size(), 1u) << "member " << i;
     EXPECT_TRUE(group[i].has_delivered(first)) << "member " << i;
     EXPECT_FALSE(group[i].has_delivered(MessageId{0, 1'000'000}))
         << "member " << i;
@@ -292,7 +290,7 @@ TEST(OSend, DepOnDepartedSendersMessageStillSatisfied) {
   EXPECT_EQ(group[0].holdback_depth(), 0u);
   EXPECT_EQ(group[1].holdback_depth(), 0u);
   EXPECT_TRUE(group[1].has_delivered(after_departed));
-  EXPECT_EQ(group[1].log().back().id, after_departed);
+  EXPECT_EQ(group.log(1).back().id, after_departed);
 }
 
 // Property: a random causally-well-formed workload (every dependency names
@@ -314,7 +312,7 @@ TEST_P(OSendRandomWorkload, EveryMemberDeliversAValidTopologicalOrder) {
   for (int k = 0; k < total; ++k) {
     const std::size_t sender = rng.next_below(n);
     // Sender picks 0-3 dependencies from messages it has delivered.
-    const auto& log = group[sender].log();
+    const auto& log = group.log(sender);
     DepSpec deps;
     if (!log.empty()) {
       const std::size_t count = rng.next_below(3);
@@ -329,23 +327,49 @@ TEST_P(OSendRandomWorkload, EveryMemberDeliversAValidTopologicalOrder) {
   }
   env.run();
 
-  std::vector<const OSendMember*> members;
+  std::vector<const testkit::Recorder*> recorders;
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(group[i].log().size(), static_cast<std::size_t>(total));
-    EXPECT_TRUE(group[i].graph().closed());
-    EXPECT_TRUE(group[i].graph().is_valid_delivery_order(
-        delivered_ids(group[i].log())))
+    EXPECT_EQ(group.log(i).size(), static_cast<std::size_t>(total));
+    EXPECT_TRUE(group.graph(i).closed());
+    EXPECT_TRUE(group.graph(i).is_valid_delivery_order(
+        delivered_ids(group.log(i))))
         << "member " << i << " seed " << seed;
     EXPECT_EQ(group[i].holdback_depth(), 0u);
-    members.push_back(&group[i]);
+    recorders.push_back(&group.recorder(i));
   }
   EXPECT_TRUE(group.all_delivered_same_set());
-  const ConsistencyVerdict verdict = check_causal_delivery(members);
+  const ConsistencyVerdict verdict = check_causal_delivery(recorders);
   EXPECT_TRUE(verdict.consistent) << verdict.problem;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OSendRandomWorkload,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(CausalDeliveryOracle, RejectsAnOrderOrASetThatBreaksCausality) {
+  const Delivery a = Delivery::synthetic({0, 1}, "a", DepSpec::none());
+  const Delivery b = Delivery::synthetic({1, 1}, "b", DepSpec::after(a.id));
+  using Recorders = std::vector<const testkit::Recorder*>;
+  // b names a in its Occurs_After set, yet is delivered first.
+  testkit::Recorder inverted;
+  inverted.record(b);
+  inverted.record(a);
+  const ConsistencyVerdict order = check_causal_delivery(Recorders{&inverted});
+  EXPECT_FALSE(order.consistent);
+  EXPECT_NE(order.problem.find("not allowed by its dependency graph"),
+            std::string::npos)
+      << order.problem;
+  // Each order is valid on its own; the two members' sets differ.
+  testkit::Recorder both;
+  testkit::Recorder only_a;
+  both.record(a);
+  both.record(b);
+  only_a.record(a);
+  const ConsistencyVerdict sets =
+      check_causal_delivery(Recorders{&both, &only_a});
+  EXPECT_FALSE(sets.consistent);
+  EXPECT_NE(sets.problem.find("different message set"), std::string::npos)
+      << sets.problem;
+}
 
 }  // namespace
 }  // namespace cbc

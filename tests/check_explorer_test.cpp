@@ -17,6 +17,7 @@
 #include "causal/osend.h"
 #include "check/invariant_checker.h"
 #include "check/schedule_explorer.h"
+#include "common/recorder.h"
 #include "common/sim_env.h"
 #include "obs/metrics.h"
 #include "total/asend.h"
@@ -181,22 +182,26 @@ class StableActivityScenario final : public check::Scenario {
     spec.mark_commutative("inc");
     InvariantChecker::Options options;
     options.stable_spec = spec;
-    options.keep_full_record = true;  // on_quiescent reads stable_history()
     for (std::size_t i = 0; i < 3; ++i) {
       checkers_.push_back(monitor_.attach(
           std::make_unique<OSendMember>(transport, view_,
                                         [](const Delivery&) {}),
           options));
+      // on_quiescent reads the stable points each checker passed up.
+      recorders_.push_back(std::make_unique<testkit::Recorder>(spec));
     }
-    checkers_[2]->set_deliver([this](const Delivery& delivery) {
-      if (delivery.label() == "inc(x)") {
-        incs_seen_.push_back(delivery.id);
-        if (incs_seen_.size() == 4) {
-          checkers_[2]->broadcast("read(x)", {},
-                                  DepSpec::after_all(incs_seen_));
-        }
-      }
-    });
+    checkers_[0]->set_deliver(recorders_[0]->tap());
+    checkers_[1]->set_deliver(recorders_[1]->tap());
+    checkers_[2]->set_deliver(
+        recorders_[2]->tap([this](const Delivery& delivery) {
+          if (delivery.label() == "inc(x)") {
+            incs_seen_.push_back(delivery.id);
+            if (incs_seen_.size() == 4) {
+              checkers_[2]->broadcast("read(x)", {},
+                                      DepSpec::after_all(incs_seen_));
+            }
+          }
+        }));
   }
 
   void start() override {
@@ -211,17 +216,17 @@ class StableActivityScenario final : public check::Scenario {
   InvariantMonitor& monitor() override { return monitor_; }
 
   void on_quiescent() override {
-    for (const auto& checker : checkers_) {
-      if (checker->stable_history().size() != 1) {
-        monitor_.log()->add(check::ViolationKind::kStableDivergence,
-                            checker->id(), MessageId::null(),
+    for (std::size_t i = 0; i < checkers_.size(); ++i) {
+      const NodeId member = checkers_[i]->id();
+      const std::vector<StablePoint>& points = recorders_[i]->points();
+      if (points.size() != 1) {
+        monitor_.log()->add(check::ViolationKind::kStableDivergence, member,
+                            MessageId::null(),
                             "expected 1 stable point at quiescence, got " +
-                                std::to_string(
-                                    checker->stable_history().size()));
-      } else if (!checker->stable_history()[0].coverage_complete) {
-        monitor_.log()->add(check::ViolationKind::kStableDivergence,
-                            checker->id(),
-                            checker->stable_history()[0].sync_message,
+                                std::to_string(points.size()));
+      } else if (!points[0].coverage_complete) {
+        monitor_.log()->add(check::ViolationKind::kStableDivergence, member,
+                            points[0].sync_message,
                             "sync coverage incomplete");
       }
     }
@@ -230,6 +235,8 @@ class StableActivityScenario final : public check::Scenario {
  private:
   GroupView view_;
   InvariantMonitor monitor_;
+  // Declared before checkers_, so they outlive the taps that feed them.
+  std::vector<std::unique_ptr<testkit::Recorder>> recorders_;
   std::vector<std::unique_ptr<InvariantChecker>> checkers_;
   std::vector<MessageId> incs_seen_;
 };
@@ -280,9 +287,6 @@ class UnorderedMember final : public BroadcastMember {
     return message_id;
   }
 
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
-  }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
   [[nodiscard]] const GroupView& view() const override { return view_; }
   void set_deliver(DeliverFn deliver) override { deliver_ = std::move(deliver); }
@@ -293,10 +297,9 @@ class UnorderedMember final : public BroadcastMember {
  private:
   void deliver_now(Delivery delivery) {
     delivery.delivered_at = transport_.now_us();
-    log_.push_back(std::move(delivery));
     stats_.delivered += 1;
     if (deliver_) {
-      deliver_(log_.back());
+      deliver_(delivery);
     }
   }
 
@@ -305,7 +308,6 @@ class UnorderedMember final : public BroadcastMember {
   DeliverFn deliver_;
   NodeId id_ = kNoNode;
   SeqNo next_seq_ = 1;
-  std::vector<Delivery> log_;
   OrderingStats stats_;
   mutable RecursiveMutex mutex_{kRankStack, "stub stack"};
 };

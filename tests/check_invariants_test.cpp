@@ -12,6 +12,7 @@
 
 #include "check/invariant_checker.h"
 #include "common/group_fixture.h"
+#include "common/recorder.h"
 #include "common/sim_env.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -32,12 +33,11 @@ class StubMember final : public BroadcastMember {
 
   void inject(MessageId id, std::string label,
               std::vector<MessageId> deps = {}) {
-    Delivery delivery = Delivery::synthetic(
+    const Delivery delivery = Delivery::synthetic(
         id, std::move(label), DepSpec::after_all(std::move(deps)));
-    log_.push_back(delivery);
     stats_.delivered += 1;
     if (deliver_) {
-      deliver_(log_.back());
+      deliver_(delivery);
     }
   }
 
@@ -46,9 +46,6 @@ class StubMember final : public BroadcastMember {
                       std::vector<std::uint8_t> /*payload*/,
                       const DepSpec& /*deps*/) override {
     return MessageId{id_, ++next_seq_};
-  }
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
   }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
   [[nodiscard]] const GroupView& view() const override { return view_; }
@@ -62,7 +59,6 @@ class StubMember final : public BroadcastMember {
   GroupView view_;
   DeliverFn deliver_;
   SeqNo next_seq_ = 0;
-  std::vector<Delivery> log_;
   OrderingStats stats_;
   mutable RecursiveMutex mutex_{kRankStack, "stub stack"};
 };
@@ -197,15 +193,11 @@ InvariantChecker::Options stable_options() {
   return options;
 }
 
-/// stable_options() that also keeps the whole record (stable_history()).
-InvariantChecker::Options recording_stable_options() {
-  InvariantChecker::Options options = stable_options();
-  options.keep_full_record = true;
-  return options;
-}
-
 TEST(InvariantChecker, StableDigestIsOrderInsensitive) {
-  CheckerRig rig(recording_stable_options(), 2);
+  CheckerRig rig(stable_options(), 2);
+  // The stable points checker 0 passes up, recorded above it.
+  testkit::Recorder recorded(*stable_options().stable_spec);
+  rig.checkers[0]->set_deliver(recorded.tap());
   const MessageId i1{0, 1};
   const MessageId i2{1, 1};
   const MessageId sync{0, 2};
@@ -220,9 +212,9 @@ TEST(InvariantChecker, StableDigestIsOrderInsensitive) {
   ASSERT_EQ(rig.checkers[0]->stable_digests().size(), 1u);
   EXPECT_EQ(rig.checkers[0]->stable_digests(),
             rig.checkers[1]->stable_digests());
-  ASSERT_EQ(rig.checkers[0]->stable_history().size(), 1u);
-  EXPECT_EQ(rig.checkers[0]->stable_history()[0].sync_message, sync);
-  EXPECT_TRUE(rig.checkers[0]->stable_history()[0].coverage_complete);
+  ASSERT_EQ(recorded.points().size(), 1u);
+  EXPECT_EQ(recorded.points()[0].sync_message, sync);
+  EXPECT_TRUE(recorded.points()[0].coverage_complete);
 }
 
 TEST(InvariantChecker, DigestExemptKindFloatingAcrossCyclesStaysClean) {
@@ -321,26 +313,12 @@ TEST(InvariantChecker, DefaultCheckerRetainsAtMostTheOpenCycle) {
     EXPECT_EQ(checker->delivered_count(), 602u);
     EXPECT_EQ(checker->delivered_sequence().size(), 2u);
     EXPECT_FALSE(checker->record_complete());
-    EXPECT_TRUE(checker->stable_history().empty());
     EXPECT_EQ(checker->stable_cycles(), 200u);
     EXPECT_EQ(checker->stable_digests().size(), DigestWindow::kCapacity);
     EXPECT_EQ(checker->stable_window().at(200),
               checker->stable_digests().back());
     EXPECT_EQ(checker->stable_window().at(200 - DigestWindow::kCapacity),
               std::nullopt);
-  }
-  EXPECT_TRUE(rig.monitor.check_quiescent()) << rig.monitor.report();
-}
-
-TEST(InvariantChecker, KeepFullRecordKeepsTheWholeRun) {
-  CheckerRig rig(recording_stable_options(), 2);
-  Seqs next;
-  close_cycles(rig, 100, next);
-  for (const auto& checker : rig.checkers) {
-    EXPECT_EQ(checker->delivered_sequence().size(), 300u);
-    EXPECT_TRUE(checker->record_complete());
-    EXPECT_EQ(checker->stable_history().size(), 100u);
-    EXPECT_EQ(checker->stable_digests().size(), 100u);
   }
   EXPECT_TRUE(rig.monitor.check_quiescent()) << rig.monitor.report();
 }
@@ -412,28 +390,6 @@ TEST(InvariantChecker, SenderGapFiresWithDefaultOptions) {
             std::vector<ViolationKind>{ViolationKind::kSenderGap});
   EXPECT_EQ(rig.monitor.log()->violations()[0].message,
             (MessageId{1, next.one}));
-}
-
-TEST(InvariantChecker, FullRecordNamesTheFirstDivergingId) {
-  // With keep_full_record the report names the first diverging id after
-  // stable points; the cycle closed on another sync shows in its digest.
-  CheckerRig rig(recording_stable_options(), 2);
-  Seqs next;
-  close_cycles(rig, 3, next);
-  const MessageId extra{1, next.one};
-  rig.stubs[0]->inject(extra, "inc(x)");
-  rig.stubs[0]->inject({0, next.zero}, "read(x)", {extra});
-  rig.stubs[1]->inject({1, next.one + 1}, "read(x)");
-  EXPECT_FALSE(rig.monitor.check_quiescent());
-  const std::string report = rig.monitor.report();
-  EXPECT_NE(report.find("3 ids differ"), std::string::npos) << report;
-  EXPECT_NE(report.find("state digest at stable point 4"), std::string::npos)
-      << report;
-  for (const check::Violation& violation : rig.monitor.log()->violations()) {
-    if (violation.kind == ViolationKind::kSetDivergence) {
-      EXPECT_EQ(violation.message, (MessageId{0, next.zero}));  // smallest
-    }
-  }
 }
 
 TEST(InvariantChecker, ViolationReportNamesKindMemberAndMessage) {

@@ -5,9 +5,11 @@
 // off the restored digest tail while treating floor-covered deliveries
 // as already seen.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -65,6 +67,33 @@ TEST(CheckpointFile, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointFile, FailedFlushKeepsThePreviousCheckpoint) {
+  if (::access("/dev/full", W_OK) != 0) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  const std::string path = testing::TempDir() + "checkpoint_full_disk.bin";
+  const std::string tmp = path + ".tmp";
+  Checkpoint previous = sample_checkpoint();
+  previous.cycles = 3;
+  previous.stable_digests = {0xAAAA, 0xBBBB, 0xCCCC};
+  previous.save(path);
+  // The next save's tmp file is a device that fails every flush (ENOSPC).
+  std::remove(tmp.c_str());
+  ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
+  EXPECT_THROW(sample_checkpoint().save(path), InvalidArgument);
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "tmp left behind";
+  // Renaming the device over the checkpoint would make load() read
+  // /dev/full's endless zeros; stop before that.
+  ASSERT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::symlink_status(path)))
+      << "the previous checkpoint was replaced";
+  const Checkpoint loaded = Checkpoint::load(path);
+  EXPECT_EQ(loaded.cycles, 3u);
+  EXPECT_EQ(loaded.stable_digests, previous.stable_digests);
+  std::remove(tmp.c_str());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointFile, MissingFileThrows) {
   EXPECT_THROW((void)Checkpoint::load("/nonexistent/dir/checkpoint.bin"),
                InvalidArgument);
@@ -116,12 +145,11 @@ class StubMember final : public BroadcastMember {
 
   void inject(MessageId id, std::string label,
               std::vector<MessageId> deps = {}) {
-    Delivery delivery = Delivery::synthetic(
+    const Delivery delivery = Delivery::synthetic(
         id, std::move(label), DepSpec::after_all(std::move(deps)));
-    log_.push_back(delivery);
     stats_.delivered += 1;
     if (deliver_) {
-      deliver_(log_.back());
+      deliver_(delivery);
     }
   }
 
@@ -130,9 +158,6 @@ class StubMember final : public BroadcastMember {
                       std::vector<std::uint8_t> /*payload*/,
                       const DepSpec& /*deps*/) override {
     return MessageId{id_, ++next_seq_};
-  }
-  [[nodiscard]] const std::vector<Delivery>& log() const override {
-    return log_;
   }
   [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
   [[nodiscard]] const GroupView& view() const override { return view_; }
@@ -148,7 +173,6 @@ class StubMember final : public BroadcastMember {
   GroupView view_;
   DeliverFn deliver_;
   SeqNo next_seq_ = 0;
-  std::vector<Delivery> log_;
   OrderingStats stats_;
   mutable RecursiveMutex mutex_{kRankStack, "stub stack"};
 };

@@ -1,5 +1,5 @@
 // Shared fixture: a group of N broadcast members of any discipline over a
-// fresh SimEnv transport.
+// fresh SimEnv transport, each recorded through its deliver callback.
 #pragma once
 
 #include <algorithm>
@@ -7,25 +7,10 @@
 #include <vector>
 
 #include "causal/delivery.h"
+#include "common/recorder.h"
 #include "common/sim_env.h"
 
 namespace cbc::testkit {
-
-/// MemberT's default options, except that a member which can record its
-/// delivery history (OSend: record_graph, keep_delivery_log; ASend:
-/// keep_delivery_log) does: the Group checks below and most tests read
-/// the whole log() and the graph().
-template <typename MemberT>
-typename MemberT::Options recording_options() {
-  typename MemberT::Options options{};
-  if constexpr (requires { options.record_graph; }) {
-    options.record_graph = true;
-  }
-  if constexpr (requires { options.keep_delivery_log; }) {
-    options.keep_delivery_log = true;
-  }
-  return options;
-}
 
 /// Constructs N members (ids 0..N-1) of the given member type over a
 /// transport. MemberT must be constructible as (Transport&, const
@@ -34,14 +19,16 @@ template <typename MemberT>
 class Group {
  public:
   Group(Transport& transport, std::size_t n)
-      : Group(transport, n, recording_options<MemberT>()) {}
+      : Group(transport, n, typename MemberT::Options{}) {}
 
   Group(Transport& transport, std::size_t n, typename MemberT::Options options)
       : view_(make_view(n)) {
+    recorders_.reserve(n);
     members_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
+      recorders_.push_back(std::make_unique<Recorder>());
       members_.push_back(std::make_unique<MemberT>(
-          transport, view_, [](const Delivery&) {}, options));
+          transport, view_, recorders_.back()->tap(), options));
     }
   }
 
@@ -49,17 +36,31 @@ class Group {
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] const GroupView& view() const { return view_; }
 
-  /// True when every member's delivery log contains the same message ids
-  /// as member 0's (any order).
+  /// Member i's deliveries, in its delivery order.
+  [[nodiscard]] const Recorder& recorder(std::size_t i) const {
+    return *recorders_[i];
+  }
+  [[nodiscard]] const std::vector<Delivery>& log(std::size_t i) const {
+    return recorders_[i]->log();
+  }
+
+  /// R(M) as member i observed it, less what its prune_stable() dropped
+  /// (OSend groups).
+  [[nodiscard]] MessageGraph graph(std::size_t i) const {
+    return recorders_[i]->graph(members_[i].get());
+  }
+
+  /// True when every member delivered the same message ids as member 0
+  /// (any order).
   [[nodiscard]] bool all_delivered_same_set() const {
-    auto sorted_ids = [](const MemberT& member) {
-      std::vector<MessageId> ids = delivered_ids(member.log());
+    auto sorted_ids = [](const Recorder& recorder) {
+      std::vector<MessageId> ids = recorder.ids();
       std::sort(ids.begin(), ids.end());
       return ids;
     };
-    const auto reference = sorted_ids(*members_[0]);
-    for (std::size_t i = 1; i < members_.size(); ++i) {
-      if (sorted_ids(*members_[i]) != reference) {
+    const auto reference = sorted_ids(*recorders_[0]);
+    for (std::size_t i = 1; i < recorders_.size(); ++i) {
+      if (sorted_ids(*recorders_[i]) != reference) {
         return false;
       }
     }
@@ -68,9 +69,9 @@ class Group {
 
   /// True when every member delivered in exactly the same sequence.
   [[nodiscard]] bool all_delivered_same_sequence() const {
-    const auto reference = delivered_ids(members_[0]->log());
-    for (std::size_t i = 1; i < members_.size(); ++i) {
-      if (delivered_ids(members_[i]->log()) != reference) {
+    const auto reference = recorders_[0]->ids();
+    for (std::size_t i = 1; i < recorders_.size(); ++i) {
+      if (recorders_[i]->ids() != reference) {
         return false;
       }
     }
@@ -79,6 +80,9 @@ class Group {
 
  private:
   GroupView view_;
+  // Declared before members_, so every member is gone before its tap's
+  // recorder is.
+  std::vector<std::unique_ptr<Recorder>> recorders_;
   std::vector<std::unique_ptr<MemberT>> members_;
 };
 

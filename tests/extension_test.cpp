@@ -3,6 +3,7 @@
 // view changes via the flush protocol.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "activity/activity_builder.h"
@@ -40,10 +41,10 @@ TEST(Gc, PruneRemovesStableMessagesAndKeepsCorrectness) {
 
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(group[i].is_stable(round1[0]));
-    const std::size_t graph_before = group[i].graph().size();
+    const std::size_t graph_before = group.graph(i).size();
     const std::size_t pruned = group[i].prune_stable();
     EXPECT_GE(pruned, 3u);  // at least all of round 1
-    EXPECT_LT(group[i].graph().size(), graph_before);
+    EXPECT_LT(group.graph(i).size(), graph_before);
     // has_delivered still answers true via the stable floor.
     EXPECT_TRUE(group[i].has_delivered(round1[0]));
   }
@@ -62,16 +63,13 @@ TEST(Gc, DependencyOnPrunedMessageIsSatisfiedByFloor) {
   // A new message naming the pruned id as dependency must deliver.
   group[0].osend("depends-on-old", {}, DepSpec::after(old_msg));
   env.run();
-  EXPECT_EQ(group[1].log().back().label(), "depends-on-old");
+  EXPECT_EQ(group.log(1).back().label(), "depends-on-old");
   EXPECT_EQ(group[1].holdback_depth(), 0u);
 }
 
 TEST(Gc, BoundedMemoryUnderLongRunWithPeriodicPrune) {
   SimEnv env;
-  OSendMember::Options options;
-  options.record_graph = true;
-  options.keep_delivery_log = false;
-  Group<OSendMember> group(env.transport, 3, options);
+  Group<OSendMember> group(env.transport, 3);
   std::size_t max_graph = 0;
   for (int round = 0; round < 60; ++round) {
     for (std::size_t i = 0; i < 3; ++i) {
@@ -80,8 +78,7 @@ TEST(Gc, BoundedMemoryUnderLongRunWithPeriodicPrune) {
     env.run();
     for (std::size_t i = 0; i < 3; ++i) {
       group[i].prune_stable();
-      max_graph = std::max(max_graph, group[i].graph().size());
-      EXPECT_LE(group[i].log().size(), 1u);  // log bounded
+      max_graph = std::max(max_graph, group.graph(i).size());
     }
   }
   // 180 messages total, but the graph never held more than ~2 rounds.
@@ -105,7 +102,7 @@ TEST(ActivityBuilder, EmitsTheCanonicalPattern) {
   EXPECT_EQ(builder.activities_completed(), 1u);
   env.run();
 
-  const MessageGraph& graph = group[1].graph();
+  const MessageGraph& graph = group.graph(1);
   EXPECT_TRUE(graph.reaches(mo, m1));
   EXPECT_TRUE(graph.reaches(mo, m2));
   EXPECT_TRUE(graph.concurrent(m1, m2));
@@ -122,7 +119,7 @@ TEST(ActivityBuilder, ChainsActivitiesThroughCloses) {
   const MessageId c2 = builder.concurrent("a2.c1");  // anchored on close1
   const MessageId close2 = builder.close("a2.close");
   env.run();
-  const MessageGraph& graph = group[1].graph();
+  const MessageGraph& graph = group.graph(1);
   EXPECT_TRUE(graph.reaches(close1, c2));
   EXPECT_TRUE(graph.reaches(close1, close2));
   EXPECT_EQ(builder.activities_completed(), 2u);
@@ -143,7 +140,7 @@ TEST(ActivityBuilder, EmptyCloseChainsSyncMessages) {
   const MessageId s1 = builder.close("sync1");
   const MessageId s2 = builder.close("sync2");
   env.run();
-  EXPECT_TRUE(group[1].graph().reaches(s1, s2));
+  EXPECT_TRUE(group.graph(1).reaches(s1, s2));
 }
 
 // ---------- Lazy replication baseline ----------
@@ -211,23 +208,24 @@ TEST(LazyReplication, VersionVectorTracksOrigins) {
 struct FlushGroup {
   FlushGroup(Transport& transport, const GroupView& initial, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
+      recorders.push_back(std::make_unique<testkit::Recorder>());
       members.push_back(std::make_unique<FlushCoordinator>(
-          transport, initial,
-          [this, i](const Delivery& delivery) {
-            app_logs.resize(std::max(app_logs.size(), i + 1));
-            app_logs[i].push_back(delivery.label());
-          },
+          transport, initial, recorders.back()->tap(),
           [this, i](const GroupView& view) {
             installed.resize(std::max(installed.size(), i + 1));
             installed[i].push_back(view.id());
-          },
-          testkit::recording_options<OSendMember>()));
+          }));
     }
-    app_logs.resize(n);
     installed.resize(n);
   }
+  /// Labels of member i's application deliveries, in its delivery order.
+  [[nodiscard]] std::vector<std::string> app_log(std::size_t i) const {
+    return delivered_labels(recorders[i]->log());
+  }
+  // Application deliveries, recorded; declared first so they outlive the
+  // members.
+  std::vector<std::unique_ptr<testkit::Recorder>> recorders;
   std::vector<std::unique_ptr<FlushCoordinator>> members;
-  std::vector<std::vector<std::string>> app_logs;
   std::vector<std::vector<ViewId>> installed;
 };
 
@@ -253,7 +251,7 @@ TEST(Flush, LeaveInstallsNewViewAtAllSurvivors) {
     EXPECT_EQ(group.members[i]->view().id(), 2u);
     EXPECT_EQ(group.members[i]->view().size(), 2u);
     // Both old-view app messages were delivered before installation.
-    EXPECT_EQ(group.app_logs[i].size(), 2u);
+    EXPECT_EQ(group.app_log(i).size(), 2u);
   }
   // Departed member also flushed and saw the messages (it installs too,
   // in our model it simply stops being addressed afterwards — view 2
@@ -263,7 +261,7 @@ TEST(Flush, LeaveInstallsNewViewAtAllSurvivors) {
   // Post-install traffic flows between the survivors with resized clocks.
   group.members[0]->member().broadcast("after", {}, DepSpec::none());
   env.run();
-  EXPECT_EQ(group.app_logs[1].back(), "after");
+  EXPECT_EQ(group.app_log(1).back(), "after");
   EXPECT_EQ(group.members[1]->member().delivered_prefix().width(), 2u);
 }
 
@@ -296,7 +294,7 @@ TEST(Flush, NoMessageStraddlesTheViewBoundary) {
     for (std::size_t i = 0; i < 3; ++i) {
       ASSERT_EQ(group.installed[i].size(), 1u) << "seed " << seed;
       // All 6 view-1 messages delivered everywhere (flush completed).
-      EXPECT_EQ(group.app_logs[i].size(), 6u) << "seed " << seed;
+      EXPECT_EQ(group.app_log(i).size(), 6u) << "seed " << seed;
     }
     (void)log_sizes_at_install;
   }
@@ -336,8 +334,9 @@ TEST(Flush, JoinerReceivesPostInstallTraffic) {
   };
   EXPECT_EQ(sorted(joiner_log),
             (std::vector<std::string>{"hello", "new-world"}));
-  ASSERT_GE(group.app_logs[0].size(), 3u);  // old-world + both new msgs
-  EXPECT_EQ(sorted({group.app_logs[0].end() - 2, group.app_logs[0].end()}),
+  const std::vector<std::string> app_log = group.app_log(0);
+  ASSERT_GE(app_log.size(), 3u);  // old-world + both new msgs
+  EXPECT_EQ(sorted({app_log.end() - 2, app_log.end()}),
             (std::vector<std::string>{"hello", "new-world"}));
 }
 
@@ -486,8 +485,8 @@ TEST(DynamicReplica, SnapshotCarriesFrontEndContext) {
   // pre-join inc (known only via the snapshot's restored context).
   nodes[2]->submit(apps::Counter::rd());
   env.run();
-  ASSERT_FALSE(nodes[0]->detector().history().empty());
-  EXPECT_TRUE(nodes[0]->detector().history().back().coverage_complete);
+  ASSERT_TRUE(nodes[0]->detector().last().has_value());
+  EXPECT_TRUE(nodes[0]->detector().last()->coverage_complete);
   EXPECT_EQ(nodes[0]->last_stable_state()->value(), 1);
   EXPECT_EQ(nodes[2]->last_stable_state()->value(), 1);
 }
@@ -561,15 +560,17 @@ TEST(Flush, PruneStableWorksAcrossViewChange) {
     env.run();
   }
   for (std::size_t i = 0; i < 2; ++i) {
-    const std::size_t before = group.members[i]->osend().graph().size();
-    const std::size_t pruned = group.members[i]->osend().prune_stable();
+    OSendMember& member = group.members[i]->osend();
+    const testkit::Recorder& recorder = *group.recorders[i];
+    const std::size_t before = recorder.graph(&member).size();
+    const std::size_t pruned = member.prune_stable();
     EXPECT_GT(pruned, 0u) << "member " << i;
-    EXPECT_LT(group.members[i]->osend().graph().size(), before);
+    EXPECT_LT(recorder.graph(&member).size(), before);
   }
   // Protocol still functional post-prune.
   group.members[1]->member().broadcast("after-gc", {}, DepSpec::none());
   env.run();
-  EXPECT_EQ(group.app_logs[0].back(), "after-gc");
+  EXPECT_EQ(group.app_log(0).back(), "after-gc");
 }
 
 TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {
@@ -581,10 +582,11 @@ TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {
   const GroupView view = testkit::make_view(3);
   ScopedOrderMember::Options options;
   options.member.reliability = {.control_interval_us = 3000, .enabled = true};
+  std::array<testkit::Recorder, 3> recorders;  // outlive the members
   std::vector<std::unique_ptr<ScopedOrderMember>> members;
-  for (int i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < 3; ++i) {
     members.push_back(std::make_unique<ScopedOrderMember>(
-        env.transport, view, [](const Delivery&) {}, options));
+        env.transport, view, recorders[i].tap(), options));
   }
   const ScopeId scope = members[0]->open_scope("a");
   env.run();
@@ -593,13 +595,8 @@ TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {
   env.run();
   members[0]->close_scope(scope, "d");
   env.run();
-  auto labels = [&](int i) {
-    std::vector<std::string> out;
-    for (const Delivery& delivery :
-         members[static_cast<std::size_t>(i)]->app_log()) {
-      out.push_back(delivery.label());
-    }
-    return out;
+  auto labels = [&](std::size_t i) {
+    return delivered_labels(recorders[i].log());
   };
   ASSERT_EQ(labels(0).size(), 4u);
   EXPECT_EQ(labels(1), labels(0));

@@ -2,6 +2,7 @@
 // envelopes, the paper's end-to-end scenarios, and the thread transport.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "apps/card_game.h"
@@ -31,10 +32,9 @@ TEST(Integration, Figure2DeliveredStateIsTransitionPreserving) {
   config.jitter_us = 3000;
   config.seed = 5;
   SimEnv env(config);
-  ReplicaNode<apps::Counter>::Options options;
-  options.member.record_graph = true;  // the checker walks the graph
-  ReplicaGroup<apps::Counter> group(env.transport, 3, apps::Counter::spec(),
-                                    options);
+  ReplicaGroup<apps::Counter> group(env.transport, 3, apps::Counter::spec());
+  // The checker walks the graph node 0's deliveries describe.
+  testkit::ReplicaRecorder<apps::Counter> recorded(group.node(0));
   group.node(2).submit(apps::Counter::set(10));
   env.run();
   group.node(0).submit(apps::Counter::inc(1));
@@ -48,7 +48,7 @@ TEST(Integration, Figure2DeliveredStateIsTransitionPreserving) {
 
   // Validate against the formal definition: all allowed sequences of the
   // observed graph converge.
-  const MessageGraph& graph = group.node(0).osend().graph();
+  const MessageGraph graph = recorded.graph();
   const auto result = check_transition_preserving(
       graph, apps::Counter{},
       [](apps::Counter& state, const GraphNode& node) {
@@ -76,9 +76,10 @@ TEST(Integration, ReplicaGroupSurvivesHostileNetwork) {
   SimEnv env(config);
   typename ReplicaNode<apps::Counter>::Options options;
   options.member.reliability = {.control_interval_us = 3000, .enabled = true};
-  options.keep_stable_history = true;  // every cycle's coverage is checked
   ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec(),
                                     options);
+  // Every cycle's coverage is checked.
+  const auto recorders = testkit::record_replicas(group);
   Rng rng(17);
   std::int64_t expected = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
@@ -95,7 +96,7 @@ TEST(Integration, ReplicaGroupSurvivesHostileNetwork) {
   EXPECT_TRUE(group.stable_states_agree());
   EXPECT_EQ(group.node(0).state().value(), expected);
   for (std::size_t i = 0; i < 4; ++i) {
-    for (const StablePoint& point : group.node(i).detector().history()) {
+    for (const StablePoint& point : recorders[i]->points()) {
       EXPECT_TRUE(point.coverage_complete);
     }
   }
@@ -146,16 +147,16 @@ TEST(Integration, CardGameRelaxedOrderStillConverges) {
   }
   env.run();
   for (std::uint32_t p = 0; p < players; ++p) {
-    ASSERT_EQ(group[p].log().size(), players);
+    ASSERT_EQ(group.log(p).size(), players);
     apps::CardGame game;
-    for (const Delivery& delivery : group[p].log()) {
+    for (const Delivery& delivery : group.log(p)) {
       Reader reader(delivery.payload());
       game.apply(CommutativitySpec::kind_of(delivery.label()), reader);
     }
     states[p] = game;
     // Dependency edges were honoured locally.
-    EXPECT_TRUE(group[p].graph().is_valid_delivery_order(
-        delivered_ids(group[p].log())));
+    EXPECT_TRUE(group.graph(p).is_valid_delivery_order(
+        delivered_ids(group.log(p))));
   }
   for (std::uint32_t p = 1; p < players; ++p) {
     EXPECT_EQ(states[p], states[0]);
@@ -223,21 +224,21 @@ TEST(Integration, ASendOnThreadTransportTotalOrder) {
   toptions.seed = 9;
   ThreadTransport transport(toptions);
   const GroupView view = testkit::make_view(3);
+  std::array<testkit::Recorder, 3> recorders;  // outlive the members
   std::vector<std::unique_ptr<ASendMember>> members;
   for (std::size_t i = 0; i < 3; ++i) {
-    members.push_back(std::make_unique<ASendMember>(
-        transport, view, [](const Delivery&) {},
-        ASendMember::Options{.keep_delivery_log = true}));
+    members.push_back(std::make_unique<ASendMember>(transport, view,
+                                                    recorders[i].tap()));
   }
   for (int k = 0; k < 10; ++k) {
     members[static_cast<std::size_t>(k) % 3]->asend("m" + std::to_string(k),
                                                     {});
   }
   transport.drain();
-  const auto reference = delivered_ids(members[0]->log());
+  const auto reference = recorders[0].ids();
   EXPECT_EQ(reference.size(), 10u);
   for (std::size_t i = 1; i < 3; ++i) {
-    EXPECT_EQ(delivered_ids(members[i]->log()), reference);
+    EXPECT_EQ(recorders[i].ids(), reference);
   }
 }
 

@@ -341,7 +341,6 @@ TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
   BatchingTransport batching(env.transport, batch_options);
 
   OSendMember::Options member_options;
-  member_options.keep_delivery_log = true;
   member_options.obs = obs_fixture.hooks("osend");
   Group<OSendMember> group(batching, 2, member_options);
   std::vector<MessageId> ids;
@@ -351,7 +350,7 @@ TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
                                  DepSpec::none()));
   }
   env.run();
-  ASSERT_EQ(group[1].log().size(), 8u);
+  ASSERT_EQ(group.log(1).size(), 8u);
 
   const auto snap = obs_fixture.registry.snapshot();
   EXPECT_EQ(snap.at("batch.messages_in"), snap.at("osend.broadcasts") * 1.0);
@@ -384,7 +383,6 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
   ObsFixture obs_fixture;
 
   OSendMember::Options member_options;
-  member_options.keep_delivery_log = true;
   member_options.reliability.enabled = true;
   member_options.obs = obs_fixture.hooks("osend");
   member_options.reliability.obs = obs_fixture.hooks("reliable");
@@ -398,7 +396,7 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
   }
   env.run();
   for (std::size_t member = 0; member < 3; ++member) {
-    ASSERT_EQ(group[member].log().size(), 20u) << "member " << member;
+    ASSERT_EQ(group.log(member).size(), 20u) << "member " << member;
   }
 
   const auto snap = obs_fixture.registry.snapshot();
@@ -431,7 +429,6 @@ TEST(ObsStack, CausalHoldShowsUpAsOccursAfterEdges) {
   SimEnv env;
   ObsFixture obs_fixture;
   OSendMember::Options member_options;
-  member_options.keep_delivery_log = true;
   member_options.obs = obs_fixture.hooks("osend");
   Group<OSendMember> group(env.transport, 2, member_options);
   const MessageId first = group[0].osend("first", bytes(1), DepSpec::none());
@@ -441,7 +438,7 @@ TEST(ObsStack, CausalHoldShowsUpAsOccursAfterEdges) {
   // The edges join the ring's deliver records with the declared deps
   // (cbc_node takes them from its recorded history).
   obs::DepsById deps;
-  for (const Delivery& delivery : group[0].log()) {
+  for (const Delivery& delivery : group.log(0)) {
     deps.emplace(delivery.id, delivery.deps().ids());
   }
   const obs::JsonValue doc = obs::parse_chrome_trace(

@@ -2,9 +2,10 @@
 // ReplicaNode, ReplicaGroup — agreement at stable points.
 #include <gtest/gtest.h>
 
-#include "activity/consistency_check.h"
 #include "apps/counter.h"
 #include "apps/registry.h"
+#include "common/consistency_check.h"
+#include "common/recorder.h"
 #include "common/sim_env.h"
 #include "replica/replica_group.h"
 #include "util/rng.h"
@@ -12,39 +13,27 @@
 namespace cbc {
 namespace {
 
+using testkit::ConsistencyVerdict;
+using testkit::ReplicaRecorder;
 using testkit::SimEnv;
-
-/// Options whose OSend member records R(M): the front-end tests inspect
-/// the dependencies it generated through graph().
-ReplicaNode<apps::Counter>::Options graph_recording() {
-  ReplicaNode<apps::Counter>::Options options;
-  options.member.record_graph = true;
-  return options;
-}
-
-/// Options whose replicas keep a snapshot and a StablePoint per cycle: the
-/// agreement tests compare past stable points.
-template <typename State>
-typename ReplicaNode<State>::Options history_keeping() {
-  typename ReplicaNode<State>::Options options;
-  options.keep_stable_history = true;
-  return options;
-}
+using testkit::record_replicas;
 
 // ---------- FrontEndManager label/dependency generation ----------
 
 TEST(FrontEnd, CommutativeOpsOrderAfterLastSyncOnly) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
-                                    graph_recording());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
   auto& node = group.node(0);
+  // The front-end tests inspect the dependencies it generated in the graph
+  // of node 0's recorded deliveries.
+  ReplicaRecorder<apps::Counter> recorded(node);
   const MessageId rd = node.submit(apps::Counter::rd());
   env.run();
   const MessageId inc1 = node.submit(apps::Counter::inc(1));
   const MessageId inc2 = node.submit(apps::Counter::inc(1));
   // Both commutative requests depend exactly on the sync message — they
   // stay concurrent with each other.
-  const auto& graph = node.osend().graph();
+  const MessageGraph graph = recorded.graph();
   EXPECT_EQ(graph.direct_deps(inc1), std::vector<MessageId>{rd});
   EXPECT_EQ(graph.direct_deps(inc2), std::vector<MessageId>{rd});
   EXPECT_TRUE(graph.concurrent(inc1, inc2));
@@ -52,41 +41,41 @@ TEST(FrontEnd, CommutativeOpsOrderAfterLastSyncOnly) {
 
 TEST(FrontEnd, SyncOpCoversOpenCommutativeSet) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
-                                    graph_recording());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
   auto& node = group.node(0);
+  ReplicaRecorder<apps::Counter> recorded(node);
   const MessageId inc1 = node.submit(apps::Counter::inc(1));
   const MessageId inc2 = node.submit(apps::Counter::inc(2));
   env.run();
   const MessageId rd = node.submit(apps::Counter::rd());
-  const auto deps = node.osend().graph().direct_deps(rd);
+  const auto deps = recorded.graph().direct_deps(rd);
   EXPECT_EQ(deps.size(), 2u);
-  EXPECT_TRUE(node.osend().graph().reaches(inc1, rd));
-  EXPECT_TRUE(node.osend().graph().reaches(inc2, rd));
+  EXPECT_TRUE(recorded.graph().reaches(inc1, rd));
+  EXPECT_TRUE(recorded.graph().reaches(inc2, rd));
 }
 
 TEST(FrontEnd, SyncWithoutOpenSetDependsOnPreviousSync) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
-                                    graph_recording());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
   auto& node = group.node(0);
+  ReplicaRecorder<apps::Counter> recorded(node);
   const MessageId rd1 = node.submit(apps::Counter::rd());
   env.run();
   const MessageId rd2 = node.submit(apps::Counter::rd());
-  EXPECT_EQ(node.osend().graph().direct_deps(rd2),
+  EXPECT_EQ(recorded.graph().direct_deps(rd2),
             std::vector<MessageId>{rd1});
 }
 
 TEST(FrontEnd, ObservesRemoteTrafficIntoCidSet) {
   SimEnv env;
-  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec(),
-                                    graph_recording());
+  ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
+  ReplicaRecorder<apps::Counter> recorded(group.node(0));
   const MessageId remote_inc = group.node(1).submit(apps::Counter::inc(5));
   env.run();
   // Node 0's front end saw node 1's commutative request; node 0's next
   // sync op must cover it.
   const MessageId rd = group.node(0).submit(apps::Counter::rd());
-  EXPECT_TRUE(group.node(0).osend().graph().reaches(remote_inc, rd));
+  EXPECT_TRUE(recorded.graph().reaches(remote_inc, rd));
   EXPECT_EQ(group.node(0).front_end().c_submitted(), 0u);
   EXPECT_EQ(group.node(0).front_end().nc_submitted(), 1u);
 }
@@ -160,8 +149,8 @@ TEST(Replica, StableHistoryAgreesAcrossMembersWithCleanCycles) {
   config.jitter_us = 4000;
   config.seed = 17;
   SimEnv env(config);
-  ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec(),
-                                    history_keeping<apps::Counter>());
+  ReplicaGroup<apps::Counter> group(env.transport, 4, apps::Counter::spec());
+  const auto recorders = record_replicas(group);
   Rng rng(99);
   std::int64_t expected = 0;
   for (int cycle = 0; cycle < 6; ++cycle) {
@@ -180,11 +169,11 @@ TEST(Replica, StableHistoryAgreesAcrossMembersWithCleanCycles) {
     env.run();
   }
   for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(group.node(i).stable_history().size(), 6u) << "member " << i;
-    for (const StablePoint& point : group.node(i).detector().history()) {
+    ASSERT_EQ(recorders[i]->states().size(), 6u) << "member " << i;
+    for (const StablePoint& point : recorders[i]->points()) {
       EXPECT_TRUE(point.coverage_complete);
     }
-    EXPECT_EQ(group.node(i).stable_history(), group.node(0).stable_history());
+    EXPECT_EQ(recorders[i]->states(), recorders[0]->states());
   }
   EXPECT_EQ(group.node(0).state().value(), expected);
 }
@@ -202,8 +191,8 @@ TEST_P(ReplicaRacingWorkload, AgreementHoldsWhereCoverageComplete) {
   config.seed = seed;
   SimEnv env(config);
   const std::size_t n = 4;
-  ReplicaGroup<apps::Counter> group(env.transport, n, apps::Counter::spec(),
-                                    history_keeping<apps::Counter>());
+  ReplicaGroup<apps::Counter> group(env.transport, n, apps::Counter::spec());
+  const auto recorders = record_replicas(group);
   Rng rng(seed * 31 + 5);
   std::int64_t expected = 0;
   for (int step = 0; step < 60; ++step) {
@@ -239,24 +228,22 @@ TEST_P(ReplicaRacingWorkload, AgreementHoldsWhereCoverageComplete) {
   }
   // Sync ops all come from node 0, so every member sees the same cycle
   // sequence; where coverage was complete at all members, snapshots agree.
-  const std::size_t cycles = group.node(0).detector().history().size();
+  const std::size_t cycles = recorders[0]->points().size();
   for (std::size_t i = 1; i < n; ++i) {
-    ASSERT_EQ(group.node(i).detector().history().size(), cycles);
+    ASSERT_EQ(recorders[i]->points().size(), cycles);
   }
   std::size_t agreed_cycles = 0;
   for (std::size_t c = 0; c < cycles; ++c) {
     bool covered_everywhere = true;
     for (std::size_t i = 0; i < n; ++i) {
-      const StablePoint& point = group.node(i).detector().history()[c];
-      EXPECT_EQ(point.sync_message,
-                group.node(0).detector().history()[c].sync_message);
+      const StablePoint& point = recorders[i]->points()[c];
+      EXPECT_EQ(point.sync_message, recorders[0]->points()[c].sync_message);
       covered_everywhere &= point.coverage_complete;
     }
     if (covered_everywhere) {
       ++agreed_cycles;
       for (std::size_t i = 1; i < n; ++i) {
-        EXPECT_EQ(group.node(i).stable_history()[c],
-                  group.node(0).stable_history()[c])
+        EXPECT_EQ(recorders[i]->states()[c], recorders[0]->states()[c])
             << "cycle " << c << " seed " << seed;
       }
     }
@@ -266,15 +253,8 @@ TEST_P(ReplicaRacingWorkload, AgreementHoldsWhereCoverageComplete) {
     EXPECT_GT(agreed_cycles, 0u) << "seed " << seed;
   }
 
-  // The library's own oracle must reach the same verdict.
-  const ConsistencyVerdict verdict = check_stable_points(
-      n,
-      [&](std::size_t i) -> const std::vector<apps::Counter>& {
-        return group.node(i).stable_history();
-      },
-      [&](std::size_t i) -> const StablePointDetector& {
-        return group.node(i).detector();
-      });
+  // The oracle must reach the same verdict.
+  const ConsistencyVerdict verdict = check_stable_points(recorders);
   EXPECT_TRUE(verdict.consistent) << verdict.problem << " seed " << seed;
 }
 
@@ -284,19 +264,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaRacingWorkload,
 TEST(Replica, NoneCommutativeSpecMakesEveryMessageAStablePoint) {
   SimEnv env;
   ReplicaGroup<apps::Counter> group(env.transport, 2,
-                                    CommutativitySpec::none_commutative(),
-                                    history_keeping<apps::Counter>());
+                                    CommutativitySpec::none_commutative());
+  const auto recorders = record_replicas(group);
   group.node(0).submit(apps::Counter::inc(1));
   group.node(0).submit(apps::Counter::inc(1));
   env.run();
-  EXPECT_EQ(group.node(1).detector().history().size(), 2u);
-  EXPECT_EQ(group.node(1).stable_history().size(), 2u);
+  EXPECT_EQ(recorders[1]->points().size(), 2u);
+  EXPECT_EQ(recorders[1]->states().size(), 2u);
 }
 
 TEST(Replica, RegistryStateMachineWorksThroughProtocol) {
   SimEnv env;
-  ReplicaGroup<apps::Registry> group(env.transport, 3, apps::Registry::spec(),
-                                     history_keeping<apps::Registry>());
+  ReplicaGroup<apps::Registry> group(env.transport, 3, apps::Registry::spec());
+  const auto recorders = record_replicas(group);
   group.node(0).submit(apps::Registry::upd("svc", "host-1"));
   env.run();
   group.node(1).submit(apps::Registry::qry("svc"));
@@ -306,7 +286,7 @@ TEST(Replica, RegistryStateMachineWorksThroughProtocol) {
   EXPECT_TRUE(group.states_agree());
   EXPECT_EQ(group.node(0).state().lookup("svc"), "host-2");
   // upd is non-commutative: each one closed a cycle.
-  EXPECT_EQ(group.node(0).detector().history().size(), 2u);
+  EXPECT_EQ(recorders[0]->points().size(), 2u);
 }
 
 TEST(Replica, DefaultNodeKeepsOnlyTheLastStableState) {
@@ -321,8 +301,6 @@ TEST(Replica, DefaultNodeKeepsOnlyTheLastStableState) {
   }
   for (std::size_t i = 0; i < 3; ++i) {
     const ReplicaNode<apps::Counter>& node = group.node(i);
-    EXPECT_TRUE(node.stable_history().empty()) << "member " << i;
-    EXPECT_TRUE(node.detector().history().empty()) << "member " << i;
     EXPECT_EQ(node.detector().cycles(), 20u) << "member " << i;
     ASSERT_TRUE(node.detector().last().has_value()) << "member " << i;
     EXPECT_EQ(node.detector().last()->cycle, 20u) << "member " << i;
@@ -330,16 +308,10 @@ TEST(Replica, DefaultNodeKeepsOnlyTheLastStableState) {
     EXPECT_EQ(node.last_stable_state()->value(), 40) << "member " << i;
   }
   EXPECT_TRUE(group.stable_states_agree());
-  // Without kept histories the per-cycle oracle refuses rather than
-  // passing vacuously.
-  const ConsistencyVerdict verdict = check_stable_points(
-      group.size(),
-      [&](std::size_t i) -> const std::vector<apps::Counter>& {
-        return group.node(i).stable_history();
-      },
-      [&](std::size_t i) -> const StablePointDetector& {
-        return group.node(i).detector();
-      });
+  // Recorders attached after the cycles closed hold none of them: the
+  // per-cycle oracle refuses rather than passing vacuously.
+  const auto late_recorders = record_replicas(group);
+  const ConsistencyVerdict verdict = check_stable_points(late_recorders);
   EXPECT_FALSE(verdict.consistent);
 }
 

@@ -58,8 +58,9 @@ TEST(Robustness, ForeignSenderIsBufferedNotFatal) {
   // it is buffered for a potential future view (see flush protocol).
   SimEnv env;
   const GroupView view = testkit::make_view(2);
+  testkit::Recorder recorded_b;
   OSendMember a(env.transport, view, [](const Delivery&) {});
-  OSendMember b(env.transport, view, [](const Delivery&) {});
+  OSendMember b(env.transport, view, recorded_b.tap());
   // A third endpoint, not in the view, sends a well-formed OSend frame.
   const NodeId outsider = env.transport.add_endpoint(
       [](NodeId, const WireFrame&) {});
@@ -73,7 +74,7 @@ TEST(Robustness, ForeignSenderIsBufferedNotFatal) {
   frame.blob({});
   env.transport.send(outsider, b.id(), frame.take());
   EXPECT_NO_THROW(env.run());
-  EXPECT_EQ(b.log().size(), 0u);  // not delivered, just buffered
+  EXPECT_EQ(recorded_b.log().size(), 0u);  // not delivered, just buffered
 }
 
 TEST(Robustness, UnknownSequencerFrameTypeIsProtocolViolation) {
@@ -139,7 +140,6 @@ TEST(Robustness, AsendTotalOrderSurvivesPartitionHeal) {
   SimEnv env(config);
   ASendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
-  options.keep_delivery_log = true;
   Group<ASendMember> group(env.transport, 3, options);
 
   group[0].asend("before", {});
@@ -147,11 +147,11 @@ TEST(Robustness, AsendTotalOrderSurvivesPartitionHeal) {
   env.network.set_partitions({{0}, {1, 2}});
   group[1].asend("during", {});  // cannot complete its round yet
   env.run_until(env.scheduler.now() + 20000);
-  EXPECT_EQ(group[1].log().size(), 1u);  // only "before" delivered
+  EXPECT_EQ(group.log(1).size(), 1u);  // only "before" delivered
   env.network.heal();
   env.run();
   // After healing, the round completes identically everywhere.
-  EXPECT_EQ(group[0].log().size(), 2u);
+  EXPECT_EQ(group.log(0).size(), 2u);
   EXPECT_TRUE(group.all_delivered_same_sequence());
 }
 
@@ -165,7 +165,7 @@ void hostile_run(std::uint64_t seed) {
   config.duplicate_probability = 0.1;
   config.seed = seed;
   SimEnv env(config);
-  typename MemberT::Options options = testkit::recording_options<MemberT>();
+  typename MemberT::Options options{};
   options.reliability = {.control_interval_us = 3000, .enabled = true};
   Group<MemberT> group(env.transport, 3, options);
   Rng rng(seed);
@@ -178,7 +178,7 @@ void hostile_run(std::uint64_t seed) {
   }
   env.run();
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(group[i].log().size(), static_cast<std::size_t>(total))
+    EXPECT_EQ(group.log(i).size(), static_cast<std::size_t>(total))
         << "seed " << seed;
   }
   EXPECT_TRUE(group.all_delivered_same_set()) << "seed " << seed;
@@ -201,7 +201,6 @@ TEST_P(HostileNetwork, ASendDeliversEverythingInTotalOrder) {
   SimEnv env(config);
   ASendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
-  options.keep_delivery_log = true;
   Group<ASendMember> group(env.transport, 3, options);
   Rng rng(GetParam());
   for (int k = 0; k < 30; ++k) {
@@ -210,7 +209,7 @@ TEST_P(HostileNetwork, ASendDeliversEverythingInTotalOrder) {
                   static_cast<SimTime>(rng.next_below(2000)));
   }
   env.run();
-  EXPECT_EQ(group[0].log().size(), 30u);
+  EXPECT_EQ(group.log(0).size(), 30u);
   EXPECT_TRUE(group.all_delivered_same_sequence());
 }
 

@@ -158,9 +158,6 @@ void expect_production_options(const StackOptions& options, bool total_order) {
   EXPECT_TRUE(reliable.enabled);
   EXPECT_TRUE(static_cast<bool>(reliable.oob_handler));
   EXPECT_TRUE(options.asend.reliability.enabled);
-  EXPECT_EQ(options.osend.record_graph, OSendMember::Options{}.record_graph);
-  EXPECT_EQ(options.osend.keep_delivery_log,
-            OSendMember::Options{}.keep_delivery_log);
   EXPECT_TRUE(options.check.stable_spec.has_value());
   EXPECT_EQ(options.check.digest_exempt_kinds, std::set<std::string>{"nop"});
   EXPECT_EQ(options.check.expect_total_order, total_order);
@@ -210,22 +207,6 @@ TEST(Runtime, StackOptionsAreTheProductionSet) {
   }
 }
 
-TEST(Runtime, StackOptionsKeepNoWholeHistories) {
-  // Both binaries run the library defaults: retained state is the open
-  // stable cycle, not the run.
-  apps::install_objects();
-  const auto entry = object::Catalog::instance().find("counter");
-  ASSERT_TRUE(entry.has_value());
-  Config config;
-  config.total_order = true;
-  const StackOptions options = stack_options(
-      config, object::derive_commutativity(entry->spec()), nullptr);
-  EXPECT_FALSE(options.asend.keep_delivery_log);
-  EXPECT_FALSE(options.osend.keep_delivery_log);
-  EXPECT_FALSE(options.osend.record_graph);
-  EXPECT_FALSE(options.check.keep_full_record);
-}
-
 TEST(Runtime, ProcessRssReadsProcStatus) {
   const std::uint64_t current = rss_kb();
   EXPECT_GT(current, 0u);
@@ -269,7 +250,6 @@ TEST(Runtime, RetainedStateGaugesAndReportStayBoundedByTheOpenCycle) {
     EXPECT_GT(snap.at("process.rss_bytes"), 0.0);
     EXPECT_EQ(snap.at("check.retained"), 3.0);
     EXPECT_EQ(snap.at("replica.stable_states"), 1.0);
-    EXPECT_EQ(snap.at("osend.graph_nodes"), 0.0);
     runtime.write_report({});
   }
   const std::string report = testkit::read_file(flags.report_path);

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "common/recorder.h"
 #include "common/sim_env.h"
 #include "total/scoped_order.h"
 #include "util/rng.h"
@@ -14,23 +15,24 @@ using testkit::SimEnv;
 
 struct ScopedGroup {
   ScopedGroup(Transport& transport, std::size_t n)
-      : view(testkit::make_view(n)) {
-    ScopedOrderMember::Options options;
-    options.member.keep_delivery_log = true;
+      : view(testkit::make_view(n)), app_recorders(n) {
     for (std::size_t i = 0; i < n; ++i) {
+      // The recording layer keeps the OSend (wire) delivery order.
+      auto wire = std::make_unique<testkit::RecordingLayer>(
+          std::make_unique<OSendMember>(transport, view,
+                                        [](const Delivery&) {}));
+      wire_recorders.push_back(&wire->recorder());
       members.push_back(std::make_unique<ScopedOrderMember>(
-          transport, view, [](const Delivery&) {}, options));
+          std::move(wire), app_recorders[i].tap()));
     }
   }
   std::vector<std::string> labels(std::size_t i) const {
-    std::vector<std::string> out;
-    for (const Delivery& delivery : members[i]->app_log()) {
-      out.push_back(delivery.label());
-    }
-    return out;
+    return delivered_labels(app_recorders[i].log());
   }
   GroupView view;
+  std::vector<testkit::Recorder> app_recorders;  // application order
   std::vector<std::unique_ptr<ScopedOrderMember>> members;
+  std::vector<const testkit::Recorder*> wire_recorders;  // owned by members
 };
 
 TEST(ScopedOrder, PlainCausalTrafficPassesThrough) {
@@ -95,8 +97,8 @@ TEST(ScopedOrder, WireOrderMayDifferButAppOrderMatches) {
     group.members[0]->close_scope(scope, "d");
     env.run();
     // Wire order: compare raw OSend logs of members 1 and 2.
-    const auto wire1 = delivered_labels(group.members[1]->member().log());
-    const auto wire2 = delivered_labels(group.members[2]->member().log());
+    const auto wire1 = delivered_labels(group.wire_recorders[1]->log());
+    const auto wire2 = delivered_labels(group.wire_recorders[2]->log());
     wire_diverged = wire1 != wire2;
     // App order must agree regardless.
     EXPECT_EQ(group.labels(1), group.labels(2)) << "seed " << seed;

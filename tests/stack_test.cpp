@@ -63,7 +63,7 @@ template <typename MemberT>
 void expect_counters_converged(HostileStatsRun<MemberT>& run) {
   // Every member delivered all 24 messages exactly once.
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(run.group[i].log().size(), 24u) << "member " << i;
+    EXPECT_EQ(run.group.log(i).size(), 24u) << "member " << i;
     EXPECT_EQ(run.group[i].stats().delivered, 24u) << "member " << i;
     EXPECT_EQ(run.group[i].stats().broadcasts, 8u) << "member " << i;
   }
@@ -144,7 +144,7 @@ TEST(ZeroCopy, OSendPathNeverCopiesBuffers) {
   }
   env.run();
   for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(group[i].log().size(), 16u);
+    ASSERT_EQ(group.log(i).size(), 16u);
   }
   // One encode per broadcast; the frame is then SHARED across every
   // destination, self-delivery, the hold-back queue, and the log — the
@@ -158,8 +158,8 @@ TEST(ZeroCopy, DeliveredPayloadAliasesWireFrame) {
   group[0].broadcast("op", std::vector<std::uint8_t>(64, 0xEE),
                      DepSpec::none());
   env.run();
-  ASSERT_EQ(group[1].log().size(), 1u);
-  const Delivery& delivery = group[1].log()[0];
+  ASSERT_EQ(group.log(1).size(), 1u);
+  const Delivery& delivery = group.log(1)[0];
   const SharedBuffer& frame = delivery.envelope().frame();
   ASSERT_NE(frame, nullptr);
   const auto payload = delivery.payload();
@@ -293,7 +293,7 @@ TEST(Batching, OSendGroupRunsOverBatchedTransport) {
   }
   env.run();
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(group[i].log().size(), 12u) << "member " << i;
+    EXPECT_EQ(group.log(i).size(), 12u) << "member " << i;
   }
   EXPECT_TRUE(group.all_delivered_same_set());
   const auto stats = batching.stats();
