@@ -1,14 +1,13 @@
 // M1 — microbenchmarks of the hot data structures (google-benchmark).
 //
-// These sit on the per-message path of the delivery engines: vector/matrix
-// clock updates and comparisons, dependency-graph maintenance, and wire
+// These sit on the per-message path of the delivery engines: vector clock
+// updates and comparisons, dependency-graph maintenance, and wire
 // serialization.
 #include <benchmark/benchmark.h>
 
 #include "causal/envelope.h"
 #include "graph/message_graph.h"
 #include "obs/flight_recorder.h"
-#include "time/matrix_clock.h"
 #include "time/vector_clock.h"
 #include "util/buffer.h"
 #include "util/rng.h"
@@ -43,20 +42,6 @@ void BM_VectorClockCompare(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VectorClockCompare)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_MatrixClockStableCut(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  MatrixClock matrix(width);
-  VectorClock clock(width);
-  for (NodeId i = 0; i < width; ++i) {
-    clock.tick(i);
-    matrix.observe_row(i, clock);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matrix.stable_cut());
-  }
-}
-BENCHMARK(BM_MatrixClockStableCut)->Arg(4)->Arg(16);
 
 void BM_GraphInsert(benchmark::State& state) {
   Rng rng(7);

@@ -18,6 +18,16 @@ records with --benchmark_repetitions=5
 --benchmark_report_aggregates_only=true, so one noisy repetition moves
 neither side of the gate.
 
+A file may hold the runs of several processes, their `benchmarks` lists
+concatenated; each benchmark is then gated on the median over processes.
+Repetitions inside one process do not capture the spread between
+processes, which on a shared 4-vCPU VM moved single rows by up to 90%,
+so BENCH_m1.json and CI's fresh m1 run each hold three processes,
+merged with
+
+    jq -s '{context: .[0].context, benchmarks: [.[].benchmarks[]]}' \
+        RUN1.json RUN2.json RUN3.json > MERGED.json
+
 Benchmarks new in the fresh run are reported but never fail the gate, so
 adding benchmarks does not require touching the baseline in the same
 change. The default threshold is deliberately loose: shared CI runners
@@ -38,14 +48,16 @@ positive in the fresh snapshot (traffic actually flowed).
 
 import argparse
 import json
+import statistics
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times(path):
-    """Returns {benchmark name: real_time in ns}: the median aggregate of
-    each benchmark when the file has them, else its per-iteration row."""
+    """Returns {benchmark name: real_time in ns}: per process, the median
+    aggregate of each benchmark when the file has them, else its
+    per-iteration row; over the processes in the file, their median."""
     with open(path) as fh:
         data = json.load(fh)
     rows = data.get("benchmarks", [])
@@ -63,8 +75,8 @@ def load_times(path):
         unit = _UNIT_NS.get(bench.get("time_unit", "ns"))
         if unit is None or "real_time" not in bench:
             continue
-        times[name] = bench["real_time"] * unit
-    return times
+        times.setdefault(name, []).append(bench["real_time"] * unit)
+    return {name: statistics.median(runs) for name, runs in times.items()}
 
 
 def load_prom(path):

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "causal/osend.h"
-#include "util/ensure.h"
 #include "group/group_view.h"
 #include "stack/protocol_layer.h"
 #include "stack/view_sync.h"
@@ -93,14 +92,6 @@ class FlushCoordinator : public ProtocolLayer {
   [[nodiscard]] ViewSyncMember& member() { return *sync_; }
   [[nodiscard]] const ViewSyncMember& member() const { return *sync_; }
 
-  /// Checked downcast for OSend-specific accessors (stability, GC);
-  /// only valid when the coordinator runs over the default OSend member.
-  [[nodiscard]] OSendMember& osend() {
-    auto* concrete = dynamic_cast<OSendMember*>(sync_);
-    require(concrete != nullptr,
-            "FlushCoordinator::osend: member is not an OSendMember");
-    return *concrete;
-  }
   [[nodiscard]] bool view_change_in_progress() const {
     return target_.has_value();
   }

@@ -21,9 +21,7 @@ OSendMember::OSendMember(Transport& transport, const GroupView& view,
             on_receive(from, frame);
           },
           options.reliability),
-      delivered_prefix_(view.size()),
-      stable_floor_(view.size()),
-      knowledge_(view.size()) {
+      delivered_prefix_(view.size()) {
   require(static_cast<bool>(deliver_), "OSendMember: empty deliver callback");
   require(view_.contains(endpoint_.id()),
           "OSendMember: transport id not in the group view; register "
@@ -83,7 +81,6 @@ MessageId OSendMember::broadcast(std::string label,
   // Encode ONCE: prelude + envelope section into a single shared frame.
   Writer writer;
   writer.u64(view_.id());  // receivers buffer frames from future views
-  delivered_prefix_.encode(writer);
   const std::size_t section_offset = writer.size();
   Envelope::encode_section(writer, message_id, label, deps,
                            transport_.now_us(), payload);
@@ -109,37 +106,35 @@ void OSendMember::on_receive(NodeId from, const WireFrame& frame) {
   // down the receive path (the reliability layer has already accepted it,
   // so there is no retransmission to wait for — the sender's copy was
   // corrupt or forged).
-  ViewId sender_view = 0;
-  VectorClock sender_prefix;
   Delivery delivery;
   try {
     Reader reader(frame.bytes());
-    sender_view = reader.u64();
-    if (sender_view > view_.id()) {
+    if (reader.u64() > view_.id()) {
       // Successor-view traffic racing ahead of our flush: no message may be
       // delivered in different views at different members, so hold it until
       // we install that view ourselves.
       foreign_buffer_.push_back(frame);
       return;
     }
-    sender_prefix = VectorClock::decode(reader);
     delivery =
         Delivery(Envelope::parse(frame.buffer, frame.offset + reader.position()));
   } catch (const SerdeError&) {
     stats_.malformed += 1;
     return;
   }
+  if (delivery.sender != from) {
+    // Every member sends its own messages, so an envelope naming another
+    // sender than the link it arrived on is corrupt or forged.
+    stats_.malformed += 1;
+    return;
+  }
   stats_.received += 1;
 
-  const auto sender_rank = view_.rank_of(from);
-  if (!sender_rank.has_value()) {
+  if (!view_.contains(from)) {
     // A joiner may start broadcasting in the successor view before this
     // member has installed it; buffer and replay at install_view().
     foreign_buffer_.push_back(frame);
     return;
-  }
-  if (sender_prefix.width() == view_.size()) {
-    knowledge_.observe_row(static_cast<NodeId>(*sender_rank), sender_prefix);
   }
   try_deliver(std::move(delivery));
 }
@@ -149,36 +144,17 @@ void OSendMember::install_view(const GroupView& new_view) {
   require(new_view.contains(id()), "install_view: self not in the new view");
   require(new_view.id() > view_.id(), "install_view: view id must advance");
 
-  const GroupView old_view = view_;
-  auto remap = [&](const VectorClock& old_clock) {
-    VectorClock fresh(new_view.size());
-    for (std::size_t new_rank = 0; new_rank < new_view.size(); ++new_rank) {
-      const NodeId member = new_view.member_at(new_rank);
-      const auto old_rank = old_view.rank_of(member);
-      if (old_rank.has_value()) {
-        fresh.set(static_cast<NodeId>(new_rank),
-                  old_clock.at(static_cast<NodeId>(*old_rank)));
-      }
-    }
-    return fresh;
-  };
-
-  const VectorClock new_prefix = remap(delivered_prefix_);
-  const VectorClock new_floor = remap(stable_floor_);
-  MatrixClock new_knowledge(new_view.size());
+  // The rank-indexed prefix follows each surviving member to its new rank.
+  VectorClock new_prefix(new_view.size());
   for (std::size_t new_rank = 0; new_rank < new_view.size(); ++new_rank) {
-    const NodeId member = new_view.member_at(new_rank);
-    const auto old_rank = old_view.rank_of(member);
+    const auto old_rank = view_.rank_of(new_view.member_at(new_rank));
     if (old_rank.has_value()) {
-      new_knowledge.observe_row(
-          static_cast<NodeId>(new_rank),
-          remap(knowledge_.row(static_cast<NodeId>(*old_rank))));
+      new_prefix.set(static_cast<NodeId>(new_rank),
+                     delivered_prefix_.at(static_cast<NodeId>(*old_rank)));
     }
   }
   view_ = new_view;
-  delivered_prefix_ = new_prefix;
-  stable_floor_ = new_floor;
-  knowledge_ = std::move(new_knowledge);
+  delivered_prefix_ = std::move(new_prefix);
 
   // Replay traffic buffered for this (or a future) view.
   std::vector<WireFrame> buffered = std::move(foreign_buffer_);
@@ -186,12 +162,11 @@ void OSendMember::install_view(const GroupView& new_view) {
   for (const WireFrame& frame : buffered) {
     // Re-enter through the normal receive path (sender is parsed from the
     // frame; frames from still-future views re-buffer harmlessly). Frames
-    // were buffered after only a view-id peek, so the rest of the prelude
+    // were buffered after only a view-id peek, so the rest of the frame
     // is still untrusted here.
     try {
       Reader reader(frame.bytes());
       (void)reader.u64();  // view id
-      (void)VectorClock::decode(reader);
       const MessageId parsed = MessageId::decode(reader);
       on_receive(parsed.sender, frame);
     } catch (const SerdeError&) {
@@ -208,12 +183,11 @@ void OSendMember::adopt_baseline(const VectorClock& baseline) {
   for (std::size_t rank = 0; rank < view_.size(); ++rank) {
     const NodeId node = static_cast<NodeId>(rank);
     const std::uint64_t target = baseline.at(node);
-    if (target <= stable_floor_.at(node)) {
+    PrefixSeqSet& delivered = delivered_by_sender_[view_.member_at(rank)];
+    if (target <= delivered.floor()) {
       continue;
     }
-    stable_floor_.set(node, target);
     // Re-establish prefix contiguity over anything delivered above it.
-    PrefixSeqSet& delivered = delivered_by_sender_[view_.member_at(rank)];
     delivered.raise_floor(target);
     delivered_prefix_.set(node, delivered.floor());
     // Dependencies on messages at or below the baseline are now satisfied.
@@ -226,7 +200,6 @@ void OSendMember::adopt_baseline(const VectorClock& baseline) {
   }
   const auto self_rank = view_.rank_of(id());
   ensure(self_rank.has_value(), "adopt_baseline: self not in view");
-  knowledge_.observe_row(static_cast<NodeId>(*self_rank), delivered_prefix_);
 
   // A recovering member adopting a baseline that covers its own pre-crash
   // broadcasts must resume numbering above them — both at the OSend layer
@@ -336,9 +309,6 @@ void OSendMember::deliver_now(Delivery delivery,
   PrefixSeqSet& delivered = delivered_by_sender_[delivery.sender];
   delivered.insert(delivery.id.seq);
   delivered_prefix_.set(static_cast<NodeId>(*rank), delivered.floor());
-  const auto self_rank = view_.rank_of(id());
-  ensure(self_rank.has_value(), "OSend: self not in view");
-  knowledge_.observe_row(static_cast<NodeId>(*self_rank), delivered_prefix_);
 
   delivery.delivered_at = transport_.now_us();
   if (options_.obs.any() || obs::flight_recorder() != nullptr) {
@@ -366,34 +336,6 @@ bool OSendMember::delivered_locally(MessageId message) const {
 bool OSendMember::has_delivered(MessageId message) const {
   const LockGuard guard(mutex_);
   return delivered_locally(message);
-}
-
-std::size_t OSendMember::prune_stable() {
-  const LockGuard guard(mutex_);
-  const VectorClock cut = knowledge_.stable_cut();
-  std::size_t pruned = 0;
-  for (std::size_t rank = 0; rank < view_.size(); ++rank) {
-    const NodeId node = static_cast<NodeId>(rank);
-    const std::uint64_t floor = stable_floor_.at(node);
-    const std::uint64_t target = cut.at(node);
-    if (target <= floor) {
-      continue;
-    }
-    // Stability implies local delivery (the cut includes our own row).
-    ensure(target <= delivered_prefix_.at(node),
-           "prune_stable: stable message not delivered locally");
-    pruned += target - floor;
-    stable_floor_.set(node, target);
-  }
-  return pruned;
-}
-
-bool OSendMember::is_stable(MessageId message) const {
-  const auto rank = view_.rank_of(message.sender);
-  if (!rank.has_value()) {
-    return false;
-  }
-  return knowledge_.is_stable(static_cast<NodeId>(*rank), message.seq);
 }
 
 }  // namespace cbc

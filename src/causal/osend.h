@@ -9,19 +9,17 @@
 // Skeen): incidental transport-level ordering is not promoted to a
 // constraint, which yields strictly fewer hold-backs (bench C1).
 //
-// Each member also maintains a stability MatrixClock from piggybacked
-// delivered-prefix vectors, so a member can tell when a message is known
-// delivered everywhere without extra message rounds. Nothing is retained
-// per delivered message: delivered membership is a per-sender contiguous
-// prefix plus the few seqs delivered above it, so per-delivery work is
-// O(deps) and retained state does not grow with the length of the run.
-// R(M) is stable information, identical at every member (§3.2), so a
-// caller that wants the graph builds it from the delivery stream it is
-// handed (tests/common/recorder.h does).
+// Nothing is retained per delivered message: delivered membership is a
+// per-sender contiguous prefix plus the few seqs delivered above it, so
+// per-delivery work is O(deps) and retained state does not grow with the
+// length of the run. R(M) is stable information, identical at every member
+// (§3.2), so a caller that wants the graph builds it from the delivery
+// stream it is handed (tests/common/recorder.h does).
 //
-// Wire layout: [u64 view_id][VectorClock delivered_prefix][envelope
-// section] — the prelude is OSend-specific, the section is the shared
-// Envelope codec (causal/envelope.h). A broadcast encodes ONE frame shared
+// Wire layout: [u64 view_id][envelope section] — the view id is the
+// OSend-specific prelude, the section is the shared Envelope codec
+// (causal/envelope.h). A message carries its Occurs_After set and nothing
+// whose size depends on the group. A broadcast encodes ONE frame shared
 // by every destination and by the sender's self-delivery; receivers parse
 // in place and hold-back entries alias the same frame.
 #pragma once
@@ -39,7 +37,6 @@
 #include "obs/metrics.h"
 #include "group/group_view.h"
 #include "stack/view_sync.h"
-#include "time/matrix_clock.h"
 #include "time/vector_clock.h"
 #include "transport/reliable.h"
 #include "transport/transport.h"
@@ -111,29 +108,9 @@ class OSendMember final : public ViewSyncMember {
     return delivered_prefix_;
   }
 
-  /// This member's knowledge of everyone's delivered prefixes.
-  [[nodiscard]] const MatrixClock& knowledge() const { return knowledge_; }
-
-  /// True when `id` is known to have been delivered at every member
-  /// (conservative: based on contiguous prefixes from piggybacked acks).
-  [[nodiscard]] bool is_stable(MessageId message) const;
-
   /// True when this member has delivered `message` (including messages
-  /// already pruned below the stable floor).
+  /// covered by an adopted baseline).
   [[nodiscard]] bool has_delivered(MessageId message) const;
-
-  /// Garbage-collects bookkeeping for messages known delivered everywhere
-  /// (at or below the MatrixClock stable cut): the stable floor rises to
-  /// the cut. No ordering decision can ever consult a stable message
-  /// again (any dependency on it is satisfied by the delivered prefix), so
-  /// this is safe at any time. Returns the number of messages pruned.
-  std::size_t prune_stable();
-
-  /// Per-sender floor (rank-indexed): everything at or below it has been
-  /// pruned by prune_stable().
-  [[nodiscard]] const VectorClock& stable_floor() const {
-    return stable_floor_;
-  }
 
   // --- Dynamic membership (used by FlushCoordinator; see causal/flush.h).
 
@@ -233,8 +210,6 @@ class OSendMember final : public ViewSyncMember {
       CBC_GUARDED_BY(mutex_);
 
   VectorClock delivered_prefix_;
-  VectorClock stable_floor_;
-  MatrixClock knowledge_;
   OrderingStats stats_;
   obs::LatencyHistogram* hold_hist_ = nullptr;
   // Last member: unregisters before the state it reads is torn down.

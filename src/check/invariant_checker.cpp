@@ -98,20 +98,18 @@ void InvariantChecker::on_lower_delivery(const Delivery& delivery) {
   if (deliveries_counter_ != nullptr) {
     deliveries_counter_->inc();
   }
-  if (options_.check_duplicates && seen(message)) {
+  if (seen(message)) {
     record(ViolationKind::kDuplicateDelivery, message,
            "delivered again at position " + std::to_string(delivered_count()));
     deliver_up(delivery);
     return;
   }
-  if (options_.check_dependencies) {
-    for (const MessageId& dep : delivery.deps().ids()) {
-      if (!seen(dep)) {
-        record(ViolationKind::kDependencyViolation, message,
-               "Occurs_After(" + dep.to_string() +
-                   ") not yet delivered locally at position " +
-                   std::to_string(delivered_count()));
-      }
+  for (const MessageId& dep : delivery.deps().ids()) {
+    if (!seen(dep)) {
+      record(ViolationKind::kDependencyViolation, message,
+             "Occurs_After(" + dep.to_string() +
+                 ") not yet delivered locally at position " +
+                 std::to_string(delivered_count()));
     }
   }
   tail_.push_back(message);

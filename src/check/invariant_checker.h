@@ -58,8 +58,6 @@ namespace cbc::check {
 class InvariantChecker final : public ProtocolLayer {
  public:
   struct Options {
-    bool check_dependencies = true;  ///< Occurs_After precedence per delivery
-    bool check_duplicates = true;    ///< no message delivered twice
     /// The wrapped discipline promises one identical delivery sequence at
     /// every member (ASend, sequencer); the monitor then compares delivery
     /// order (an order digest), not just sets.

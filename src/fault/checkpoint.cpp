@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "util/ensure.h"
@@ -58,10 +59,20 @@ void Checkpoint::save(const std::string& path) const {
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {
+  // Only a regular file has a size to read up to: a device such as
+  // /dev/zero would otherwise be read until memory runs out.
+  std::error_code error;
+  require(std::filesystem::is_regular_file(path, error),
+          "Checkpoint: '" + path + "' is not a readable regular file");
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  require(!error, "Checkpoint: cannot size '" + path + "'");
   std::ifstream in(path, std::ios::binary);
   require(in.good(), "Checkpoint: cannot read '" + path + "'");
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  require(in.gcount() == static_cast<std::streamsize>(bytes.size()),
+          "Checkpoint: short read of '" + path + "'");
   Reader reader(bytes);
   Checkpoint checkpoint = decode(reader);
   require(reader.exhausted(), "Checkpoint: trailing bytes in '" + path + "'");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -17,7 +16,6 @@ void MessageGraph::add(MessageId id, std::string label, const DepSpec& deps) {
   entry.node.id = id;
   entry.node.label = std::move(label);
   entry.node.deps = deps.ids();
-  entry.position = order_.size();
   // Older nodes may have named us as a dependency before we arrived.
   if (const auto waiting = waiting_on_.find(id); waiting != waiting_on_.end()) {
     entry.successors = std::move(waiting->second);
@@ -38,14 +36,6 @@ void MessageGraph::add(MessageId id, std::string label, const DepSpec& deps) {
   }
   nodes_.emplace(id, std::move(entry));
   order_.push_back(id);
-}
-
-std::vector<MessageId> MessageGraph::insertion_order() const {
-  std::vector<MessageId> out;
-  out.reserve(nodes_.size());
-  std::copy_if(order_.begin(), order_.end(), std::back_inserter(out),
-               [](const MessageId& id) { return !id.is_null(); });
-  return out;
 }
 
 bool MessageGraph::contains(MessageId id) const {
@@ -164,7 +154,7 @@ std::vector<MessageId> MessageGraph::descendants(MessageId id) const {
 
 std::vector<MessageId> MessageGraph::roots() const {
   std::vector<MessageId> out;
-  for (const MessageId& id : insertion_order()) {
+  for (const MessageId& id : order_) {
     const Entry& entry = nodes_.at(id);
     const bool has_inserted_dep =
         std::any_of(entry.node.deps.begin(), entry.node.deps.end(),
@@ -178,7 +168,7 @@ std::vector<MessageId> MessageGraph::roots() const {
 
 std::vector<MessageId> MessageGraph::leaves() const {
   std::vector<MessageId> out;
-  for (const MessageId& id : insertion_order()) {
+  for (const MessageId& id : order_) {
     if (nodes_.at(id).successors.empty()) {
       out.push_back(id);
     }
@@ -189,7 +179,7 @@ std::vector<MessageId> MessageGraph::leaves() const {
 std::vector<MessageId> MessageGraph::topological_order() const {
   // Kahn's algorithm; the ready list is kept in insertion order so the
   // result is deterministic.
-  const std::vector<MessageId> order = insertion_order();
+  const std::vector<MessageId>& order = order_;
   std::unordered_map<MessageId, std::size_t> pending_deps;
   for (const MessageId& id : order) {
     const Entry& entry = nodes_.at(id);
@@ -229,7 +219,7 @@ std::vector<MessageId> MessageGraph::topological_order() const {
 std::vector<std::vector<MessageId>> MessageGraph::all_topological_orders(
     std::size_t cap) const {
   std::vector<std::vector<MessageId>> results;
-  const std::vector<MessageId> order = insertion_order();
+  const std::vector<MessageId>& order = order_;
   std::unordered_map<MessageId, std::size_t> pending_deps;
   for (const MessageId& id : order) {
     std::size_t count = 0;
@@ -316,56 +306,11 @@ bool MessageGraph::closed() const {
   return true;
 }
 
-void MessageGraph::remove(MessageId id) {
-  const auto it = nodes_.find(id);
-  require(it != nodes_.end(), "MessageGraph::remove: unknown id");
-  Entry& entry = it->second;
-  // Unlink from predecessors' successor lists, and from the waiter lists
-  // of the dependencies that never arrived.
-  for (const MessageId& dep : entry.node.deps) {
-    if (const auto dep_it = nodes_.find(dep); dep_it != nodes_.end()) {
-      auto& successors = dep_it->second.successors;
-      successors.erase(std::remove(successors.begin(), successors.end(), id),
-                       successors.end());
-    } else if (const auto waiting = waiting_on_.find(dep);
-               waiting != waiting_on_.end()) {
-      auto& waiters = waiting->second;
-      waiters.erase(std::remove(waiters.begin(), waiters.end(), id),
-                    waiters.end());
-      if (waiters.empty()) {
-        waiting_on_.erase(waiting);
-      }
-    }
-  }
-  // Our successors still name us: should we be re-inserted, they are
-  // wired again exactly as on a late first arrival.
-  if (!entry.successors.empty()) {
-    waiting_on_.emplace(id, std::move(entry.successors));
-  }
-  order_[entry.position] = MessageId::null();
-  nodes_.erase(it);
-  if (++tombstones_ * 2 > order_.size()) {
-    compact();
-  }
-}
-
-void MessageGraph::compact() {
-  std::size_t live = 0;
-  for (const MessageId& id : order_) {
-    if (!id.is_null()) {
-      nodes_.at(id).position = live;
-      order_[live++] = id;
-    }
-  }
-  order_.resize(live);
-  tombstones_ = 0;
-}
-
 std::string MessageGraph::to_dot(const std::string& graph_name) const {
   std::ostringstream out;
   out << "digraph " << graph_name << " {\n";
   out << "  rankdir=TB;\n";
-  const std::vector<MessageId> order = insertion_order();
+  const std::vector<MessageId>& order = order_;
   for (const MessageId& id : order) {
     const Entry& entry = nodes_.at(id);
     out << "  \"" << id.to_string() << "\" [label=\"" << entry.node.label

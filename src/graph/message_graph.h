@@ -40,9 +40,9 @@ struct GraphNode {
 /// become effective when the node arrives, which is exactly the hold-back
 /// situation the delivery engine manages.
 ///
-/// add() and remove() cost O(deps) (amortised): a node that names an
-/// absent id is indexed under that id, so a late arrival wires its
-/// successors without scanning the graph.
+/// add() costs O(deps): a node that names an absent id is indexed under
+/// that id, so a late arrival wires its successors without scanning the
+/// graph.
 class MessageGraph {
  public:
   MessageGraph() = default;
@@ -104,38 +104,26 @@ class MessageGraph {
   /// (no dangling edges): the graph is self-contained.
   [[nodiscard]] bool closed() const;
 
-  /// Removes a node and all edge links touching it. Used by the
-  /// stability-driven garbage collector: once a message is known delivered
-  /// everywhere, no ordering decision can ever consult it again, so its
-  /// node may be dropped. Removing a node that others still depend on
-  /// leaves those deps dangling (the delivery engine still counts the
-  /// message delivered through its per-sender delivered prefix).
-  void remove(MessageId id);
-
   /// Graphviz DOT rendering (Figure 3 reproduction; stable node order).
   [[nodiscard]] std::string to_dot(const std::string& graph_name = "R") const;
 
-  /// Insertion order of the node ids currently in the graph.
-  [[nodiscard]] std::vector<MessageId> insertion_order() const;
+  /// Insertion order of the node ids.
+  [[nodiscard]] std::vector<MessageId> insertion_order() const {
+    return order_;
+  }
 
  private:
   struct Entry {
     GraphNode node;
     std::vector<MessageId> successors;  // inserted nodes depending on this
-    std::size_t position = 0;           // index of this node in order_
   };
 
   [[nodiscard]] const Entry* find(MessageId id) const;
-  /// Drops the tombstones from order_ and renumbers positions.
-  void compact();
 
   std::unordered_map<MessageId, Entry> nodes_;
   // absent id -> inserted nodes that name it as a dependency
   std::unordered_map<MessageId, std::vector<MessageId>> waiting_on_;
-  // Insertion order; a removed node leaves a null tombstone until the
-  // tombstones outnumber the live nodes and compact() runs.
-  std::vector<MessageId> order_;
-  std::size_t tombstones_ = 0;
+  std::vector<MessageId> order_;  // insertion order
 };
 
 }  // namespace cbc

@@ -175,7 +175,8 @@ class ReplicaNode {
   [[nodiscard]] BroadcastMember& member() { return *member_; }
   [[nodiscard]] const BroadcastMember& member() const { return *member_; }
 
-  /// Checked downcast for OSend-specific accessors (stability, GC);
+  /// Checked downcast for OSend-specific accessors (delivered prefix,
+  /// baseline adoption, out-of-band sends, ack ceilings);
   /// only valid when the node runs over the OSend discipline, possibly
   /// under a stack of ProtocolLayer decorators (checker, tracing, taps) —
   /// the chain is unwrapped until the concrete member surfaces.

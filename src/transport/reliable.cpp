@@ -7,6 +7,29 @@
 #include "util/serde.h"
 
 namespace cbc {
+namespace {
+
+/// The per-peer retransmit backoff doubles (with jitter) from
+/// retransmit_interval_us up to this multiple of it, so a dead peer
+/// degrades to a trickle instead of a fixed-period storm.
+constexpr SimTime kBackoffCapFactor = 16;
+/// Seed of the retransmit-jitter stream (deterministic backoff).
+constexpr std::uint64_t kBackoffSeed = 0xB0FFULL;
+/// Cap on the missing-seq list of one control frame. Bounds both the frame
+/// size and the scan cost when a corrupt sequence number opens a huge
+/// apparent gap; the remainder is NACKed on later scans.
+constexpr std::size_t kMaxNackEntries = 512;
+/// Cap on data frames retransmitted per sender-timer tick (lowest sequence
+/// numbers first). Keeps a dead peer from turning the retransmit timer
+/// into a line-rate traffic storm.
+constexpr std::size_t kMaxRetransmitBurst = 64;
+/// Data frames whose seq jumps more than this far past the contiguous
+/// prefix are counted malformed and dropped: a genuine sender can only run
+/// ahead by what it has actually sent, so a larger jump is a corrupt or
+/// forged header that would poison gap tracking.
+constexpr SeqNo kMaxForwardWindow = 1u << 20;
+
+}  // namespace
 
 ReliableEndpoint::ReliableEndpoint(Transport& transport, Handler handler,
                                    Options options)
@@ -20,13 +43,6 @@ ReliableEndpoint::ReliableEndpoint(Transport& transport, Handler handler,
   }
   require(options_.retransmit_interval_us > 0,
           "ReliableEndpoint: retransmit interval must be positive");
-  if (options_.max_retransmit_interval_us == 0) {
-    options_.max_retransmit_interval_us = 16 * options_.retransmit_interval_us;
-  }
-  require(options_.max_retransmit_interval_us >=
-              options_.retransmit_interval_us,
-          "ReliableEndpoint: max_retransmit_interval_us below the base "
-          "retransmit interval");
   if (options_.suspect_after_us > 0 && options_.heartbeat_interval_us == 0) {
     options_.heartbeat_interval_us = options_.suspect_after_us / 4;
   }
@@ -34,13 +50,7 @@ ReliableEndpoint::ReliableEndpoint(Transport& transport, Handler handler,
               options_.heartbeat_interval_us < options_.suspect_after_us,
           "ReliableEndpoint: heartbeat interval must beat the suspect "
           "timeout");
-  require(options_.max_nack_entries > 0,
-          "ReliableEndpoint: max_nack_entries must be positive");
-  require(options_.max_retransmit_burst > 0,
-          "ReliableEndpoint: max_retransmit_burst must be positive");
-  require(options_.max_forward_window > 0,
-          "ReliableEndpoint: max_forward_window must be positive");
-  backoff_rng_ = Rng(options_.backoff_seed);
+  backoff_rng_ = Rng(kBackoffSeed);
   id_ = transport_.add_endpoint([this](NodeId from, const WireFrame& frame) {
     on_frame(from, frame);
   });
@@ -142,7 +152,7 @@ void ReliableEndpoint::send_control_frame(NodeId source) {
       // seqs are recovered and contiguous advances.
       const SeqNo highest = *peer.above.rbegin();
       for (SeqNo seq = peer.contiguous + 1;
-           seq < highest && missing.size() < options_.max_nack_entries;
+           seq < highest && missing.size() < kMaxNackEntries;
            ++seq) {
         if (peer.above.count(seq) == 0) {
           missing.push_back(seq);
@@ -255,7 +265,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
       const LockGuard guard(mutex_);
       PeerRecvState& peer = recv_state_[from];
       if (seq == 0 ||
-          seq > peer.contiguous + 1 + options_.max_forward_window) {
+          seq > peer.contiguous + 1 + kMaxForwardWindow) {
         stats_.malformed_frames += 1;
         return;
       }
@@ -283,7 +293,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     {
       const LockGuard guard(mutex_);
       PeerRecvState& peer = recv_state_[from];
-      if (seq > peer.contiguous + options_.max_forward_window) {
+      if (seq > peer.contiguous + kMaxForwardWindow) {
         stats_.malformed_frames += 1;
         return;
       }
@@ -369,7 +379,6 @@ void ReliableEndpoint::on_sender_timer() {
   // unacked data after a pass backs off exponentially (reset by any
   // control frame from that peer), so a dead peer decays to a trickle.
   std::vector<std::pair<NodeId, SharedBuffer>> to_resend;
-  std::vector<NodeId> newly_unresponsive;
   {
     const LockGuard guard(mutex_);
     sender_timer_armed_ = false;
@@ -380,28 +389,21 @@ void ReliableEndpoint::on_sender_timer() {
         continue;
       }
       if (now < peer.next_retransmit_us ||
-          to_resend.size() >= options_.max_retransmit_burst) {
+          to_resend.size() >= kMaxRetransmitBurst) {
         continue;
       }
       for (const auto& [seq, data_frame] : peer.unacked) {
-        if (to_resend.size() >= options_.max_retransmit_burst) {
+        if (to_resend.size() >= kMaxRetransmitBurst) {
           break;
         }
         to_resend.emplace_back(peer_id, data_frame);
         obs::flight_record(obs::FlightEvent::kRetransmit, MessageId{id_, seq},
                            peer_id);
       }
-      if (schedule_next_retransmit(peer, now)) {
-        newly_unresponsive.push_back(peer_id);
-      }
+      schedule_next_retransmit(peer, now);
     }
     stats_.retransmissions += to_resend.size();
     maybe_arm_sender_timer();
-  }
-  for (const NodeId peer_id : newly_unresponsive) {
-    if (options_.on_peer_unresponsive) {
-      options_.on_peer_unresponsive(peer_id);
-    }
   }
   for (auto& [peer_id, data_frame] : to_resend) {
     transport_.send(id_, peer_id, std::move(data_frame));
@@ -428,10 +430,10 @@ void ReliableEndpoint::on_receiver_timer() {
   maybe_arm_receiver_timer();
 }
 
-bool ReliableEndpoint::schedule_next_retransmit(PeerSendState& peer,
+void ReliableEndpoint::schedule_next_retransmit(PeerSendState& peer,
                                                 SimTime now) {
   const SimTime base = options_.retransmit_interval_us;
-  const SimTime cap = options_.max_retransmit_interval_us;
+  const SimTime cap = kBackoffCapFactor * base;
   const SimTime interval =
       peer.backoff_us == 0 ? base : std::min(peer.backoff_us * 2, cap);
   peer.backoff_us = interval;
@@ -445,9 +447,7 @@ bool ReliableEndpoint::schedule_next_retransmit(PeerSendState& peer,
   if (interval >= cap && !peer.unresponsive_reported) {
     peer.unresponsive_reported = true;
     stats_.peer_unresponsive_events += 1;
-    return true;
   }
-  return false;
 }
 
 void ReliableEndpoint::maybe_arm_sender_timer() {

@@ -16,7 +16,7 @@
 //    dropped *tail* messages that no gap would ever reveal;
 //  - receivers ack duplicates immediately so retransmission converges;
 //  - retransmits toward a silent peer back off exponentially (with
-//    deterministic jitter) up to max_retransmit_interval_us, so a dead
+//    deterministic jitter) up to 16 * retransmit_interval_us, so a dead
 //    peer degrades to a trickle instead of a fixed-period storm;
 //  - an opt-in heartbeat failure detector: liveness is piggybacked on any
 //    received frame, an explicit kHeartbeat covers idle links, and peers
@@ -71,7 +71,7 @@ struct ReliableStats {
   /// Receive windows fast-forwarded by a sender's kWindowBase frame (a
   /// restarted receiver skipping history the sender no longer retains).
   std::uint64_t window_resyncs = 0;
-  /// Peers whose retransmit backoff reached max_retransmit_interval_us.
+  /// Peers whose retransmit backoff reached its cap.
   std::uint64_t peer_unresponsive_events = 0;
   std::uint64_t oob_frames = 0;  ///< out-of-band frames received
   /// Unacked data frames dropped toward suspected-dead peers once the
@@ -107,12 +107,6 @@ class ReliableEndpoint {
     /// healthy traffic is retransmitted spuriously. 0 means
     /// 5 * control_interval_us.
     SimTime retransmit_interval_us = 0;
-    /// Ceiling for the per-peer exponential retransmit backoff: a peer
-    /// that keeps ignoring retransmits doubles its interval (with jitter)
-    /// from retransmit_interval_us up to this cap, so a dead peer degrades
-    /// to a trickle instead of a fixed-period storm. 0 means
-    /// 16 * retransmit_interval_us.
-    SimTime max_retransmit_interval_us = 0;
     /// Explicit idle-link heartbeat period; liveness is otherwise
     /// piggybacked on data/control traffic. 0 disables heartbeats (and,
     /// with suspect_after_us = 0, the whole failure detector — the default,
@@ -126,32 +120,14 @@ class ReliableEndpoint {
     /// Suspect/alive transitions for monitored peers (see monitor_peers).
     /// Invoked without the endpoint lock held, on a transport thread.
     std::function<void(NodeId peer, bool alive)> on_liveness{};
-    /// Fired once per silence episode when a peer's retransmit backoff
-    /// first reaches the cap. Invoked without the lock held.
-    std::function<void(NodeId peer)> on_peer_unresponsive{};
     /// Receiver of out-of-band frames (kOob) — unsequenced, unreliable
     /// payloads riding the same endpoint (e.g. state-transfer request/
     /// response). Invoked without the lock held; unset means oob frames
     /// are counted and dropped.
     std::function<void(NodeId from, std::span<const std::uint8_t> payload)>
         oob_handler{};
-    /// Seed of the retransmit-jitter stream (deterministic backoff).
-    std::uint64_t backoff_seed = 0xB0FFULL;
     bool enabled = true;  ///< false: pass-through (zero overhead on a
                           ///< loss-free transport such as default sim runs)
-    /// Cap on the missing-seq list of one control frame. Bounds both the
-    /// frame size and the scan cost when a corrupt sequence number opens a
-    /// huge apparent gap; the remainder is NACKed on later scans.
-    std::size_t max_nack_entries = 512;
-    /// Cap on data frames retransmitted per sender-timer tick (lowest
-    /// sequence numbers first). Keeps a dead peer from turning the
-    /// retransmit timer into a line-rate traffic storm.
-    std::size_t max_retransmit_burst = 64;
-    /// Data frames whose seq jumps more than this far past the contiguous
-    /// prefix are counted malformed and dropped: a genuine sender can only
-    /// run ahead by what it has actually sent, so a larger jump is a
-    /// corrupt or forged header that would poison gap tracking.
-    SeqNo max_forward_window = 1u << 20;
     /// Extra grace past suspect_after_us before unacked retention toward
     /// a suspected peer is capped (see max_retained_per_dead_peer).
     SimTime dead_peer_grace_us = 0;
@@ -317,10 +293,9 @@ class ReliableEndpoint {
   /// Notes outgoing traffic toward `to` (suppresses the explicit
   /// heartbeat while the link is busy).
   void note_sent(NodeId to, SimTime now) CBC_REQUIRES(mutex_);
-  /// Advances one link's backoff after a retransmit pass; returns true
-  /// when the cap was newly reached (caller fires on_peer_unresponsive
-  /// after releasing the lock).
-  bool schedule_next_retransmit(PeerSendState& peer, SimTime now)
+  /// Advances one link's backoff after a retransmit pass, counting a
+  /// peer_unresponsive_event when it first reaches the cap.
+  void schedule_next_retransmit(PeerSendState& peer, SimTime now)
       CBC_REQUIRES(mutex_);
   /// Enforces max_retained_per_dead_peer for one long-suspected peer:
   /// drops the oldest unacked frames beyond the cap. Returns frames

@@ -207,21 +207,18 @@ TEST(OSend, RawDuplicatesDroppedById) {
   EXPECT_GE(group[1].stats().duplicates, 1u);
 }
 
-TEST(OSend, StabilityAdvancesWithPiggybackedKnowledge) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 3);
-  const MessageId early = group[0].osend("early", bytes(1), DepSpec::none());
-  env.run();
-  // Everyone delivered it, but member 0 cannot yet KNOW that others did.
-  EXPECT_FALSE(group[0].is_stable(early));
-  // A second round of traffic piggybacks everyone's delivered prefixes.
-  for (std::size_t i = 0; i < 3; ++i) {
-    group[i].osend("ack-round", bytes(2), DepSpec::none());
-  }
-  env.run();
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(group[i].is_stable(early)) << "member " << i;
-  }
+TEST(OSend, FrameBytesDoNotGrowWithGroupSize) {
+  // A frame carries the view id and the envelope, with its Occurs_After
+  // set; nothing in it is sized by the group.
+  auto bytes_per_unicast = [](std::size_t group_size) {
+    SimEnv env;
+    Group<OSendMember> group(env.transport, group_size);
+    group[0].osend("m", bytes(1), DepSpec::none());
+    env.run();
+    EXPECT_EQ(env.network.stats().sent, group_size - 1);
+    return env.network.stats().bytes / env.network.stats().sent;
+  };
+  EXPECT_EQ(bytes_per_unicast(2), bytes_per_unicast(32));
 }
 
 TEST(OSend, WorksWithReliabilityOverLossyNetwork) {

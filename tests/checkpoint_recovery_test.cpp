@@ -82,8 +82,7 @@ TEST(CheckpointFile, FailedFlushKeepsThePreviousCheckpoint) {
   ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0);
   EXPECT_THROW(sample_checkpoint().save(path), InvalidArgument);
   EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "tmp left behind";
-  // Renaming the device over the checkpoint would make load() read
-  // /dev/full's endless zeros; stop before that.
+  // The device must not have been renamed over the checkpoint.
   ASSERT_TRUE(std::filesystem::is_regular_file(
       std::filesystem::symlink_status(path)))
       << "the previous checkpoint was replaced";
@@ -97,6 +96,19 @@ TEST(CheckpointFile, FailedFlushKeepsThePreviousCheckpoint) {
 TEST(CheckpointFile, MissingFileThrows) {
   EXPECT_THROW((void)Checkpoint::load("/nonexistent/dir/checkpoint.bin"),
                InvalidArgument);
+}
+
+TEST(CheckpointFile, LoadRefusesANonRegularFile) {
+  if (::access("/dev/zero", R_OK) != 0) {
+    GTEST_SKIP() << "/dev/zero is not available";
+  }
+  // A checkpoint path that names an endless device must fail at once,
+  // not read until memory runs out.
+  const std::string path = testing::TempDir() + "checkpoint_device.bin";
+  std::remove(path.c_str());
+  ASSERT_EQ(::symlink("/dev/zero", path.c_str()), 0);
+  EXPECT_THROW((void)Checkpoint::load(path), InvalidArgument);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointFile, EveryTruncationThrows) {

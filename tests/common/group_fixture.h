@@ -44,10 +44,9 @@ class Group {
     return recorders_[i]->log();
   }
 
-  /// R(M) as member i observed it, less what its prune_stable() dropped
-  /// (OSend groups).
+  /// R(M) as member i observed it.
   [[nodiscard]] MessageGraph graph(std::size_t i) const {
-    return recorders_[i]->graph(members_[i].get());
+    return recorders_[i]->graph();
   }
 
   /// True when every member delivered the same message ids as member 0

@@ -23,7 +23,6 @@
 
 #include "activity/stable_point.h"
 #include "causal/delivery.h"
-#include "causal/osend.h"
 #include "graph/message_graph.h"
 #include "replica/replica_group.h"
 #include "replica/replica_node.h"
@@ -78,21 +77,11 @@ class Recorder {
   }
 
   /// R(M) as this member observed it: one node per recorded delivery,
-  /// inserted in delivery order. Given `pruned_by`, less the messages at
-  /// or below that member's stable floor: what still matters for ordering
-  /// once it has run prune_stable().
-  [[nodiscard]] MessageGraph graph(
-      const OSendMember* pruned_by = nullptr) const {
+  /// inserted in delivery order.
+  [[nodiscard]] MessageGraph graph() const {
     MessageGraph graph;
     for (const Delivery& delivery : log_) {
-      const auto rank = pruned_by == nullptr
-                            ? std::nullopt
-                            : pruned_by->view().rank_of(delivery.id.sender);
-      if (!rank.has_value() ||
-          delivery.id.seq > pruned_by->stable_floor().at(
-                                static_cast<NodeId>(*rank))) {
-        graph.add(delivery.id, delivery.label(), delivery.deps());
-      }
+      graph.add(delivery.id, delivery.label(), delivery.deps());
     }
     return graph;
   }

@@ -1,6 +1,6 @@
-// Tests for the extension features: stability-driven garbage collection,
-// the causal-activity builder, lazy-replication baseline, and dynamic
-// view changes via the flush protocol.
+// Tests for the extension features: the causal-activity builder,
+// lazy-replication baseline, and dynamic view changes via the flush
+// protocol.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,69 +22,6 @@ namespace {
 
 using testkit::Group;
 using testkit::SimEnv;
-
-// ---------- Garbage collection (prune_stable) ----------
-
-TEST(Gc, PruneRemovesStableMessagesAndKeepsCorrectness) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 3);
-  // Round 1 of traffic, then a full extra round so round-1 becomes stable.
-  std::vector<MessageId> round1;
-  for (std::size_t i = 0; i < 3; ++i) {
-    round1.push_back(group[i].osend("r1", {}, DepSpec::none()));
-  }
-  env.run();
-  for (std::size_t i = 0; i < 3; ++i) {
-    group[i].osend("r2", {}, DepSpec::none());
-  }
-  env.run();
-
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(group[i].is_stable(round1[0]));
-    const std::size_t graph_before = group.graph(i).size();
-    const std::size_t pruned = group[i].prune_stable();
-    EXPECT_GE(pruned, 3u);  // at least all of round 1
-    EXPECT_LT(group.graph(i).size(), graph_before);
-    // has_delivered still answers true via the stable floor.
-    EXPECT_TRUE(group[i].has_delivered(round1[0]));
-  }
-}
-
-TEST(Gc, DependencyOnPrunedMessageIsSatisfiedByFloor) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 2);
-  const MessageId old_msg = group[0].osend("old", {}, DepSpec::none());
-  env.run();
-  group[0].osend("ack1", {}, DepSpec::none());
-  group[1].osend("ack2", {}, DepSpec::none());
-  env.run();
-  ASSERT_TRUE(group[1].is_stable(old_msg));
-  group[1].prune_stable();
-  // A new message naming the pruned id as dependency must deliver.
-  group[0].osend("depends-on-old", {}, DepSpec::after(old_msg));
-  env.run();
-  EXPECT_EQ(group.log(1).back().label(), "depends-on-old");
-  EXPECT_EQ(group[1].holdback_depth(), 0u);
-}
-
-TEST(Gc, BoundedMemoryUnderLongRunWithPeriodicPrune) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 3);
-  std::size_t max_graph = 0;
-  for (int round = 0; round < 60; ++round) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      group[i].osend("op", {}, DepSpec::none());
-    }
-    env.run();
-    for (std::size_t i = 0; i < 3; ++i) {
-      group[i].prune_stable();
-      max_graph = std::max(max_graph, group.graph(i).size());
-    }
-  }
-  // 180 messages total, but the graph never held more than ~2 rounds.
-  EXPECT_LE(max_graph, 12u);
-  EXPECT_EQ(group[0].stats().delivered, 180u);
-}
 
 // ---------- ActivityBuilder ----------
 
@@ -537,40 +474,6 @@ TEST(DynamicReplica, ChainedViewChangesStayConsistent) {
   // Node 1 stopped at view 3 with the state as of its departure cut.
   EXPECT_EQ(nodes[1]->view().id(), 3u);
   EXPECT_EQ(nodes[1]->state().value(), expected - 1000);
-}
-
-TEST(Flush, PruneStableWorksAcrossViewChange) {
-  // GC interacts with view installation: clocks are remapped, and the
-  // stable cut keeps certifying correctly in the new view.
-  SimEnv env;
-  const GroupView view1(1, {0, 1, 2});
-  FlushGroup group(env.transport, view1, 3);
-  for (int round = 0; round < 3; ++round) {
-    for (auto& member : group.members) {
-      member->member().broadcast("pre", {}, DepSpec::none());
-    }
-    env.run();
-  }
-  group.members[0]->propose(GroupView(2, {0, 1}));
-  env.run();
-  // Traffic + an ack round in the new (smaller) view to move stability.
-  for (int round = 0; round < 2; ++round) {
-    group.members[0]->member().broadcast("post", {}, DepSpec::none());
-    group.members[1]->member().broadcast("post", {}, DepSpec::none());
-    env.run();
-  }
-  for (std::size_t i = 0; i < 2; ++i) {
-    OSendMember& member = group.members[i]->osend();
-    const testkit::Recorder& recorder = *group.recorders[i];
-    const std::size_t before = recorder.graph(&member).size();
-    const std::size_t pruned = member.prune_stable();
-    EXPECT_GT(pruned, 0u) << "member " << i;
-    EXPECT_LT(recorder.graph(&member).size(), before);
-  }
-  // Protocol still functional post-prune.
-  group.members[1]->member().broadcast("after-gc", {}, DepSpec::none());
-  env.run();
-  EXPECT_EQ(group.app_log(0).back(), "after-gc");
 }
 
 TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {

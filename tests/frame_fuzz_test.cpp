@@ -11,6 +11,7 @@
 
 #include "causal/osend.h"
 #include "common/group_fixture.h"
+#include "common/osend_frame.h"
 #include "common/sim_env.h"
 #include "fault/checkpoint.h"
 #include "fault/state_transfer.h"
@@ -26,6 +27,7 @@ namespace cbc {
 namespace {
 
 using testkit::Group;
+using testkit::osend_frame;
 using testkit::SimEnv;
 
 // ---------- Serde primitives ----------
@@ -283,22 +285,10 @@ TEST(FrameFuzz, SlicedBatchDeliversDecodablePrefixAndCountsTheRest) {
 
 // ---------- Ordering-layer envelopes ----------
 
-/// A well-formed OSend wire frame for view 1 as member 0 would send it.
-std::vector<std::uint8_t> osend_frame(SeqNo seq, const std::string& label) {
-  Writer writer;
-  writer.u64(1);                   // view id
-  VectorClock(2).encode(writer);   // delivered-prefix prelude
-  MessageId{0, seq}.encode(writer);
-  writer.str(label);
-  DepSpec::none().encode(writer);
-  writer.i64(0);  // sent_at
-  return writer.take();
-}
-
 TEST(FrameFuzz, EveryTruncationOfAnOSendFrameIsCounted) {
   SimEnv env;
   Group<OSendMember> group(env.transport, 2);
-  const std::vector<std::uint8_t> full = osend_frame(1, "op");
+  const std::vector<std::uint8_t> full = osend_frame(1, MessageId{0, 1}, "op");
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     env.transport.send(0, 1,
                        std::vector<std::uint8_t>(full.begin(),
@@ -309,6 +299,11 @@ TEST(FrameFuzz, EveryTruncationOfAnOSendFrameIsCounted) {
   // fail later in the parse. All must land in the malformed counter.
   EXPECT_EQ(group[1].stats().malformed, full.size());
   EXPECT_EQ(group[1].stats().delivered, 0u);
+  // The untruncated frame is well formed: it delivers exactly once.
+  env.transport.send(0, 1, full);
+  env.run();
+  EXPECT_EQ(group[1].stats().malformed, full.size());
+  EXPECT_EQ(group[1].stats().delivered, 1u);
 }
 
 // ---------- kv client wire messages ----------
@@ -418,7 +413,7 @@ TEST(FrameFuzz, KvPeekTypeBoundsUnknownAndEmptyPayloads) {
 TEST(FrameFuzz, BitFlippedOSendFramesNeverCrashTheMember) {
   SimEnv env;
   Group<OSendMember> group(env.transport, 2);
-  const std::vector<std::uint8_t> full = osend_frame(1, "op");
+  const std::vector<std::uint8_t> full = osend_frame(1, MessageId{0, 1}, "op");
   // Deterministic sweep: flip bit (i % 8) of byte i, one frame per flip.
   // Depending on where the flip lands the frame may parse as malformed,
   // buffer for a future view, dedupe, or even deliver — all acceptable;

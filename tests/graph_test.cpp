@@ -176,30 +176,6 @@ TEST(MessageGraph, LateInsertionWiresSuccessors) {
             (std::vector<MessageId>{id(1, 1)}));
 }
 
-TEST(MessageGraph, RemovedWaiterIsNotWiredOnLateInsertion) {
-  MessageGraph graph;
-  graph.add(id(1, 1), "b", DepSpec::after(id(0, 1)));  // a not present yet
-  graph.remove(id(1, 1));
-  graph.add(id(0, 1), "a", DepSpec::none());
-  EXPECT_TRUE(graph.direct_successors(id(0, 1)).empty());
-  EXPECT_EQ(graph.topological_order(), (std::vector<MessageId>{id(0, 1)}));
-
-  // A middle removal keeps the survivors in insertion order, before and
-  // after the removed slots are compacted away.
-  graph.add(id(2, 1), "c", DepSpec::after(id(0, 1)));
-  graph.add(id(3, 1), "d", DepSpec::none());
-  graph.add(id(4, 1), "e", DepSpec::none());
-  graph.remove(id(2, 1));
-  EXPECT_EQ(graph.insertion_order(),
-            (std::vector<MessageId>{id(0, 1), id(3, 1), id(4, 1)}));
-  graph.remove(id(0, 1));
-  graph.remove(id(3, 1));
-  graph.add(id(5, 1), "f", DepSpec::none());
-  graph.remove(id(4, 1));
-  EXPECT_EQ(graph.insertion_order(), (std::vector<MessageId>{id(5, 1)}));
-  EXPECT_EQ(graph.size(), 1u);
-}
-
 TEST(MessageGraph, DuplicateAndNullInsertionRejected) {
   MessageGraph graph;
   graph.add(id(0, 1), "a", DepSpec::none());

@@ -7,6 +7,7 @@
 #include "causal/osend.h"
 #include "causal/vc_causal.h"
 #include "common/group_fixture.h"
+#include "common/osend_frame.h"
 #include "common/sim_env.h"
 #include "replica/replica_group.h"
 #include "total/asend.h"
@@ -41,13 +42,11 @@ TEST(Robustness, TruncatedFrameDroppedAndCounted) {
   SimEnv env;
   Group<OSendMember> group(env.transport, 2);
   // A valid-looking prefix (view id + message id) then truncation
-  // mid-label.
-  Writer writer;
-  writer.u64(1);  // view id
-  VectorClock(2).encode(writer);  // delivered-prefix prelude
-  MessageId{0, 1}.encode(writer);
-  writer.u32(1000);  // label length much larger than remaining bytes
-  env.transport.send(0, 1, writer.take());
+  // mid-label: the label's length runs past the remaining bytes.
+  std::vector<std::uint8_t> frame =
+      testkit::osend_frame(1, MessageId{0, 1}, std::string(1000, 'x'));
+  frame.resize(frame.size() - 900);
+  env.transport.send(0, 1, std::move(frame));
   EXPECT_NO_THROW(env.run());
   EXPECT_EQ(group[1].stats().malformed, 1u);
   EXPECT_EQ(group[1].stats().delivered, 0u);
@@ -64,15 +63,10 @@ TEST(Robustness, ForeignSenderIsBufferedNotFatal) {
   // A third endpoint, not in the view, sends a well-formed OSend frame.
   const NodeId outsider = env.transport.add_endpoint(
       [](NodeId, const WireFrame&) {});
-  Writer frame;
-  frame.u64(1);  // same view id, but the sender is not a member
-  VectorClock(2).encode(frame);
-  MessageId{outsider, 1}.encode(frame);
-  frame.str("intruder");
-  DepSpec::none().encode(frame);
-  frame.i64(0);
-  frame.blob({});
-  env.transport.send(outsider, b.id(), frame.take());
+  // Same view id, but the sender is not a member.
+  const std::vector<std::uint8_t> frame =
+      testkit::osend_frame(1, MessageId{outsider, 1}, "intruder");
+  env.transport.send(outsider, b.id(), frame);
   EXPECT_NO_THROW(env.run());
   EXPECT_EQ(recorded_b.log().size(), 0u);  // not delivered, just buffered
 }

@@ -1,29 +1,11 @@
-// Unit tests for logical clocks (Lamport, vector, matrix).
+// Unit tests for vector clocks.
 #include <gtest/gtest.h>
 
-#include "time/lamport_clock.h"
-#include "time/matrix_clock.h"
 #include "time/vector_clock.h"
 #include "util/ensure.h"
 
 namespace cbc {
 namespace {
-
-// ---------- Lamport ----------
-
-TEST(LamportClock, TickIncrements) {
-  LamportClock clock;
-  EXPECT_EQ(clock.time(), 0u);
-  EXPECT_EQ(clock.tick(), 1u);
-  EXPECT_EQ(clock.tick(), 2u);
-}
-
-TEST(LamportClock, ObserveJumpsPastRemote) {
-  LamportClock clock;
-  clock.tick();
-  EXPECT_EQ(clock.observe(10), 11u);
-  EXPECT_EQ(clock.observe(3), 12u);  // smaller remote still ticks
-}
 
 // ---------- VectorClock ----------
 
@@ -148,75 +130,6 @@ TEST(VectorClock, HappensBeforeTransitiveAlongMessageChain) {
   EXPECT_TRUE(events[1].happens_before(events[2]));
   EXPECT_TRUE(events[0].happens_before(events[2]));  // transitivity
   EXPECT_FALSE(events[2].happens_before(events[0]));
-}
-
-// ---------- MatrixClock ----------
-
-TEST(MatrixClock, StartsAllZero) {
-  MatrixClock m(3);
-  EXPECT_EQ(m.stable_count(0), 0u);
-  EXPECT_EQ(m.stable_cut(), VectorClock(3));
-}
-
-TEST(MatrixClock, StableCountIsColumnMinimum) {
-  MatrixClock m(3);
-  VectorClock v0(3);
-  v0.set(0, 5);
-  VectorClock v1(3);
-  v1.set(0, 3);
-  VectorClock v2(3);
-  v2.set(0, 4);
-  m.observe_row(0, v0);
-  m.observe_row(1, v1);
-  m.observe_row(2, v2);
-  EXPECT_EQ(m.stable_count(0), 3u);
-  EXPECT_TRUE(m.is_stable(0, 3));
-  EXPECT_FALSE(m.is_stable(0, 4));
-}
-
-TEST(MatrixClock, ObserveRowOnlyGrows) {
-  MatrixClock m(2);
-  VectorClock high(2);
-  high.set(0, 9);
-  m.observe_row(0, high);
-  VectorClock low(2);
-  low.set(0, 2);
-  m.observe_row(0, low);
-  EXPECT_EQ(m.row(0).at(0), 9u);
-}
-
-TEST(MatrixClock, MergeCombinesKnowledge) {
-  MatrixClock a(2);
-  MatrixClock b(2);
-  VectorClock va(2);
-  va.set(0, 4);
-  a.observe_row(0, va);
-  VectorClock vb(2);
-  vb.set(0, 4);
-  b.observe_row(1, vb);
-  a.merge(b);
-  EXPECT_EQ(a.stable_count(0), 4u);
-}
-
-TEST(MatrixClock, EncodeDecodeRoundTrip) {
-  MatrixClock m(3);
-  VectorClock v(3);
-  v.set(1, 7);
-  m.observe_row(2, v);
-  Writer writer;
-  m.encode(writer);
-  Reader reader(writer.bytes());
-  const MatrixClock copy = MatrixClock::decode(reader);
-  EXPECT_EQ(m, copy);
-}
-
-TEST(MatrixClock, ValidationErrors) {
-  EXPECT_THROW(MatrixClock(0), InvalidArgument);
-  MatrixClock m(2);
-  EXPECT_THROW((void)m.row(5), InvalidArgument);
-  EXPECT_THROW(m.observe_row(0, VectorClock(3)), InvalidArgument);
-  MatrixClock other(3);
-  EXPECT_THROW(m.merge(other), InvalidArgument);
 }
 
 }  // namespace
