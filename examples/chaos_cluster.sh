@@ -14,13 +14,19 @@
 # flight-recorder rings; flight2_killed.bin preserves the SIGKILLed
 # incarnation's ring before the relaunch overwrites the path).
 #
-# Usage: examples/chaos_cluster.sh [BUILD_DIR] [ROUNDS] [OPS] [OUT_DIR]
+# Usage: examples/chaos_cluster.sh [BUILD_DIR] [ROUNDS] [OPS] [OUT_DIR] [OBJECT]
+#
+# OBJECT picks the replicated object the cluster runs (--object; any
+# catalog name whose sync op is state-inert, as checkpoints require:
+# counter, queue, ...). Defaults to $CBC_CLUSTER_OBJECT when set, else
+# counter.
 set -eu
 
 BUILD_DIR=${1:-build}
 ROUNDS=${2:-8}
 OPS=${3:-10}
 OUT=${4:-$(mktemp -d /tmp/cbc_chaos.XXXXXX)}
+OBJECT=${5:-${CBC_CLUSTER_OBJECT:-counter}}
 QUIESCE_ROUND=2
 SUSPECT_MS=4000
 NODE_BIN=$BUILD_DIR/src/net/cbc_node
@@ -55,7 +61,7 @@ start_node() {
   i=$1
   shift
   "$NODE_BIN" --config "$OUT/cluster.txt" --id "$i" \
-      --rounds "$ROUNDS" --ops "$OPS" \
+      --rounds "$ROUNDS" --ops "$OPS" --object "$OBJECT" \
       --fault-plan "$OUT/fault.txt" \
       --checkpoint "$OUT/checkpoint$i.bin" \
       --suspect-timeout-ms "$SUSPECT_MS" \

@@ -1,59 +1,12 @@
 #include "fault/state_transfer.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
+#include <string>
 
-#include <chrono>
-#include <cstring>
-
-#include "transport/reliable.h"
+#include "net/oob_client.h"
 #include "util/ensure.h"
 #include "util/serde.h"
 
 namespace cbc::fault {
-
-namespace {
-
-/// Wraps an oob payload in the on-the-wire framing the peer's stack
-/// expects: the batching layer's one-entry batch around a reliable kOob
-/// frame.
-std::vector<std::uint8_t> frame_for_wire(
-    std::span<const std::uint8_t> oob_payload) {
-  Writer oob;
-  oob.u8(ReliableEndpoint::kOobFrameType);
-  oob.raw(oob_payload);
-  Writer batch;
-  batch.u32(1);
-  batch.blob(oob.bytes());
-  return batch.take();
-}
-
-/// Scans one received datagram (batch framing) for a kOob inner frame
-/// carrying a parseable StateResponse.
-std::optional<Checkpoint> scan_datagram(std::span<const std::uint8_t> bytes) {
-  try {
-    Reader reader(bytes);
-    const std::uint32_t count = reader.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::span<const std::uint8_t> inner = reader.blob_view();
-      if (inner.empty() || inner[0] != ReliableEndpoint::kOobFrameType) {
-        continue;
-      }
-      std::optional<Checkpoint> snapshot =
-          parse_state_response(inner.subspan(1));
-      if (snapshot.has_value()) {
-        return snapshot;
-      }
-    }
-  } catch (const SerdeError&) {
-    // Not batch framing (or truncated) — some other traffic aimed at the
-    // dead member's address. Ignore.
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_state_request(const StateRequest& request) {
   Writer writer;
@@ -106,54 +59,64 @@ std::optional<Checkpoint> parse_state_response(
   }
 }
 
-std::optional<Checkpoint> fetch_checkpoint_blocking(
-    const StateRequest& request, const TransferOptions& options) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  require(fd >= 0, "state transfer: cannot create socket");
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&options.self),
-             sizeof(options.self)) != 0) {
-    ::close(fd);
-    throw InvalidArgument(
-        "state transfer: cannot bind the member's own address (is the old "
-        "process still running?)");
-  }
-  timeval tv{};
-  tv.tv_sec = options.retry_interval_ms / 1000;
-  tv.tv_usec = (options.retry_interval_ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+std::vector<std::uint8_t> encode_state_refusal(const StateRefusal& refusal) {
+  Writer writer;
+  writer.u8(kStateRefusalTag);
+  writer.u64(refusal.response_bytes);
+  writer.u64(refusal.datagram_cap);
+  return writer.take();
+}
 
-  const std::vector<std::uint8_t> wire =
-      frame_for_wire(encode_state_request(request));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options.timeout_ms);
-  std::vector<std::uint8_t> buf(64 * 1024);
-  std::optional<Checkpoint> result;
-  // The request is re-sent on a wall-clock period (not on recv timeouts):
-  // peers keep retransmitting old traffic at the dead member's address, so
-  // the socket is rarely silent — the retry must not starve behind it.
-  auto next_request = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (std::chrono::steady_clock::now() >= next_request) {
-      (void)::sendto(fd, wire.data(), wire.size(), 0,
-                     reinterpret_cast<const sockaddr*>(&options.peer),
-                     sizeof(options.peer));
-      next_request = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(options.retry_interval_ms);
+std::optional<StateRefusal> parse_state_refusal(
+    std::span<const std::uint8_t> payload) {
+  try {
+    Reader reader(payload);
+    if (reader.u8() != kStateRefusalTag) {
+      return std::nullopt;
     }
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0) {
-      continue;  // recv timeout elapsed — loop re-checks the retry clock
+    StateRefusal refusal;
+    refusal.response_bytes = reader.u64();
+    refusal.datagram_cap = reader.u64();
+    if (!reader.exhausted()) {
+      return std::nullopt;
     }
-    result = scan_datagram(
-        std::span<const std::uint8_t>(buf.data(), static_cast<std::size_t>(n)));
-    if (result.has_value()) {
-      break;
-    }
+    return refusal;
+  } catch (const SerdeError&) {
+    return std::nullopt;
   }
-  ::close(fd);
-  return result;
+}
+
+std::vector<std::uint8_t> encode_state_reply(const Checkpoint& snapshot,
+                                             std::size_t datagram_cap) {
+  std::vector<std::uint8_t> response = encode_state_response(snapshot);
+  const std::size_t framed = net::OobClient::datagram(response)->size();
+  if (framed <= datagram_cap) {
+    return response;
+  }
+  return encode_state_refusal(
+      {.response_bytes = framed, .datagram_cap = datagram_cap});
+}
+
+std::optional<Checkpoint> fetch_checkpoint_blocking(
+    const StateRequest& request, const sockaddr_in& self,
+    const sockaddr_in& peer) {
+  net::OobClient client({self});
+  std::optional<Checkpoint> snapshot;
+  std::optional<StateRefusal> refusal;
+  const auto reply = [&](std::span<const std::uint8_t> payload) {
+    snapshot = parse_state_response(payload);
+    refusal = parse_state_refusal(payload);
+    return snapshot.has_value() || refusal.has_value();
+  };
+  (void)client.exchange(0, peer, encode_state_request(request),
+                        kTransferDeadline, reply);
+  if (refusal.has_value()) {
+    throw InvalidArgument(
+        "state transfer refused: the peer's checkpoint response is " +
+        std::to_string(refusal->response_bytes) + " bytes, over its " +
+        std::to_string(refusal->datagram_cap) + "-byte datagram cap");
+  }
+  return snapshot;
 }
 
 }  // namespace cbc::fault

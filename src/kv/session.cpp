@@ -1,13 +1,8 @@
 #include "kv/session.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <utility>
 
-#include "transport/reliable.h"
 #include "util/ensure.h"
 
 namespace cbc::kv {
@@ -16,42 +11,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Wraps an oob payload in the on-the-wire framing a shard's stack
-/// expects: the batching layer's one-entry batch around a reliable kOob
-/// frame (the fault::state_transfer client speaks the same dialect).
-std::vector<std::uint8_t> frame_for_wire(
-    std::span<const std::uint8_t> oob_payload) {
-  Writer oob;
-  oob.u8(ReliableEndpoint::kOobFrameType);
-  oob.raw(oob_payload);
-  Writer batch;
-  batch.u32(1);
-  batch.blob(oob.bytes());
-  return batch.take();
+std::vector<net::ClusterConfig> shard_configs(const KvLayout& layout) {
+  std::vector<net::ClusterConfig> configs;
+  configs.reserve(layout.shards);
+  for (std::size_t shard = 0; shard < layout.shards; ++shard) {
+    configs.push_back(layout.shard_config(shard));
+  }
+  return configs;
 }
 
-/// Extracts every kOob inner payload from one received datagram. Non-oob
-/// inner frames (a replica's endpoint may aim control traffic at the
-/// router slot once it has seen oob from there) are skipped; non-batch
-/// framing yields nothing.
-std::vector<std::vector<std::uint8_t>> scan_datagram(
-    std::span<const std::uint8_t> bytes) {
-  std::vector<std::vector<std::uint8_t>> payloads;
-  try {
-    Reader reader(bytes);
-    const std::uint32_t count = reader.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::span<const std::uint8_t> inner = reader.blob_view();
-      if (inner.empty() || inner[0] != ReliableEndpoint::kOobFrameType) {
-        continue;
-      }
-      const std::span<const std::uint8_t> payload = inner.subspan(1);
-      payloads.emplace_back(payload.begin(), payload.end());
-    }
-  } catch (const SerdeError&) {
-    payloads.clear();  // not batch framing — stray traffic, drop whole
+std::vector<sockaddr_in> router_slots(
+    const std::vector<net::ClusterConfig>& configs, NodeId slot) {
+  std::vector<sockaddr_in> addresses;
+  addresses.reserve(configs.size());
+  for (const net::ClusterConfig& config : configs) {
+    addresses.push_back(config.sockaddr_of(slot));
   }
-  return payloads;
+  return addresses;
 }
 
 }  // namespace
@@ -59,89 +35,33 @@ std::vector<std::vector<std::uint8_t>> scan_datagram(
 KvClient::KvClient(KvLayout layout, Options options)
     : layout_(std::move(layout)),
       map_(layout_.shards == 0 ? 1 : layout_.shards),
-      options_(options) {
+      options_(options),
+      configs_(shard_configs(layout_)),
+      oob_(router_slots(configs_, layout_.router_slot())) {
   require(layout_.shards >= 1 && layout_.replicas >= 1,
           "kv client: layout must have at least one shard and one replica");
-  require(options_.recv_timeout_ms > 0 && options_.resend_interval_ms > 0 &&
-              options_.exchange_timeout_ms > 0,
+  require(options_.exchange_timeout_ms > 0,
           "kv client: timeouts must be positive");
-  configs_.reserve(layout_.shards);
-  fds_.reserve(layout_.shards);
-  for (std::size_t shard = 0; shard < layout_.shards; ++shard) {
-    configs_.push_back(layout_.shard_config(shard));
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0) {
-      break;  // fall through to the cleanup + throw below
-    }
-    const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    const sockaddr_in self = configs_[shard].sockaddr_of(layout_.router_slot());
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&self), sizeof(self)) !=
-        0) {
-      ::close(fd);
-      break;
-    }
-    timeval tv{};
-    tv.tv_sec = options_.recv_timeout_ms / 1000;
-    tv.tv_usec = (options_.recv_timeout_ms % 1000) * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    fds_.push_back(fd);
-  }
-  if (fds_.size() != layout_.shards) {
-    for (const int fd : fds_) {
-      ::close(fd);
-    }
-    fds_.clear();
-    throw InvalidArgument(
-        "kv client: cannot bind a shard's router slot (is another driver "
-        "already attached to this deployment?)");
-  }
-}
-
-KvClient::~KvClient() {
-  for (const int fd : fds_) {
-    ::close(fd);
-  }
 }
 
 bool KvClient::map_exchange(std::size_t shard, std::size_t rank,
                             std::uint64_t nonce, std::int64_t timeout_ms) {
   MapRequest request;
   request.nonce = nonce;
-  const std::vector<std::uint8_t> wire =
-      frame_for_wire(encode_map_request(request));
-  const sockaddr_in peer =
-      configs_[shard].sockaddr_of(static_cast<NodeId>(rank));
-  const int fd = fds_[shard];
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::vector<std::uint8_t> buf(64 * 1024);
-  auto next_request = Clock::now();
-  while (Clock::now() < deadline) {
-    if (Clock::now() >= next_request) {
-      (void)::sendto(fd, wire.data(), wire.size(), 0,
-                     reinterpret_cast<const sockaddr*>(&peer), sizeof(peer));
-      next_request =
-          Clock::now() + std::chrono::milliseconds(options_.resend_interval_ms);
-    }
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0) {
-      continue;  // recv timeout — loop re-checks the resend clock
-    }
-    for (const std::vector<std::uint8_t>& payload : scan_datagram(
-             std::span<const std::uint8_t>(buf.data(),
-                                           static_cast<std::size_t>(n)))) {
-      const std::optional<MapResponse> response = parse_map_response(payload);
-      if (!response.has_value() || response->nonce != nonce) {
-        ++stats_.stray_datagrams;
-        continue;
-      }
-      // Shape disagreement is a deployment bug, not a transient: fail.
-      return response->shards == layout_.shards &&
-             response->replicas == layout_.replicas &&
-             response->shard == shard && response->rank == rank;
-    }
-  }
-  return false;
+  std::optional<MapResponse> response;
+  const auto matches = [&](std::span<const std::uint8_t> payload) {
+    response = parse_map_response(payload);
+    return response.has_value() && response->nonce == nonce;
+  };
+  const net::OobClient::Outcome outcome = oob_.exchange(
+      shard, configs_[shard].sockaddr_of(static_cast<NodeId>(rank)),
+      encode_map_request(request), std::chrono::milliseconds(timeout_ms),
+      matches);
+  stats_.stray_datagrams += outcome.strays;
+  // Shape disagreement is a deployment bug, not a transient: fail.
+  return outcome.answered && response->shards == layout_.shards &&
+         response->replicas == layout_.replicas && response->shard == shard &&
+         response->rank == rank;
 }
 
 bool KvClient::wait_ready(std::int64_t timeout_ms) {
@@ -174,45 +94,24 @@ std::optional<OpResponse> KvClient::exchange(std::size_t shard,
                                              std::size_t rank,
                                              const OpRequest& request) {
   ++stats_.exchanges;
-  const std::vector<std::uint8_t> wire =
-      frame_for_wire(encode_op_request(request));
-  const sockaddr_in peer =
-      configs_[shard].sockaddr_of(static_cast<NodeId>(rank));
-  const int fd = fds_[shard];
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.exchange_timeout_ms);
-  std::vector<std::uint8_t> buf(64 * 1024);
-  bool sent_once = false;
-  auto next_request = Clock::now();
-  while (Clock::now() < deadline) {
-    if (Clock::now() >= next_request) {
-      (void)::sendto(fd, wire.data(), wire.size(), 0,
-                     reinterpret_cast<const sockaddr*>(&peer), sizeof(peer));
-      if (sent_once) {
-        ++stats_.resends;
-      }
-      sent_once = true;
-      next_request =
-          Clock::now() + std::chrono::milliseconds(options_.resend_interval_ms);
-    }
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0) {
-      continue;
-    }
-    for (const std::vector<std::uint8_t>& payload : scan_datagram(
-             std::span<const std::uint8_t>(buf.data(),
-                                           static_cast<std::size_t>(n)))) {
-      const std::optional<OpResponse> response = parse_op_response(payload);
-      if (!response.has_value() || response->session != request.session ||
-          response->request != request.request) {
-        ++stats_.stray_datagrams;  // stale resend echo or foreign traffic
-        continue;
-      }
-      return response;
-    }
+  std::optional<OpResponse> response;
+  const auto matches = [&](std::span<const std::uint8_t> payload) {
+    // A stale resend echo or foreign traffic does not match.
+    response = parse_op_response(payload);
+    return response.has_value() && response->session == request.session &&
+           response->request == request.request;
+  };
+  const net::OobClient::Outcome outcome = oob_.exchange(
+      shard, configs_[shard].sockaddr_of(static_cast<NodeId>(rank)),
+      encode_op_request(request),
+      std::chrono::milliseconds(options_.exchange_timeout_ms), matches);
+  stats_.resends += outcome.resends;
+  stats_.stray_datagrams += outcome.strays;
+  if (!outcome.answered) {
+    ++stats_.exchange_timeouts;
+    return std::nullopt;
   }
-  ++stats_.exchange_timeouts;
-  return std::nullopt;
+  return response;
 }
 
 KvSession::KvSession(KvClient& client, std::uint64_t id)

@@ -3,11 +3,11 @@
 //
 // KvClient is the front-end manager's network half: it binds each
 // shard's *router slot* (a config entry the shard's replicas can
-// address, deliberately outside the causal group view) and exchanges
-// kOob-framed kv wire messages with replicas. It is pre-stack plumbing
-// in the style of fault::fetch_checkpoint_blocking — plain sockets,
-// wall-clock resend, scan-and-match — and is single-threaded by design:
-// one driver process owns the deployment's router slots.
+// address, deliberately outside the causal group view) and exchanges kv
+// wire messages with replicas as out-of-band payloads, through the same
+// net::OobClient that fault::fetch_checkpoint_blocking uses. It is
+// single-threaded by design: one driver process owns the deployment's
+// router slots.
 //
 // KvSession is the §5.2 story: every operation carries the session's
 // context token, every kOk response folds the serving shard's updated
@@ -18,8 +18,6 @@
 // chains that hop sessions stay readable.
 #pragma once
 
-#include <netinet/in.h>
-
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,6 +26,7 @@
 
 #include "kv/shard_map.h"
 #include "kv/wire.h"
+#include "net/oob_client.h"
 
 namespace cbc::kv {
 
@@ -36,8 +35,6 @@ namespace cbc::kv {
 class KvClient {
  public:
   struct Options {
-    std::int64_t recv_timeout_ms = 20;      ///< single recv() wait
-    std::int64_t resend_interval_ms = 100;  ///< request re-send period
     std::int64_t exchange_timeout_ms = 5000;  ///< per exchange() deadline
   };
 
@@ -52,17 +49,14 @@ class KvClient {
   /// (another driver already owns the deployment).
   KvClient(KvLayout layout, Options options);
   explicit KvClient(KvLayout layout) : KvClient(std::move(layout), Options{}) {}
-  ~KvClient();
-
-  KvClient(const KvClient&) = delete;
-  KvClient& operator=(const KvClient&) = delete;
 
   /// Blocks until every replica of every shard answers a map exchange
   /// agreeing on the deployment shape; false on timeout.
   [[nodiscard]] bool wait_ready(std::int64_t timeout_ms);
 
   /// Sends one op request to (shard, rank) and waits for the matching
-  /// response, re-sending on a wall-clock period; nullopt on deadline.
+  /// response, re-sending every OobClient::kResendPeriod; nullopt on
+  /// deadline.
   [[nodiscard]] std::optional<OpResponse> exchange(std::size_t shard,
                                                    std::size_t rank,
                                                    const OpRequest& request);
@@ -81,7 +75,7 @@ class KvClient {
   Options options_;
   Stats stats_;
   std::vector<net::ClusterConfig> configs_;  // one per shard
-  std::vector<int> fds_;                     // one per shard
+  net::OobClient oob_;  // socket s is bound at shard s's router slot
 };
 
 /// One causal session over the sharded service: routes ops by key hash,

@@ -273,14 +273,16 @@ class Node {
   }
 
   /// Serves a recovering peer's StateRequest with the latest stable-point
-  /// checkpoint, over the reliable layer's out-of-band frames.
+  /// checkpoint, over the reliable layer's out-of-band frames — or with a
+  /// refusal naming its size when it cannot fit one datagram.
   void on_oob(cbc::NodeId from, std::span<const std::uint8_t> payload) {
     if (!cbc::fault::parse_state_request(payload).has_value() ||
         !latest_checkpoint_.has_value()) {
       return;
     }
-    osend().send_oob(from,
-                     cbc::fault::encode_state_response(*latest_checkpoint_));
+    osend().send_oob(from, cbc::fault::encode_state_reply(
+                               *latest_checkpoint_,
+                               runtime_.udp().max_datagram_bytes()));
     if (recovery_transfers_ != nullptr) {
       recovery_transfers_->inc();
     }
@@ -682,12 +684,10 @@ cbc::fault::Checkpoint fetch_checkpoint(const NodeArgs& args,
   }
   cbc::require(peer != args.id && peer < config.size(),
                "--transfer-from must name another member");
-  cbc::fault::TransferOptions transfer;
-  transfer.self = config.sockaddr_of(args.id);
-  transfer.peer = config.sockaddr_of(peer);
   std::optional<cbc::fault::Checkpoint> recovered =
       cbc::fault::fetch_checkpoint_blocking({.requester = args.id, .have = 0},
-                                            transfer);
+                                            config.sockaddr_of(args.id),
+                                            config.sockaddr_of(peer));
   cbc::require(recovered.has_value(),
                "state transfer timed out — no checkpoint from member " +
                    std::to_string(peer));

@@ -94,6 +94,9 @@ class UdpTransport final : public Transport {
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
+  [[nodiscard]] std::size_t max_datagram_bytes() const {
+    return options_.max_datagram_bytes;
+  }
 
  private:
   struct Endpoint {

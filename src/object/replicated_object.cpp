@@ -17,11 +17,4 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   return hash;
 }
 
-std::uint64_t ReplicatedObject::state_digest() const {
-  Writer writer;
-  encode(writer);
-  const std::vector<std::uint8_t> bytes = writer.take();
-  return fnv1a64(bytes);
-}
-
 }  // namespace cbc::object

@@ -39,8 +39,8 @@ struct Op {
 /// object.
 [[nodiscard]] Op nop(std::uint64_t tag);
 
-/// FNV-1a 64-bit over a byte span — the content digest used for object
-/// state digests and read-your-state responses (e.g. Document::publish).
+/// FNV-1a 64-bit over a byte span — the content digest of read-your-state
+/// responses (e.g. Document::publish) and of kv keys and fences.
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 
 /// Abstract replicated state machine. Implementations must be
@@ -74,9 +74,6 @@ class ReplicatedObject {
   [[nodiscard]] virtual bool equals(const ReplicatedObject& other) const = 0;
 
   [[nodiscard]] virtual std::string to_string() const = 0;
-
-  /// Digest of the serialized state (reports, publish responses).
-  [[nodiscard]] std::uint64_t state_digest() const;
 };
 
 }  // namespace cbc::object

@@ -20,8 +20,8 @@
 // Components whose stats predate the registry (OrderingStats,
 // ReliableStats, BatchStats, UdpTransport::Stats) migrate via *collectors*:
 // a callback that reads the component's own struct (under the component's
-// lock) and emits name/value pairs at scrape time. obs/collectors.h has
-// ready-made adapters.
+// lock) and emits name/value pairs at scrape time; each component
+// registers its own from the obs::Hooks it is given.
 //
 // Exposition: render_prometheus() emits the Prometheus plaintext format
 // (counters, gauges, cumulative `_bucket{le=...}` histograms plus

@@ -84,35 +84,17 @@ SharedBuffer BatchingTransport::pack(const std::vector<SharedBuffer>& frames) {
 
 void BatchingTransport::unpack(NodeId from, const WireFrame& batch,
                                const Handler& handler) {
-  // Batch framing is untrusted wire input: a truncated or corrupt batch
-  // drops the undecodable tail (counted) instead of tearing down the
-  // receive path. Only the framing parse is guarded — what a handler
-  // throws for an inner message is its own layer's business.
-  Reader reader(batch.bytes());
-  std::uint32_t count = 0;
-  try {
-    count = reader.u32();
-  } catch (const SerdeError&) {
+  // A truncated or corrupt batch drops its undecodable tail (counted)
+  // instead of tearing down the receive path.
+  const bool intact = for_each_frame(
+      batch.bytes(), [&](std::span<const std::uint8_t> inner) {
+        const auto offset =
+            static_cast<std::size_t>(inner.data() - batch.buffer->data());
+        handler(from, WireFrame(batch.buffer, offset, inner.size()));
+      });
+  if (!intact) {
     const LockGuard guard(mutex_);
     stats_.decode_errors += 1;
-    return;
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::span<const std::uint8_t> inner;
-    try {
-      inner = reader.blob_view();
-    } catch (const SerdeError&) {
-      const LockGuard guard(mutex_);
-      stats_.decode_errors += 1;
-      return;
-    }
-    if (inner.empty()) {
-      handler(from, WireFrame(batch.buffer, 0, 0));
-      continue;
-    }
-    const auto offset =
-        static_cast<std::size_t>(inner.data() - batch.buffer->data());
-    handler(from, WireFrame(batch.buffer, offset, inner.size()));
   }
 }
 

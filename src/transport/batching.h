@@ -16,12 +16,15 @@
 // event) and ThreadTransport (the queue is mutex-guarded; the timer runs on
 // the transport's timer thread). Everything registered on one
 // BatchingTransport speaks the batch framing — don't mix endpoints of the
-// inner transport with endpoints of the decorator.
+// inner transport with endpoints of the decorator. A client with no
+// stack (net::OobClient) speaks it through pack() and for_each_frame(),
+// the parser unpack() runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "obs/metrics.h"
 #include "transport/transport.h"
 #include "util/buffer.h"
+#include "util/serde.h"
 #include "util/thread_annotations.h"
 
 namespace cbc {
@@ -70,11 +74,21 @@ class BatchingTransport final : public Transport {
 
   [[nodiscard]] BatchStats stats() const;
 
+  /// Packs `frames` into one batch buffer (the per-batch allocation).
+  [[nodiscard]] static SharedBuffer pack(
+      const std::vector<SharedBuffer>& frames);
+
+  /// Calls `visit` with each inner frame of `batch`, in order. Returns
+  /// false when the framing is truncated or corrupt (untrusted wire
+  /// input): the frames before the fault have been visited. Only the
+  /// framing parse is guarded — what `visit` throws propagates.
+  template <typename Visit>
+  static bool for_each_frame(std::span<const std::uint8_t> batch,
+                             Visit&& visit);
+
  private:
   using LinkKey = std::pair<NodeId, NodeId>;  // (from, to)
 
-  /// Packs `frames` into one batch buffer (the per-batch allocation).
-  [[nodiscard]] static SharedBuffer pack(const std::vector<SharedBuffer>& frames);
   void unpack(NodeId from, const WireFrame& batch, const Handler& handler);
   /// Arms at most one timer while queues are non-empty.
   void maybe_arm_timer() CBC_REQUIRES(mutex_);
@@ -95,5 +109,27 @@ class BatchingTransport final : public Transport {
   // Last member: unregisters before the stats it reads are torn down.
   obs::CollectorHandle collector_;
 };
+
+template <typename Visit>
+bool BatchingTransport::for_each_frame(std::span<const std::uint8_t> batch,
+                                       Visit&& visit) {
+  Reader reader(batch);
+  std::uint32_t count = 0;
+  try {
+    count = reader.u32();
+  } catch (const SerdeError&) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::span<const std::uint8_t> frame;
+    try {
+      frame = reader.blob_view();
+    } catch (const SerdeError&) {
+      return false;
+    }
+    visit(frame);
+  }
+  return true;
+}
 
 }  // namespace cbc

@@ -80,7 +80,6 @@ ReliableEndpoint::ReliableEndpoint(Transport& transport, Handler handler,
           sink.counter(prefix + ".peer_unresponsive_events",
                        s.peer_unresponsive_events);
           sink.counter(prefix + ".oob_frames", s.oob_frames);
-          sink.counter(prefix + ".retained_capped", s.retained_capped);
           sink.counter("clock.samples", s.clock_samples);
         });
   }
@@ -118,14 +117,27 @@ void ReliableEndpoint::send(NodeId to, SharedBuffer payload) {
 
 void ReliableEndpoint::send_oob(NodeId to,
                                 std::span<const std::uint8_t> payload) {
-  Writer frame;
-  frame.u8(static_cast<std::uint8_t>(FrameType::kOob));
-  frame.raw(payload);
   {
     const LockGuard guard(mutex_);
     note_sent(to, transport_.now_us());
   }
-  transport_.send(id_, to, frame.take_shared());
+  transport_.send(id_, to, make_buffer(oob_frame(payload)));
+}
+
+std::vector<std::uint8_t> ReliableEndpoint::oob_frame(
+    std::span<const std::uint8_t> payload) {
+  Writer frame;
+  frame.u8(static_cast<std::uint8_t>(FrameType::kOob));
+  frame.raw(payload);
+  return frame.take();
+}
+
+std::optional<std::span<const std::uint8_t>> ReliableEndpoint::oob_payload(
+    std::span<const std::uint8_t> frame) {
+  if (frame.empty() || frame[0] != static_cast<std::uint8_t>(FrameType::kOob)) {
+    return std::nullopt;
+  }
+  return frame.subspan(1);
 }
 
 SharedBuffer ReliableEndpoint::make_data_frame(
@@ -144,23 +156,23 @@ void ReliableEndpoint::send_control_frame(NodeId source) {
   {
     const LockGuard guard(mutex_);
     PeerRecvState& peer = recv_state_[source];
-    peer.last_acked = peer.contiguous;
+    const SeqNo floor = peer.received.floor();
+    peer.last_acked = floor;
     std::vector<std::uint64_t> missing;
-    if (!peer.above.empty()) {
+    if (peer.has_gap()) {
       // Capped: bounds the control frame and the scan even if the gap is
       // enormous; later scans pick up where this one stopped once the low
-      // seqs are recovered and contiguous advances.
-      const SeqNo highest = *peer.above.rbegin();
-      for (SeqNo seq = peer.contiguous + 1;
-           seq < highest && missing.size() < kMaxNackEntries;
-           ++seq) {
-        if (peer.above.count(seq) == 0) {
+      // seqs are recovered and the floor advances.
+      const SeqNo highest = *peer.received.above().rbegin();
+      for (SeqNo seq = floor + 1;
+           seq < highest && missing.size() < kMaxNackEntries; ++seq) {
+        if (!peer.received.contains(seq)) {
           missing.push_back(seq);
         }
       }
     }
     frame.u8(static_cast<std::uint8_t>(FrameType::kControl));
-    frame.u64(std::min(peer.contiguous, peer.ack_ceiling));
+    frame.u64(std::min(floor, peer.ack_ceiling));
     frame.u64_vec(missing);
     stats_.control_frames += 1;
     note_sent(source, transport_.now_us());
@@ -237,8 +249,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
           update_clock_offset(from, hb_echo_origin_us, hb_echo_rx_us,
                               hb_origin_us, wall_now)) {
         // Two's-complement signed offset; --align reads it back.
-        const auto offset_us =
-            static_cast<std::int64_t>(clock.estimate.offset_us);
+        const auto offset_us = static_cast<std::int64_t>(clock.offset_us);
         obs::flight_record(obs::FlightEvent::kClockOffset, MessageId{from, 0},
                            static_cast<std::uint64_t>(offset_us));
       }
@@ -263,20 +274,13 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     bool resynced = false;
     {
       const LockGuard guard(mutex_);
-      PeerRecvState& peer = recv_state_[from];
-      if (seq == 0 ||
-          seq > peer.contiguous + 1 + kMaxForwardWindow) {
+      PrefixSeqSet& received = recv_state_[from].received;
+      if (seq == 0 || seq > received.floor() + 1 + kMaxForwardWindow) {
         stats_.malformed_frames += 1;
         return;
       }
-      if (seq - 1 > peer.contiguous) {
-        peer.contiguous = seq - 1;
-        peer.above.erase(peer.above.begin(),
-                         peer.above.upper_bound(peer.contiguous));
-        while (peer.above.count(peer.contiguous + 1) != 0) {
-          peer.above.erase(peer.contiguous + 1);
-          peer.contiguous += 1;
-        }
+      if (seq - 1 > received.floor()) {
+        received.raise_floor(seq - 1);
         stats_.window_resyncs += 1;
         resynced = true;
         maybe_arm_receiver_timer();
@@ -292,22 +296,18 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     bool duplicate = false;
     {
       const LockGuard guard(mutex_);
-      PeerRecvState& peer = recv_state_[from];
-      if (seq > peer.contiguous + kMaxForwardWindow) {
+      PrefixSeqSet& received = recv_state_[from].received;
+      if (seq > received.floor() + kMaxForwardWindow) {
         stats_.malformed_frames += 1;
         return;
       }
-      duplicate = seq <= peer.contiguous || peer.above.count(seq) != 0;
+      duplicate = received.contains(seq);
       if (duplicate) {
         stats_.duplicates_suppressed += 1;
         obs::flight_record(obs::FlightEvent::kDupDrop, MessageId{from, seq},
                            from);
       } else {
-        peer.above.insert(seq);
-        while (peer.above.count(peer.contiguous + 1) != 0) {
-          peer.above.erase(peer.contiguous + 1);
-          peer.contiguous += 1;
-        }
+        received.insert(seq);
         stats_.data_delivered += 1;
         maybe_arm_receiver_timer();
         // Lockstep link seqs: seq from this peer IS its broadcast seq.
@@ -550,36 +550,24 @@ bool ReliableEndpoint::update_clock_offset(NodeId from, std::int64_t t1,
   const double offset =
       (static_cast<double>(t2 - t1) + static_cast<double>(t3 - t4)) / 2.0;
   PeerClock& clock = clocks_[from];
-  ClockOffset& estimate = clock.estimate;
-  if (estimate.samples == 0) {
-    estimate.offset_us = offset;
-    estimate.rtt_us = static_cast<double>(rtt);
+  if (clock.samples == 0) {
+    clock.offset_us = offset;
+    clock.rtt_us = static_cast<double>(rtt);
   } else {
     // EWMA smoothing: heartbeat cadence is slow, so favour new samples
     // enough to track drift but damp one-off queueing spikes.
-    estimate.offset_us += 0.25 * (offset - estimate.offset_us);
-    estimate.rtt_us += 0.25 * (static_cast<double>(rtt) - estimate.rtt_us);
+    clock.offset_us += 0.25 * (offset - clock.offset_us);
+    clock.rtt_us += 0.25 * (static_cast<double>(rtt) - clock.rtt_us);
   }
-  estimate.samples += 1;
+  clock.samples += 1;
   stats_.clock_samples += 1;
   if (clock.offset_gauge != nullptr) {
-    clock.offset_gauge->set(static_cast<std::int64_t>(estimate.offset_us));
+    clock.offset_gauge->set(static_cast<std::int64_t>(clock.offset_us));
   }
   if (clock.rtt_gauge != nullptr) {
-    clock.rtt_gauge->set(static_cast<std::int64_t>(estimate.rtt_us));
+    clock.rtt_gauge->set(static_cast<std::int64_t>(clock.rtt_us));
   }
   return true;
-}
-
-std::map<NodeId, ClockOffset> ReliableEndpoint::clock_offsets() const {
-  const LockGuard guard(mutex_);
-  std::map<NodeId, ClockOffset> out;
-  for (const auto& [peer, clock] : clocks_) {
-    if (clock.estimate.samples > 0) {
-      out.emplace(peer, clock.estimate);
-    }
-  }
-  return out;
 }
 
 std::vector<NodeId> ReliableEndpoint::suspected_peers() const {
@@ -620,18 +608,6 @@ void ReliableEndpoint::note_sent(NodeId to, SimTime now) {
   }
 }
 
-std::size_t ReliableEndpoint::cap_dead_peer_retention(PeerSendState& peer) {
-  std::size_t dropped = 0;
-  while (peer.unacked.size() > options_.max_retained_per_dead_peer) {
-    // Lowest seqs first: the survivor keeps the newest tail, and the
-    // window-base handshake tells a revived peer where the window now
-    // starts — the dropped prefix is covered by recovery baselines.
-    peer.unacked.erase(peer.unacked.begin());
-    dropped += 1;
-  }
-  return dropped;
-}
-
 void ReliableEndpoint::maybe_arm_liveness_timer() {
   if (liveness_timer_armed_ || liveness_.empty() ||
       options_.heartbeat_interval_us <= 0) {
@@ -663,20 +639,6 @@ void ReliableEndpoint::on_liveness_timer() {
           liveness.alive_gauge->set(0.0);
         }
         newly_suspected.push_back(peer);
-      }
-      // A peer suspected past the grace window is treated as dead for
-      // retention purposes: cap its unacked backlog so a permanently
-      // silent peer cannot pin unbounded sender memory. A revived
-      // incarnation recovers via the kWindowBase resync + checkpoint
-      // transfer, exactly like a peer chasing pruned history.
-      if (options_.max_retained_per_dead_peer > 0 && liveness.suspected &&
-          now - liveness.last_heard_us >
-              options_.suspect_after_us + options_.dead_peer_grace_us) {
-        const auto send_it = send_state_.find(peer);
-        if (send_it != send_state_.end()) {
-          stats_.retained_capped +=
-              cap_dead_peer_retention(send_it->second);
-        }
       }
     }
     maybe_arm_liveness_timer();
@@ -731,7 +693,7 @@ void ReliableEndpoint::set_ack_ceiling(NodeId peer, SeqNo ceiling) {
     const LockGuard guard(mutex_);
     PeerRecvState& state = recv_state_[peer];
     raised = ceiling > state.ack_ceiling &&
-             state.ack_ceiling < state.contiguous;
+             state.ack_ceiling < state.received.floor();
     state.ack_ceiling = ceiling;
   }
   if (raised) {

@@ -8,8 +8,8 @@
 // the causal/total layers whose job it is to mask it.
 //
 // Mechanism:
-//  - per (source, destination) link sequence numbers; receivers dedupe and
-//    track the contiguous prefix + a sparse set above it;
+//  - per (source, destination) link sequence numbers; receivers dedupe
+//    against a PrefixSeqSet (the contiguous prefix + the seqs above it);
 //  - receivers with detected gaps periodically send control frames
 //    carrying (cumulative ack, missing list) — fast NACK recovery;
 //  - senders with unacked data periodically retransmit it — this covers
@@ -24,7 +24,10 @@
 //  - a restarted receiver whose window predates what the sender still
 //    retains is fast-forwarded by a kWindowBase frame (crash recovery:
 //    everything below the sender's retained window was acked by the old
-//    incarnation, hence covered by the recovery baseline).
+//    incarnation, hence covered by the recovery baseline);
+//  - out-of-band frames (kOob) carry unsequenced payloads past the link
+//    state to an oob_handler — the carrier of pre-stack exchanges, whose
+//    clients build and parse them with oob_frame() / oob_payload().
 // All timers except the (opt-in) liveness timer are armed only while their
 // condition holds, so a quiescent system schedules no events (required for
 // Scheduler::run() to finish).
@@ -39,7 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +50,7 @@
 #include "obs/metrics.h"
 #include "transport/transport.h"
 #include "util/buffer.h"
+#include "util/prefix_seq_set.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
@@ -74,21 +78,8 @@ struct ReliableStats {
   /// Peers whose retransmit backoff reached its cap.
   std::uint64_t peer_unresponsive_events = 0;
   std::uint64_t oob_frames = 0;  ///< out-of-band frames received
-  /// Unacked data frames dropped toward suspected-dead peers once the
-  /// retention cap kicked in (rejoin is covered by checkpoint transfer).
-  std::uint64_t retained_capped = 0;
   /// Pairwise clock-offset samples completed (heartbeat echo round trips).
   std::uint64_t clock_samples = 0;
-};
-
-/// One peer's estimated clock relation, from NTP-style timestamp echoes
-/// piggybacked on the liveness heartbeats (see on_liveness_timer):
-/// `offset_us` is (peer wall clock − local wall clock), EWMA-smoothed;
-/// `rtt_us` is the matching round-trip estimate.
-struct ClockOffset {
-  double offset_us = 0.0;
-  double rtt_us = 0.0;
-  std::uint64_t samples = 0;
 };
 
 /// One member's reliable link bundle over a Transport.
@@ -128,16 +119,6 @@ class ReliableEndpoint {
         oob_handler{};
     bool enabled = true;  ///< false: pass-through (zero overhead on a
                           ///< loss-free transport such as default sim runs)
-    /// Extra grace past suspect_after_us before unacked retention toward
-    /// a suspected peer is capped (see max_retained_per_dead_peer).
-    SimTime dead_peer_grace_us = 0;
-    /// Cap on data frames retained for a peer that has been suspected for
-    /// longer than suspect_after_us + dead_peer_grace_us: older frames
-    /// beyond the cap are dropped (lowest seqs first) and counted in
-    /// ReliableStats::retained_capped — a rejoining incarnation recovers
-    /// them from checkpoint/state transfer, not retransmission. 0 keeps
-    /// today's unbounded retention.
-    std::size_t max_retained_per_dead_peer = 0;
     /// Observability sinks (metrics collector for ReliableStats).
     /// Default: off. Retransmits and duplicate drops are journaled in
     /// the flight ring regardless.
@@ -175,14 +156,6 @@ class ReliableEndpoint {
   /// Currently suspected peers (monitored, silent past the timeout).
   [[nodiscard]] std::vector<NodeId> suspected_peers() const;
 
-  /// Current pairwise clock-offset estimates (monitored peers that have
-  /// completed at least one heartbeat echo round trip). Exported as
-  /// `clock.offset_us.<peer>` / `clock.rtt_us.<peer>` gauges when
-  /// metrics are attached, and journaled as kClockOffset flight records
-  /// (decoded as `clock_offset` trace instants) so
-  /// `cbc_trace_merge --align` can shift node timelines onto one clock.
-  [[nodiscard]] std::map<NodeId, ClockOffset> clock_offsets() const;
-
   /// Fast-forwards every per-link send sequence to at least `next_seq`
   /// (existing links and links created later). Recovery hook: a member
   /// restored from a checkpoint re-enters with the link sequence its old
@@ -206,10 +179,13 @@ class ReliableEndpoint {
 
   [[nodiscard]] ReliableStats stats() const;
 
-  /// Wire value of the out-of-band frame type ([u8 kOobFrameType][payload]
-  /// with no other header) — public so pre-stack bootstrap code can craft
-  /// and parse oob frames without an endpoint.
-  static constexpr std::uint8_t kOobFrameType = 5;
+  /// `payload` as the out-of-band frame send_oob() puts on the wire, for
+  /// a client that has no endpoint.
+  [[nodiscard]] static std::vector<std::uint8_t> oob_frame(
+      std::span<const std::uint8_t> payload);
+  /// The payload of an out-of-band frame; nullopt for any other frame.
+  [[nodiscard]] static std::optional<std::span<const std::uint8_t>>
+  oob_payload(std::span<const std::uint8_t> frame);
 
  private:
   enum class FrameType : std::uint8_t {
@@ -223,7 +199,7 @@ class ReliableEndpoint {
     // optional on parse.
     kHeartbeat = 3,
     kWindowBase = 4,   // [u8][u64 base] — lowest seq the sender retains
-    kOob = kOobFrameType,  // [u8][payload] — out-of-band passthrough
+    kOob = 5,          // [u8][payload] — out-of-band passthrough
   };
 
   /// Bytes of the [u8 type][u64 seq] prefix of a data frame.
@@ -244,26 +220,35 @@ class ReliableEndpoint {
     bool suspected = false;
     obs::Gauge* alive_gauge = nullptr;
   };
-  /// Clock-offset estimation state for one monitored peer.
+  /// Clock-offset estimation state for one monitored peer, from
+  /// NTP-style timestamp echoes piggybacked on the liveness heartbeats
+  /// (see on_liveness_timer). Exported as `clock.offset_us.<peer>` /
+  /// `clock.rtt_us.<peer>` gauges when metrics are attached, and
+  /// journaled as kClockOffset flight records (decoded as `clock_offset`
+  /// trace instants) so `cbc_trace_merge --align` can shift node
+  /// timelines onto one clock.
   struct PeerClock {
     /// Send timestamp inside the peer's last heartbeat, and the local
     /// wall clock when it arrived — echoed back in our next heartbeat.
     std::int64_t last_rx_origin_us = 0;
     std::int64_t last_rx_wall_us = 0;
-    ClockOffset estimate;
+    /// (peer wall clock − local wall clock) and the round trip, both
+    /// EWMA-smoothed over `samples` completed echoes.
+    double offset_us = 0.0;
+    double rtt_us = 0.0;
+    std::uint64_t samples = 0;
     obs::Gauge* offset_gauge = nullptr;
     obs::Gauge* rtt_gauge = nullptr;
   };
   struct PeerRecvState {
-    SeqNo contiguous = 0;   // all seqs <= contiguous received
-    SeqNo last_acked = 0;   // contiguous value last sent in a control frame
+    PrefixSeqSet received;
+    SeqNo last_acked = 0;  // floor last sent in a control frame
     /// Highest seq this node may acknowledge (see set_ack_ceiling).
     SeqNo ack_ceiling = ~static_cast<SeqNo>(0);
-    std::set<SeqNo> above;  // received seqs > contiguous
-    [[nodiscard]] bool has_gap() const {
-      return !above.empty() && *above.begin() != contiguous + 1;
+    [[nodiscard]] bool has_gap() const { return !received.above().empty(); }
+    [[nodiscard]] bool ack_pending() const {
+      return received.floor() > last_acked;
     }
-    [[nodiscard]] bool ack_pending() const { return contiguous > last_acked; }
   };
 
   void on_frame(NodeId from, const WireFrame& frame);
@@ -296,11 +281,6 @@ class ReliableEndpoint {
   /// Advances one link's backoff after a retransmit pass, counting a
   /// peer_unresponsive_event when it first reaches the cap.
   void schedule_next_retransmit(PeerSendState& peer, SimTime now)
-      CBC_REQUIRES(mutex_);
-  /// Enforces max_retained_per_dead_peer for one long-suspected peer:
-  /// drops the oldest unacked frames beyond the cap. Returns frames
-  /// dropped (counted into retained_capped by the caller's tally).
-  std::size_t cap_dead_peer_retention(PeerSendState& peer)
       CBC_REQUIRES(mutex_);
 
   Transport& transport_;

@@ -32,7 +32,7 @@
 //   kRankTimer    (530)   ThreadTransport's timer queue (armed from under
 //                         reliable/batching locks, hence above 300)
 //   kRankLoopPending(800) EventLoop's cross-thread task queue
-//   kRankLeaf     (900)   push-only leaves (object catalog, log sink) —
+//   kRankLeaf     (900)   push-only leaves (the object catalog) —
 //                         safe to take while holding anything above.
 //
 // Header-only and dependency-free (util/ensure.h only) so every layer can

@@ -1,9 +1,10 @@
 // Crash-recovery persistence edges: every way a checkpoint file can be
 // unreadable (missing, truncated, version-bumped, magic-corrupted) must
-// be a clean InvalidArgument — recovery code paths branch on that — and
-// an InvariantChecker seeded via restore() must chain new stable cycles
+// be a clean InvalidArgument — recovery code paths branch on that — an
+// InvariantChecker seeded via restore() must chain new stable cycles
 // off the restored digest tail while treating floor-covered deliveries
-// as already seen.
+// as already seen, and a checkpoint too large for one datagram is
+// answered with a refusal, not a response the transport would drop.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +21,8 @@
 #include "check/invariant_checker.h"
 #include "common/group_fixture.h"
 #include "fault/checkpoint.h"
+#include "fault/state_transfer.h"
+#include "net/oob_client.h"
 #include "time/vector_clock.h"
 #include "util/digest_window.h"
 #include "util/ensure.h"
@@ -146,6 +149,23 @@ TEST(CheckpointFile, VersionMismatchAndBadMagicThrow) {
   lying.save(path);
   EXPECT_THROW((void)Checkpoint::load(path), InvalidArgument);
   std::remove(path.c_str());
+}
+
+// ---------- State transfer ----------
+
+TEST(StateTransfer, ReplyRefusesAResponseThatOverflowsOneDatagram) {
+  const Checkpoint snapshot = sample_checkpoint();
+  const std::vector<std::uint8_t> response =
+      fault::encode_state_response(snapshot);
+  // The batch header (count, length) and the oob type byte.
+  const std::size_t framed = net::OobClient::datagram(response)->size();
+  EXPECT_EQ(framed, response.size() + 9);
+  EXPECT_EQ(fault::encode_state_reply(snapshot, framed), response);
+  const auto refusal = fault::parse_state_refusal(
+      fault::encode_state_reply(snapshot, framed - 1));
+  ASSERT_TRUE(refusal.has_value());
+  EXPECT_EQ(refusal->response_bytes, framed);
+  EXPECT_EQ(refusal->datagram_cap, framed - 1);
 }
 
 // ---------- InvariantChecker::restore ----------

@@ -1,12 +1,10 @@
-// Tests for the extension features: the causal-activity builder,
-// lazy-replication baseline, and dynamic view changes via the flush
-// protocol.
+// Tests for the extension features: the lazy-replication baseline and
+// dynamic view changes via the flush protocol.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 
-#include "activity/activity_builder.h"
 #include "apps/counter.h"
 #include "apps/registry.h"
 #include "baseline/lazy_replication.h"
@@ -22,63 +20,6 @@ namespace {
 
 using testkit::Group;
 using testkit::SimEnv;
-
-// ---------- ActivityBuilder ----------
-
-TEST(ActivityBuilder, EmitsTheCanonicalPattern) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 2);
-  ActivityBuilder builder(group[0]);
-  const MessageId mo = builder.open("mo");
-  const MessageId m1 = builder.concurrent("m1");
-  const MessageId m2 = builder.concurrent("m2");
-  EXPECT_TRUE(builder.activity_open());
-  EXPECT_EQ(builder.current_set().size(), 2u);
-  const MessageId close = builder.close("m3");
-  EXPECT_FALSE(builder.activity_open());
-  EXPECT_EQ(builder.activities_completed(), 1u);
-  env.run();
-
-  const MessageGraph& graph = group.graph(1);
-  EXPECT_TRUE(graph.reaches(mo, m1));
-  EXPECT_TRUE(graph.reaches(mo, m2));
-  EXPECT_TRUE(graph.concurrent(m1, m2));
-  EXPECT_TRUE(graph.reaches(m1, close));
-  EXPECT_TRUE(graph.reaches(m2, close));
-}
-
-TEST(ActivityBuilder, ChainsActivitiesThroughCloses) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 2);
-  ActivityBuilder builder(group[0]);
-  builder.concurrent("a1.c1");
-  const MessageId close1 = builder.close("a1.close");
-  const MessageId c2 = builder.concurrent("a2.c1");  // anchored on close1
-  const MessageId close2 = builder.close("a2.close");
-  env.run();
-  const MessageGraph& graph = group.graph(1);
-  EXPECT_TRUE(graph.reaches(close1, c2));
-  EXPECT_TRUE(graph.reaches(close1, close2));
-  EXPECT_EQ(builder.activities_completed(), 2u);
-}
-
-TEST(ActivityBuilder, OpenTwiceRejected) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 2);
-  ActivityBuilder builder(group[0]);
-  builder.open("mo");
-  EXPECT_THROW(builder.open("again"), InvalidArgument);
-}
-
-TEST(ActivityBuilder, EmptyCloseChainsSyncMessages) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 2);
-  ActivityBuilder builder(group[0]);
-  const MessageId s1 = builder.close("sync1");
-  const MessageId s2 = builder.close("sync2");
-  env.run();
-  EXPECT_TRUE(group.graph(1).reaches(s1, s2));
-}
 
 // ---------- Lazy replication baseline ----------
 

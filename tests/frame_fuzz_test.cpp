@@ -18,6 +18,7 @@
 #include "graph/dep_spec.h"
 #include "graph/message_id.h"
 #include "kv/wire.h"
+#include "net/oob_client.h"
 #include "time/vector_clock.h"
 #include "transport/batching.h"
 #include "transport/reliable.h"
@@ -200,6 +201,39 @@ TEST(FrameFuzz, HeartbeatAndOobFramesTolerateTruncationAndFlips) {
 
 // ---------- State-transfer oob payloads ----------
 
+/// Whether the client's scanner finds a payload `parse` accepts.
+template <typename Parse>
+bool scanned(std::span<const std::uint8_t> datagram, Parse parse) {
+  std::uint64_t strays = 0;
+  return net::OobClient::scan(
+      datagram,
+      [&](std::span<const std::uint8_t> payload) {
+        return parse(payload).has_value();
+      },
+      strays);
+}
+
+/// The client's side of one payload: every strict prefix and every bit
+/// flip of the datagram carrying it goes through the scanner. No prefix
+/// yields the payload, no flip throws, and the whole datagram yields it.
+template <typename Parse>
+void sweep_scanner(const std::vector<std::uint8_t>& payload, Parse parse) {
+  const SharedBuffer packed = net::OobClient::datagram(payload);
+  const std::vector<std::uint8_t> datagram(packed->bytes().begin(),
+                                           packed->bytes().end());
+  for (std::size_t cut = 0; cut < datagram.size(); ++cut) {
+    EXPECT_FALSE(scanned(std::span(datagram).first(cut), parse))
+        << "datagram prefix of " << cut << " bytes parsed";
+  }
+  for (std::size_t i = 0; i < datagram.size(); ++i) {
+    std::vector<std::uint8_t> mutated = datagram;
+    mutated[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_NO_THROW((void)scanned(mutated, parse))
+        << "bit flip in datagram byte " << i;
+  }
+  EXPECT_TRUE(scanned(datagram, parse));
+}
+
 TEST(FrameFuzz, EveryTruncationOfAStateRequestParsesToNullopt) {
   const std::vector<std::uint8_t> full =
       fault::encode_state_request({.requester = 2, .have = 7});
@@ -212,6 +246,7 @@ TEST(FrameFuzz, EveryTruncationOfAStateRequestParsesToNullopt) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->requester, 2u);
   EXPECT_EQ(parsed->have, 7u);
+  sweep_scanner(full, &fault::parse_state_request);
 }
 
 TEST(FrameFuzz, TruncatedAndBitFlippedStateResponsesNeverAbort) {
@@ -243,6 +278,31 @@ TEST(FrameFuzz, TruncatedAndBitFlippedStateResponsesNeverAbort) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->stable_digests, snapshot.stable_digests);
   EXPECT_EQ(parsed->app_state, snapshot.app_state);
+  sweep_scanner(full, &fault::parse_state_response);
+}
+
+TEST(FrameFuzz, TruncatedAndBitFlippedStateRefusalsNeverAbort) {
+  const std::vector<std::uint8_t> full = fault::encode_state_refusal(
+      {.response_bytes = 70'000, .datagram_cap = 61'440});
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> sliced(full.begin(), full.begin() + cut);
+    EXPECT_EQ(fault::parse_state_refusal(sliced), std::nullopt)
+        << "prefix of " << cut << " bytes parsed";
+  }
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    std::vector<std::uint8_t> mutated = full;
+    mutated[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_NO_THROW((void)fault::parse_state_refusal(mutated))
+        << "bit flip in byte " << i;
+  }
+  // Each tag parses only as its own payload.
+  EXPECT_EQ(fault::parse_state_response(full), std::nullopt);
+  EXPECT_EQ(fault::parse_state_request(full), std::nullopt);
+  const auto parsed = fault::parse_state_refusal(full);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->response_bytes, 70'000u);
+  EXPECT_EQ(parsed->datagram_cap, 61'440u);
+  sweep_scanner(full, &fault::parse_state_refusal);
 }
 
 // ---------- Batch framing ----------

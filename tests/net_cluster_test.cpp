@@ -244,6 +244,54 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
   EXPECT_EQ(cluster.report(2)->at("recovered"), "1");
 }
 
+TEST(Cluster, CheckpointOverOneDatagramFailsRecoveryAtOnce) {
+  // A queue checkpoint carries every enqueued item (16 B each); 180
+  // enqueues a round take it to ~86 KB by the quiesce round, past
+  // UdpTransport's 60 KiB datagram cap. The serving member answers the
+  // state request with a refusal naming the size, so --recover exits 1
+  // at once with the size on stderr — not after the 30 s transfer
+  // deadline, for a response the transport drops on every retry.
+  // Rounds stay at 61 frames per link: with checkpoints nothing is acked
+  // before the first stable point, and a retransmit pass resends only
+  // the 64 lowest unacked frames, so frames sent before a member bound
+  // its socket are recovered only inside that window (see ROADMAP).
+  constexpr std::int64_t kQuiesceRound = 29;
+  ClusterHarness cluster({.nodes = 3,
+                          .rounds = 40,
+                          .ops_per_round = 60,
+                          .object = "queue",
+                          .checkpoints = true,
+                          .suspect_timeout_ms = 4'000});
+  cluster.start_node(0);
+  cluster.start_node(1);
+  cluster.start_node(2,
+                     {"--quiesce-at-round", std::to_string(kQuiesceRound)});
+  ASSERT_TRUE(cluster.wait_for_progress(2, "quiesced", 1));
+  ASSERT_TRUE(cluster.wait_for_progress(0, "syncs", kQuiesceRound + 1));
+  ASSERT_TRUE(cluster.wait_for_progress(1, "syncs", kQuiesceRound + 1));
+  cluster.kill_node(2);
+
+  const std::string err = cluster.dir() + "/recover_stderr.txt";
+  const pid_t pid = testkit::spawn(
+      {CBC_NODE_BIN, "--config", cluster.config_path(), "--id", "2",
+       "--rounds", "40", "--ops", "60", "--object", "queue", "--checkpoint",
+       cluster.checkpoint_path(2), "--recover"},
+      err);
+  EXPECT_EQ(testkit::wait_exit(pid, 5000), std::optional<int>(1));
+  cluster.terminate_all();
+  const std::string text = testkit::read_file(err);
+  EXPECT_NE(text.find("cbc_node: fatal: state transfer refused"),
+            std::string::npos)
+      << text;
+  const std::string size_marker = "checkpoint response is ";
+  const std::size_t at = text.find(size_marker);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GT(std::stoull(text.substr(at + size_marker.size())), 61'440u)
+      << text;
+  EXPECT_NE(text.find("over its 61440-byte datagram cap"), std::string::npos)
+      << text;
+}
+
 TEST(Cluster, TotalOrderSmokeConverges) {
   // ASend deterministic-merge total order over real UDP: every member
   // submits up front; the merged sequence (and thus the digest) must be

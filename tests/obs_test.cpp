@@ -15,7 +15,6 @@
 #include "causal/osend.h"
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
-#include "obs/collectors.h"
 #include "obs/flight_recorder.h"
 #include "obs/instrument_layer.h"
 #include "obs/json_lite.h"
@@ -312,19 +311,6 @@ TEST(ObsStack, InstrumentationLayerMetersTheBoundary) {
   // 2 messages delivered at each of 2 members.
   EXPECT_EQ(snap.at("stack.deliveries"), 4.0);
   EXPECT_EQ(snap.at("stack.submit_to_deliver_us.count"), 4.0);
-}
-
-TEST(ObsStack, MemberStatsCollectorAdoptsUnhookedMember) {
-  SimEnv env;
-  obs::MetricsRegistry registry;
-  Group<OSendMember> group(env.transport, 2);
-  const obs::CollectorHandle handle =
-      obs::attach_member_stats(registry, "m0", group[0]);
-  group[0].osend("a", bytes(1), DepSpec::none());
-  env.run();
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.at("m0.broadcasts"), 1.0);
-  EXPECT_EQ(snap.at("m0.delivered"), 1.0);
 }
 
 TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {

@@ -18,6 +18,7 @@ namespace {
 
 constexpr std::uint8_t kDataType = 1;
 constexpr std::uint8_t kControlType = 2;
+constexpr std::uint8_t kWindowBaseType = 4;
 
 /// Raw endpoint that records every arriving frame verbatim.
 struct RawPeer {
@@ -46,13 +47,34 @@ struct RawPeer {
     transport.send(id, to, writer.take_shared());
   }
 
-  /// Frames received that are data frames (first byte == kData).
-  [[nodiscard]] std::size_t data_frames() const {
+  void send_window_base(NodeId to, SeqNo base) {
+    Writer writer;
+    writer.u8(kWindowBaseType);
+    writer.u64(base);
+    transport.send(id, to, writer.take_shared());
+  }
+
+  /// Frames received whose first byte is `type`.
+  [[nodiscard]] std::size_t frames_of(std::uint8_t type) const {
     std::size_t count = 0;
     for (const auto& [from, bytes] : received) {
-      count += !bytes.empty() && bytes[0] == kDataType;
+      count += !bytes.empty() && bytes[0] == type;
     }
     return count;
+  }
+  [[nodiscard]] std::size_t data_frames() const { return frames_of(kDataType); }
+
+  /// The bases of every kWindowBase frame received, in arrival order.
+  [[nodiscard]] std::vector<SeqNo> window_bases() const {
+    std::vector<SeqNo> bases;
+    for (const auto& [from, bytes] : received) {
+      if (!bytes.empty() && bytes[0] == kWindowBaseType) {
+        Reader reader{std::span<const std::uint8_t>(bytes)};
+        reader.u8();
+        bases.push_back(reader.u64());
+      }
+    }
+    return bases;
   }
 
   /// Parses the most recent control frame as (cumulative, missing).
@@ -192,50 +214,57 @@ TEST(ReliableEdge, UnknownFrameTypeDroppedAndCounted) {
   EXPECT_EQ(rig.delivered, (std::vector<std::uint64_t>{42}));
 }
 
-TEST(ReliableEdge, DeadPeerRetentionCappedAfterGraceWindow) {
-  // A peer that goes silent long enough to be suspected must not pin
-  // unbounded sender memory: once suspect_after_us + dead_peer_grace_us
-  // elapses, retention toward it is capped (oldest seqs dropped first)
-  // and every drop is counted in retained_capped.
-  testkit::SimEnv env;
-  RawPeer peer(env.transport);
-  ReliableEndpoint::Options options;
-  options.suspect_after_us = 10'000;
-  options.dead_peer_grace_us = 20'000;
-  options.max_retained_per_dead_peer = 4;
-  ReliableEndpoint endpoint(
-      env.transport, [](NodeId, const WireFrame&) {}, options);
-  endpoint.monitor_peers({peer.id});
-
-  for (std::uint64_t value = 0; value < 10; ++value) {
-    Writer writer;
-    writer.u64(value);
-    endpoint.send(peer.id, writer.take_shared());
+TEST(ReliableEdge, AckBelowTheRetainedWindowIsAnsweredWithItsBase) {
+  // Sender half of the window-base handshake: a cumulative ack below the
+  // lowest seq the sender still retains comes from a restarted receiver
+  // chasing history its old incarnation acked, so the sender names where
+  // its window starts instead of waiting for NACKs it can never serve.
+  EdgeRig rig;
+  for (std::uint8_t value = 1; value <= 5; ++value) {
+    rig.endpoint.send(rig.peer.id, std::vector<std::uint8_t>{value});
   }
-  EXPECT_EQ(endpoint.unacked_total(), 10u);
+  rig.env.run_until(1500);
+  ASSERT_EQ(rig.peer.data_frames(), 5u);
+  rig.peer.send_control(rig.endpoint.id(), 2, {});  // 3..5 stay retained
+  rig.env.run_until(3500);
+  EXPECT_TRUE(rig.peer.window_bases().empty());  // the window's own edge
+  rig.peer.send_control(rig.endpoint.id(), 0, {});  // a fresh incarnation
+  rig.env.run_until(5500);
+  EXPECT_EQ(rig.peer.window_bases(), (std::vector<SeqNo>{3}));
+  EXPECT_EQ(rig.endpoint.stats().retransmissions, 0u);
+}
 
-  // Inside suspect + grace: the peer may be slow, not dead — everything
-  // is still retained for retransmission.
-  env.run_until(25'000);
-  EXPECT_EQ(endpoint.unacked_total(), 10u);
-  EXPECT_EQ(endpoint.stats().retained_capped, 0u);
-  EXPECT_EQ(endpoint.suspected_peers(), std::vector<NodeId>{peer.id});
+TEST(ReliableEdge, WindowBaseRaisesTheFloorPastHeldSeqsAndAcksAtOnce) {
+  // Receiver half: seqs 3 and 4 are held above the hole at 2 when the
+  // sender says its window starts at 3. The floor jumps to 2 and absorbs
+  // the held seqs, one resync is counted, and the new floor is acked at
+  // once, not at the next control tick.
+  EdgeRig rig;
+  rig.peer.send_data(rig.endpoint.id(), 1, 10);
+  rig.peer.send_data(rig.endpoint.id(), 3, 12);
+  rig.peer.send_data(rig.endpoint.id(), 4, 13);
+  rig.env.run_until(1500);
+  ASSERT_EQ(rig.delivered, (std::vector<std::uint64_t>{10, 12, 13}));
+  ASSERT_EQ(rig.peer.frames_of(kControlType), 0u);
 
-  // Past the grace window the liveness timer enforces the cap.
-  env.run_until(60'000);
-  EXPECT_EQ(endpoint.unacked_total(), 4u);
-  EXPECT_EQ(endpoint.stats().retained_capped, 6u);
+  rig.peer.send_window_base(rig.endpoint.id(), 3);  // arrives at 2500
+  // The immediate ack lands at 3500; the control tick due at 3000 would
+  // land at 4000.
+  rig.env.run_until(3600);
+  EXPECT_EQ(rig.endpoint.stats().window_resyncs, 1u);
+  EXPECT_EQ(rig.peer.frames_of(kControlType), 1u);
+  const auto [cumulative, missing] = rig.peer.last_control();
+  EXPECT_EQ(cumulative, 4u);
+  EXPECT_TRUE(missing.empty());
 
-  // New sends toward the still-dead peer are re-capped on later ticks
-  // rather than accumulating.
-  for (std::uint64_t value = 10; value < 13; ++value) {
-    Writer writer;
-    writer.u64(value);
-    endpoint.send(peer.id, writer.take_shared());
-  }
-  env.run_until(120'000);
-  EXPECT_EQ(endpoint.unacked_total(), 4u);
-  EXPECT_EQ(endpoint.stats().retained_capped, 9u);
+  // The floor covers the skipped seq, and a repeated base is no resync.
+  rig.peer.send_data(rig.endpoint.id(), 2, 11);
+  rig.peer.send_window_base(rig.endpoint.id(), 3);
+  rig.env.run();
+  EXPECT_EQ(rig.delivered, (std::vector<std::uint64_t>{10, 12, 13}));
+  EXPECT_EQ(rig.endpoint.stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(rig.endpoint.stats().window_resyncs, 1u);
+  EXPECT_EQ(rig.env.scheduler.pending(), 0u);
 }
 
 TEST(ReliableEdge, DuplicateOfGapFrameStillAboveContiguousIsSuppressed) {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/ensure.h"
-#include "util/logging.h"
 #include "util/prefix_seq_set.h"
 #include "util/rng.h"
 #include "util/serde.h"
@@ -362,30 +361,6 @@ TEST(Counters, IncrementAndQuery) {
   const std::string summary = c.summary();
   EXPECT_NE(summary.find("msgs=5"), std::string::npos);
   EXPECT_NE(summary.find("drops=1"), std::string::npos);
-}
-
-// ---------- logging ----------
-
-TEST(Logging, SinkReceivesEnabledLevels) {
-  std::vector<std::pair<LogLevel, std::string>> records;
-  LogConfig::set_sink([&records](LogLevel level, std::string_view message) {
-    records.emplace_back(level, std::string(message));
-  });
-  LogConfig::set_min_level(LogLevel::kInfo);
-  Log(LogLevel::kDebug) << "hidden";
-  Log(LogLevel::kInfo) << "shown " << 42;
-  Log(LogLevel::kError) << "error";
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].second, "shown 42");
-  EXPECT_EQ(records[1].first, LogLevel::kError);
-  // Restore defaults for other tests.
-  LogConfig::set_min_level(LogLevel::kWarn);
-  LogConfig::set_sink([](LogLevel, std::string_view) {});
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_EQ(log_level_name(LogLevel::kTrace), "TRACE");
-  EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
 }
 
 }  // namespace
