@@ -35,17 +35,22 @@ struct LoopbackRig {
   LoopbackRig()
       : udp(loop, ClusterConfig::localhost(testkit::reserve_udp_ports(2))) {}
 
-  ~LoopbackRig() {
-    loop.stop();
-    if (thread.joinable()) {
-      thread.join();
-    }
-  }
+  ~LoopbackRig() { stop(); }
 
   void start() {
     thread = std::thread([this] { loop.run(); });
     while (!loop.running()) {
       std::this_thread::yield();
+    }
+  }
+
+  /// Stops and joins the loop thread. A decorator built over `udp` after
+  /// the rig must call this before it is destroyed: the loop may still
+  /// fire its timers or run its handlers.
+  void stop() {
+    loop.stop();
+    if (thread.joinable()) {
+      thread.join();
     }
   }
 
@@ -104,6 +109,7 @@ void BM_UdpLoopbackBatched(benchmark::State& state) {
     sent += frames;
     rig.wait_for(sent);
   }
+  rig.stop();  // the loop may still fire `batching`'s flush timer
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
   state.SetBytesProcessed(static_cast<std::int64_t>(sent * kPayloadBytes));
 }

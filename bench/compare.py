@@ -22,11 +22,11 @@ A file may hold the runs of several processes, their `benchmarks` lists
 concatenated; each benchmark is then gated on the median over processes.
 Repetitions inside one process do not capture the spread between
 processes, which on a shared 4-vCPU VM moved single rows by up to 90%,
-so BENCH_m1.json and CI's fresh m1 run each hold three processes,
+so BENCH_m1.json and CI's fresh m1 run each hold five processes,
 merged with
 
     jq -s '{context: .[0].context, benchmarks: [.[].benchmarks[]]}' \
-        RUN1.json RUN2.json RUN3.json > MERGED.json
+        RUN1.json RUN2.json RUN3.json RUN4.json RUN5.json > MERGED.json
 
 Benchmarks new in the fresh run are reported but never fail the gate, so
 adding benchmarks does not require touching the baseline in the same

@@ -132,7 +132,11 @@ void EventLoop::post(std::function<void()> task) {
     const LockGuard guard(pending_mutex_);
     pending_.push_back(std::move(task));
   }
-  wake();
+  // The loop thread is awake by definition, and run() does not block
+  // while a task is pending.
+  if (!in_loop_thread()) {
+    wake();
+  }
 }
 
 void EventLoop::schedule(SimTime delay_us, std::function<void()> action) {
@@ -168,12 +172,20 @@ void EventLoop::wake() {
   // A full pipe/eventfd already guarantees a pending wakeup; EAGAIN is fine.
   [[maybe_unused]] const ssize_t n =
       ::write(wake_write_, &one, wake_write_ == wake_read_ ? sizeof(one) : 1);
+  wakeup_writes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void EventLoop::drain_wakeup() {
+  // One read empties an eventfd's counter. A pipe holding more bytes than
+  // this stays readable, and the level-triggered poll comes back for it.
   std::uint8_t scratch[256];
-  while (::read(wake_read_, scratch, sizeof(scratch)) > 0) {
-  }
+  [[maybe_unused]] const ssize_t n =
+      ::read(wake_read_, scratch, sizeof(scratch));
+}
+
+bool EventLoop::has_posted_tasks() const {
+  const LockGuard guard(pending_mutex_);
+  return !pending_.empty();
 }
 
 void EventLoop::run_posted_tasks() {
@@ -188,11 +200,8 @@ void EventLoop::run_posted_tasks() {
 }
 
 int EventLoop::poll_timeout_ms() const {
-  {
-    const LockGuard guard(pending_mutex_);
-    if (!pending_.empty()) {
-      return 0;
-    }
+  if (has_posted_tasks()) {
+    return 0;
   }
   const std::optional<SimTime> due = wheel_.next_due_hint();
   if (!due.has_value()) {
@@ -211,8 +220,15 @@ void EventLoop::arm_timer_source() {
   if (timer_fd_ < 0) {
     return;
   }
-  itimerspec spec{};  // zeroed = disarm
+  // Unchanged deadline: the timerfd still holds it, so the loop wakes in
+  // time without a syscall. Once it has expired it is set again whatever
+  // the deadline: timerfd_settime also clears its readiness, which spares
+  // reading it.
   const std::optional<SimTime> due = wheel_.next_due_hint();
+  if (!timer_expired_ && due == timer_due_) {
+    return;
+  }
+  itimerspec spec{};  // zeroed = disarm
   if (due.has_value()) {
     const SimTime wait_us = std::max<SimTime>(*due - now_us(), 1);
     spec.it_value.tv_sec = wait_us / 1'000'000;
@@ -220,6 +236,9 @@ void EventLoop::arm_timer_source() {
   }
   ensure(::timerfd_settime(timer_fd_, 0, &spec, nullptr) == 0,
          "EventLoop: timerfd_settime failed");
+  timer_rearms_.fetch_add(1, std::memory_order_relaxed);
+  timer_due_ = due;
+  timer_expired_ = false;
 #endif
 }
 
@@ -230,10 +249,11 @@ void EventLoop::dispatch_fd(int fd) {
   }
 #if CBC_HAVE_EPOLL
   if (fd == timer_fd_) {
-    std::uint64_t expirations = 0;
-    [[maybe_unused]] const ssize_t n =
-        ::read(timer_fd_, &expirations, sizeof(expirations));
-    return;  // the wheel advance at the top of the iteration fires actions
+    // Not read: the next arm_timer_source() sets it again, which clears
+    // the expiry, and the wheel advance at the top of the next iteration
+    // fires the actions.
+    timer_expired_ = true;
+    return;
   }
 #endif
   const std::size_t i = watch_index(fd);
@@ -245,7 +265,7 @@ void EventLoop::dispatch_fd(int fd) {
 void EventLoop::run() {
   ensure(!running(), "EventLoop::run: already running");
   stop_requested_.store(false, std::memory_order_release);
-  loop_thread_ = std::this_thread::get_id();
+  loop_thread_.store(std::this_thread::get_id());
   running_.store(true, std::memory_order_release);
   // Leaves the loop idle however run() exits: an exception from a
   // callback unwinds through here, and ~EventLoop must not then find it
@@ -254,7 +274,7 @@ void EventLoop::run() {
     EventLoop& loop;
     ~Idle() {
       loop.running_.store(false, std::memory_order_release);
-      loop.loop_thread_ = std::thread::id{};
+      loop.loop_thread_.store(std::thread::id{});
     }
   } idle{*this};
   assert_in_loop();  // run() IS the loop thread: claim the capability
@@ -272,10 +292,13 @@ void EventLoop::run() {
     if (epoll_fd_ >= 0) {
       arm_timer_source();
       epoll_event events[64];
-      // timerfd wakes us at the next wheel deadline and the eventfd on any
-      // post/stop, so the blocking timeout is just a liveness backstop.
+      // timerfd wakes us at the next wheel deadline and the eventfd on a
+      // cross-thread post or stop, so the blocking timeout is just a
+      // liveness backstop. A task posted from the loop thread (by a timer
+      // action or another task) wrote no eventfd: poll, do not block.
+      const int wait_ms = has_posted_tasks() ? 0 : 1000;
       const int n = ::epoll_wait(epoll_fd_, events,
-                                 static_cast<int>(std::size(events)), 1000);
+                                 static_cast<int>(std::size(events)), wait_ms);
       if (n < 0) {
         ensure(errno == EINTR, "EventLoop: epoll_wait failed");
         continue;

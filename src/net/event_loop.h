@@ -4,12 +4,16 @@
 // object above it. The loop multiplexes three event sources:
 //   - file descriptors (readable), registered with add_fd();
 //   - timers, backed by a hashed TimerWheel (timer_wheel.h);
-//   - cross-thread work, marshalled in via post()/schedule() and a wakeup
-//     descriptor.
+//   - posted work, marshalled in via post()/schedule(). A post from
+//     another thread writes a wakeup descriptor; a post from the loop
+//     thread writes nothing, because the loop polls without blocking
+//     while any posted task is pending.
 //
 // Two backends share the same semantics:
 //   - epoll (Linux): epoll + eventfd wakeup + timerfd armed at the wheel's
-//     next deadline, giving sub-millisecond timer precision;
+//     next deadline, giving sub-millisecond timer precision. The timerfd
+//     is set only when that deadline moves or after it expired, and never
+//     read: setting it clears the expiry;
 //   - poll (portable fallback, or Options::force_poll): poll + self-pipe
 //     wakeup, timer deadlines rounded up to poll()'s millisecond timeout
 //     granularity.
@@ -26,6 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,6 +54,12 @@ class EventLoop {
   struct Options {
     bool force_poll = false;  ///< use the poll backend even where epoll exists
     TimerWheel::Options wheel;
+  };
+
+  /// The loop's own wake-up and timer syscalls.
+  struct Stats {
+    std::uint64_t wakeup_writes = 0;  ///< eventfd (poll: pipe) writes
+    std::uint64_t timer_rearms = 0;   ///< timerfd_settime calls (epoll)
   };
 
   EventLoop() : EventLoop(Options{}) {}
@@ -82,7 +93,9 @@ class EventLoop {
   void remove_fd(int fd);
 
   /// Enqueues `task` to run on the loop thread as soon as possible.
-  /// Thread-safe; wakes the loop if it is sleeping.
+  /// Thread-safe. From another thread it wakes the loop if it is
+  /// sleeping; from the loop thread it needs no wake-up, since the loop
+  /// does not block while a posted task is pending.
   void post(std::function<void()> task);
 
   /// Runs `action` on the loop thread after `delay_us` microseconds (at
@@ -107,11 +120,17 @@ class EventLoop {
 
   /// True iff called from the thread currently inside run().
   [[nodiscard]] bool in_loop_thread() const {
-    return running() && loop_thread_ == std::this_thread::get_id();
+    return running() && loop_thread_.load() == std::this_thread::get_id();
   }
 
   /// True iff this build uses the epoll backend (false: poll fallback).
   [[nodiscard]] bool uses_epoll() const { return epoll_fd_ >= 0; }
+
+  /// Wake-up writes and timer re-arms so far. Thread-safe.
+  [[nodiscard]] Stats stats() const {
+    return {wakeup_writes_.load(std::memory_order_relaxed),
+            timer_rearms_.load(std::memory_order_relaxed)};
+  }
 
  private:
   struct Watch {
@@ -121,6 +140,7 @@ class EventLoop {
 
   void wake();
   void drain_wakeup();
+  [[nodiscard]] bool has_posted_tasks() const;
   void run_posted_tasks() CBC_REQUIRES(capability_);
   void arm_timer_source() CBC_REQUIRES(capability_);
   [[nodiscard]] int poll_timeout_ms() const CBC_REQUIRES(capability_);
@@ -135,14 +155,21 @@ class EventLoop {
   // Loop-thread-only state.
   std::vector<Watch> watches_ CBC_GUARDED_BY(capability_);
   TimerWheel wheel_ CBC_GUARDED_BY(capability_);
-  std::thread::id loop_thread_;
+  // The deadline the timerfd was last armed for (nullopt: disarmed), and
+  // whether it has expired since. An expired timerfd stays readable until
+  // the next timerfd_settime, which the next arm must therefore make.
+  std::optional<SimTime> timer_due_ CBC_GUARDED_BY(capability_);
+  bool timer_expired_ CBC_GUARDED_BY(capability_) = false;
 
   // Cross-thread state.
+  std::atomic<std::thread::id> loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   mutable Mutex pending_mutex_{kRankLoopPending, "loop pending tasks"};
   std::vector<std::function<void()>> pending_
       CBC_GUARDED_BY(pending_mutex_);
+  std::atomic<std::uint64_t> wakeup_writes_{0};
+  std::atomic<std::uint64_t> timer_rearms_{0};
 
   // Backend descriptors. epoll_fd_ < 0 selects the poll backend.
   int epoll_fd_ = -1;

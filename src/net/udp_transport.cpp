@@ -4,8 +4,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/ensure.h"
 #include "util/serde.h"
@@ -13,6 +15,11 @@
 namespace cbc::net {
 
 namespace {
+
+/// Datagrams one recvmmsg call reads at most.
+constexpr std::size_t kRecvBatch = 8;
+/// One slab slot: room for any UDP/IPv4 payload (at most 65,507 B).
+constexpr std::size_t kRecvSlotBytes = 64 * 1024;
 
 int bind_udp_socket(const sockaddr_in& addr, int buffer_bytes) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
@@ -37,7 +44,11 @@ int bind_udp_socket(const sockaddr_in& addr, int buffer_bytes) {
 
 UdpTransport::UdpTransport(EventLoop& loop, ClusterConfig config,
                            Options options)
-    : loop_(loop), config_(std::move(config)), options_(std::move(options)) {
+    : loop_(loop),
+      config_(std::move(config)),
+      options_(std::move(options)),
+      recv_slab_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kRecvBatch * kRecvSlotBytes)) {
   if (options_.local_ids.empty()) {
     options_.local_ids = config_.to_view();
   }
@@ -60,6 +71,7 @@ UdpTransport::UdpTransport(EventLoop& loop, ClusterConfig config,
           const std::string& prefix = options_.obs.prefix;
           sink.counter(prefix + ".datagrams_sent", s.datagrams_sent);
           sink.counter(prefix + ".datagrams_received", s.datagrams_received);
+          sink.counter(prefix + ".recv_calls", s.recv_calls);
           sink.counter(prefix + ".send_errors", s.send_errors);
           sink.counter(prefix + ".oversize_drops", s.oversize_drops);
           sink.counter(prefix + ".unknown_source", s.unknown_source);
@@ -143,48 +155,61 @@ void UdpTransport::send(NodeId from, NodeId to, SharedBuffer frame) {
 void UdpTransport::on_readable(std::size_t endpoint_index) {
   Endpoint& endpoint = endpoints_[endpoint_index];
   for (;;) {
-    // Size the buffer exactly: peek the datagram length first so the
-    // bytes land once, in a buffer the whole stack can alias.
-    const ssize_t peeked =
-        ::recv(endpoint.fd, nullptr, 0, MSG_PEEK | MSG_TRUNC);
-    if (peeked < 0) {
-      ensure(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR,
-             "UdpTransport: recv(MSG_PEEK) failed");
-      return;
+    std::array<mmsghdr, kRecvBatch> messages{};
+    std::array<iovec, kRecvBatch> slots{};
+    std::array<sockaddr_in, kRecvBatch> sources{};
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      slots[i].iov_base = recv_slab_.get() + i * kRecvSlotBytes;
+      slots[i].iov_len = kRecvSlotBytes;
+      messages[i].msg_hdr.msg_name = &sources[i];
+      messages[i].msg_hdr.msg_namelen = sizeof(sources[i]);
+      messages[i].msg_hdr.msg_iov = &slots[i];
+      messages[i].msg_hdr.msg_iovlen = 1;
     }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(peeked));
-    sockaddr_in source{};
-    socklen_t source_len = sizeof(source);
-    const ssize_t n =
-        ::recvfrom(endpoint.fd, bytes.data(), bytes.size(), 0,
-                   reinterpret_cast<sockaddr*>(&source), &source_len);
+    const int n =
+        ::recvmmsg(endpoint.fd, messages.data(), kRecvBatch, 0, nullptr);
     if (n < 0) {
       ensure(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR,
-             "UdpTransport: recvfrom failed");
+             "UdpTransport: recvmmsg failed");
+      const LockGuard guard(stats_mutex_);
+      stats_.recv_calls += 1;
       return;
     }
-    bytes.resize(static_cast<std::size_t>(n));
+    const auto received = static_cast<std::size_t>(n);
 
-    const std::optional<NodeId> from = config_.node_at(
-        ntohl(source.sin_addr.s_addr), ntohs(source.sin_port));
-    if (!from.has_value()) {
-      const LockGuard guard(stats_mutex_);
-      stats_.unknown_source += 1;
-      continue;
+    // Copy every datagram out before any handler runs: the next call
+    // reuses the slab, and a handler may keep its frame.
+    std::array<std::pair<NodeId, WireFrame>, kRecvBatch> arrivals;
+    std::size_t known = 0;
+    for (std::size_t i = 0; i < received; ++i) {
+      const std::optional<NodeId> from = config_.node_at(
+          ntohl(sources[i].sin_addr.s_addr), ntohs(sources[i].sin_port));
+      if (!from.has_value()) {
+        continue;
+      }
+      const std::uint8_t* bytes = recv_slab_.get() + i * kRecvSlotBytes;
+      std::vector<std::uint8_t> copy(bytes, bytes + messages[i].msg_len);
+      arrivals[known++] = {*from, WireFrame(make_buffer(std::move(copy)))};
     }
     {
       const LockGuard guard(stats_mutex_);
-      stats_.datagrams_received += 1;
+      stats_.recv_calls += 1;
+      stats_.datagrams_received += known;
+      stats_.unknown_source += received - known;
     }
-    const WireFrame frame(make_buffer(std::move(bytes)));
-    try {
-      endpoint.handler(*from, frame);
-    } catch (const SerdeError&) {
-      // Untrusted bytes off the wire; the layers above count their own
-      // malformed-frame stats, this is the backstop that keeps a corrupt
-      // datagram from killing the loop.
-      const LockGuard guard(stats_mutex_);
-      stats_.handler_parse_errors += 1;
+    for (std::size_t i = 0; i < known; ++i) {
+      try {
+        endpoint.handler(arrivals[i].first, arrivals[i].second);
+      } catch (const SerdeError&) {
+        // Untrusted bytes off the wire; the layers above count their own
+        // malformed-frame stats, this is the backstop that keeps a corrupt
+        // datagram from killing the loop.
+        const LockGuard guard(stats_mutex_);
+        stats_.handler_parse_errors += 1;
+      }
+    }
+    if (received < kRecvBatch) {
+      return;  // the socket is empty: no trailing EAGAIN call
     }
   }
 }

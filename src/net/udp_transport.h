@@ -13,11 +13,15 @@
 // whose datagrams still traverse kernel loopback rather than a function
 // call. add_endpoint() binds the next local id's socket.
 //
-// Receive path is zero-copy-after-recv: the datagram size is learned with
-// recv(MSG_PEEK|MSG_TRUNC), the bytes land once in an exactly-sized
-// SharedBuffer, and the handler's WireFrame (and everything above it —
-// batch unpack, reliability sub-frames, envelope parse) aliases that one
-// allocation.
+// Receive path is one copy out of a reused recvmmsg slab: one recvmmsg
+// call reads up to 8 datagrams into a slab of 8 × 64 KiB slots, and each
+// datagram is copied once into its own exactly-sized SharedBuffer before
+// any handler runs, since handlers may keep the frame. The handler's
+// WireFrame (and everything above it — batch unpack, reliability
+// sub-frames, envelope parse) aliases that one allocation. A batch of
+// fewer than 8 means the socket is empty, so the read ends without a
+// call that fails with EAGAIN; both loop backends are level-triggered
+// and come back for anything that arrives later.
 //
 // Threading contract (see also transport.h):
 //  - receive handlers run ONLY on the EventLoop thread, serially;
@@ -34,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -65,6 +70,7 @@ class UdpTransport final : public Transport {
   struct Stats {
     std::uint64_t datagrams_sent = 0;
     std::uint64_t datagrams_received = 0;
+    std::uint64_t recv_calls = 0;      ///< recvmmsg calls, EAGAIN included
     std::uint64_t send_errors = 0;     ///< sendto failed (incl. EWOULDBLOCK)
     std::uint64_t oversize_drops = 0;  ///< frame > max_datagram_bytes
     std::uint64_t unknown_source = 0;  ///< datagram from an address not in
@@ -114,6 +120,10 @@ class UdpTransport final : public Transport {
   EventLoop& loop_;
   ClusterConfig config_;
   Options options_;
+  // The receive slab, written only by on_readable() on the loop thread.
+  // Left uninitialized, so the pages no datagram has reached are not
+  // resident.
+  const std::unique_ptr<std::uint8_t[]> recv_slab_;
 
   // Registration appends under the add_endpoint contract; storage is
   // reserved up front so entries never move, and registered_ publishes

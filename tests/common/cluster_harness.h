@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/node_report.h"
+#include "common/temp_dir.h"
 #include "common/udp_ports.h"
 #include "util/ensure.h"
 
@@ -79,7 +80,6 @@ class ClusterHarness {
       options_.object = env != nullptr && *env != '\0' ? env : "counter";
     }
     require(options_.groups >= 1, "ClusterHarness: groups must be >= 1");
-    dir_ = make_temp_dir();
     for (std::size_t g = 0; g < options_.groups; ++g) {
       if (g > 0) {
         require(::mkdir(group_dir(g).c_str(), 0755) == 0,
@@ -298,7 +298,7 @@ class ClusterHarness {
   /// Group 0 keeps the historical flat layout under dir(); group g > 0
   /// lives in dir()/g<g>/.
   [[nodiscard]] std::string group_dir(std::size_t group) const {
-    return group == 0 ? dir_ : dir_ + "/g" + std::to_string(group);
+    return group == 0 ? dir() : dir() + "/g" + std::to_string(group);
   }
   [[nodiscard]] std::string config_path(std::size_t group = 0) const {
     return group_dir(group) + "/cluster.txt";
@@ -356,7 +356,7 @@ class ClusterHarness {
     return options_.object;
   }
   [[nodiscard]] std::string fault_plan_path() const {
-    return dir_ + "/fault.txt";
+    return dir() + "/fault.txt";
   }
   /// The node's live metrics endpoint port, parsed from its report
   /// (written once the node reports; requires Options::observability).
@@ -371,7 +371,7 @@ class ClusterHarness {
     }
     return std::stoi(entry->second);
   }
-  [[nodiscard]] const std::string& dir() const { return dir_; }
+  [[nodiscard]] const std::string& dir() const { return dir_.path(); }
 
   /// Kept as a member for existing callers; the shared implementation
   /// lives in common/node_report.h.
@@ -381,15 +381,8 @@ class ClusterHarness {
   }
 
  private:
-  [[nodiscard]] static std::string make_temp_dir() {
-    std::string templ = "/tmp/cbc_cluster_XXXXXX";
-    const char* made = ::mkdtemp(templ.data());
-    require(made != nullptr, "ClusterHarness: mkdtemp failed");
-    return made;
-  }
-
   Options options_;
-  std::string dir_;
+  TempDir dir_{"/tmp/cbc_cluster_"};  // removed unless the test failed
   std::map<std::pair<std::size_t, std::size_t>, pid_t> pids_;
 };
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/node_report.h"
+#include "common/temp_dir.h"
 #include "common/udp_ports.h"
 #include "kv/shard_map.h"
 #include "util/ensure.h"
@@ -55,7 +56,6 @@ class KvHarness {
   explicit KvHarness(Options options) : options_(std::move(options)) {
     require(options_.shards >= 1 && options_.replicas >= 1,
             "KvHarness: need at least one shard and one replica");
-    dir_ = make_temp_dir();
     // One independently-reserved block per shard: shard groups never
     // assume adjacent or disjoint fixed ranges (same rule as the
     // multi-group ClusterHarness).
@@ -237,39 +237,39 @@ class KvHarness {
   }
 
   [[nodiscard]] const kv::KvLayout& layout() const { return layout_; }
-  [[nodiscard]] const std::string& dir() const { return dir_; }
+  [[nodiscard]] const std::string& dir() const { return dir_.path(); }
   [[nodiscard]] std::string layout_path() const {
-    return dir_ + "/layout.txt";
+    return dir() + "/layout.txt";
   }
   [[nodiscard]] std::string fault_plan_path() const {
-    return dir_ + "/fault.txt";
+    return dir() + "/fault.txt";
   }
   [[nodiscard]] std::string driver_report_path() const {
-    return dir_ + "/driver.txt";
+    return dir() + "/driver.txt";
   }
   [[nodiscard]] std::string report_path(std::size_t shard,
                                         std::size_t rank) const {
-    return dir_ + "/report_s" + std::to_string(shard) + "_r" +
+    return dir() + "/report_s" + std::to_string(shard) + "_r" +
            std::to_string(rank) + ".txt";
   }
   [[nodiscard]] std::string progress_path(std::size_t shard,
                                           std::size_t rank) const {
-    return dir_ + "/progress_s" + std::to_string(shard) + "_r" +
+    return dir() + "/progress_s" + std::to_string(shard) + "_r" +
            std::to_string(rank) + ".txt";
   }
   [[nodiscard]] std::string history_path(std::size_t shard,
                                          std::size_t rank) const {
-    return dir_ + "/history_s" + std::to_string(shard) + "_r" +
+    return dir() + "/history_s" + std::to_string(shard) + "_r" +
            std::to_string(rank) + ".bin";
   }
   [[nodiscard]] std::string metrics_snapshot_path(std::size_t shard,
                                                   std::size_t rank) const {
-    return dir_ + "/metrics_s" + std::to_string(shard) + "_r" +
+    return dir() + "/metrics_s" + std::to_string(shard) + "_r" +
            std::to_string(rank) + ".prom";
   }
   [[nodiscard]] std::string flight_path(std::size_t shard,
                                         std::size_t rank) const {
-    return dir_ + "/flight_s" + std::to_string(shard) + "_r" +
+    return dir() + "/flight_s" + std::to_string(shard) + "_r" +
            std::to_string(rank) + ".bin";
   }
   /// Every per-replica progress path — the cbc_top --report discovery
@@ -296,15 +296,8 @@ class KvHarness {
   }
 
  private:
-  [[nodiscard]] static std::string make_temp_dir() {
-    std::string templ = "/tmp/cbc_kv_XXXXXX";
-    const char* made = ::mkdtemp(templ.data());
-    require(made != nullptr, "KvHarness: mkdtemp failed");
-    return made;
-  }
-
   Options options_;
-  std::string dir_;
+  TempDir dir_{"/tmp/cbc_kv_"};  // removed unless the test failed
   kv::KvLayout layout_;
   std::map<std::pair<std::size_t, std::size_t>, pid_t> pids_;
 };

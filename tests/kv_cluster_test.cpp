@@ -22,6 +22,7 @@
 
 #include "common/child_process.h"
 #include "common/kv_harness.h"
+#include "common/temp_dir.h"
 #include "obs/json_lite.h"
 
 namespace cbc {
@@ -286,8 +287,8 @@ TEST(KvCluster, CbcTopAggregatesALiveFourByThreeCluster) {
 }
 
 TEST(KvCluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
-  std::string dir = "/tmp/cbc_kv_flags_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const testkit::TempDir temp("/tmp/cbc_kv_flags_");
+  const std::string& dir = temp.path();
   const std::string layout = dir + "/layout.txt";
   const kv::KvLayout shard =
       kv::KvLayout::localhost(1, 2, testkit::reserve_udp_ports(3));

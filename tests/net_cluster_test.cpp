@@ -21,6 +21,7 @@
 #include "check/history_checker.h"
 #include "common/child_process.h"
 #include "common/cluster_harness.h"
+#include "common/temp_dir.h"
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
 #include "obs/flight_recorder.h"
@@ -515,11 +516,9 @@ TEST(Cluster, FlightDumpOfKilledNodeMergesIntoSurvivorTimeline) {
   EXPECT_GE(report.deliver.p99, report.deliver.p50);
 }
 
-/// An n-member cluster config on reserved loopback ports, in a fresh temp
-/// directory (returned through `dir`).
-std::string cluster_config(std::string& dir, std::size_t n) {
-  dir = "/tmp/cbc_node_flags_XXXXXX";
-  require(::mkdtemp(dir.data()) != nullptr, "mkdtemp failed");
+/// An n-member cluster config on reserved loopback ports, written into
+/// `dir`.
+std::string cluster_config(const std::string& dir, std::size_t n) {
   const std::string path = dir + "/cluster.txt";
   std::ofstream config(path);
   const std::vector<std::uint16_t> ports = testkit::reserve_udp_ports(n);
@@ -530,12 +529,13 @@ std::string cluster_config(std::string& dir, std::size_t n) {
 }
 
 /// A one-member cluster config (see cluster_config).
-std::string single_member_config(std::string& dir) {
+std::string single_member_config(const std::string& dir) {
   return cluster_config(dir, 1);
 }
 
 TEST(Cluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
-  std::string dir;
+  const testkit::TempDir temp("/tmp/cbc_node_flags_");
+  const std::string& dir = temp.path();
   const std::string config = single_member_config(dir);
   const std::string err = dir + "/stderr.txt";
   // Each of these used to parse: -1 wrapped to 2^64-1 ops per round (the
@@ -556,7 +556,8 @@ TEST(Cluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
 }
 
 TEST(Cluster, UnwritableReportPathIsNamedOnStderr) {
-  std::string dir;
+  const testkit::TempDir temp("/tmp/cbc_node_flags_");
+  const std::string& dir = temp.path();
   const std::string config = single_member_config(dir);
   const std::string err = dir + "/stderr.txt";
   const std::string report = dir + "/missing/report.txt";
@@ -583,7 +584,8 @@ TEST(Cluster, TotalDisciplineRejectsAnExplicitRoundsFlag) {
   // Total order runs one shot of --ops per member, so an accepted
   // --rounds 5 would be ignored behind a report of done=1 and
   // rounds_started=0.
-  std::string dir;
+  const testkit::TempDir temp("/tmp/cbc_node_flags_");
+  const std::string& dir = temp.path();
   const std::string config = single_member_config(dir);
   const std::string err = dir + "/stderr.txt";
   const pid_t pid = testkit::spawn(
@@ -599,7 +601,8 @@ TEST(Cluster, UnwritableCheckpointPathExitsOne) {
   // Node 1's first checkpoint write throws inside an event-loop callback;
   // the exception must reach run_main's fatal line, not abort the process
   // while the loop is still marked running.
-  std::string dir;
+  const testkit::TempDir temp("/tmp/cbc_node_flags_");
+  const std::string& dir = temp.path();
   const std::string config = cluster_config(dir, 3);
   std::vector<pid_t> pids;
   for (std::size_t id = 0; id < 3; ++id) {

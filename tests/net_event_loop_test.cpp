@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <ctime>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -235,6 +237,135 @@ TEST_P(EventLoopTest, ThrowingCallbackLeavesTheLoopIdleAndRerunnable) {
   });
   loop.run();
   EXPECT_TRUE(ran);
+}
+
+TEST_P(EventLoopTest, LoopThreadPostRunsPromptlyWithoutAWakeupWrite) {
+  // No timer is armed, so nothing but the pending task itself may keep
+  // the loop from blocking for its one-second backstop. The first task
+  // is posted before run() and wakes the loop; the second, posted from
+  // the first, runs one iteration later, after that wakeup is drained.
+  EventLoop loop(options());
+  std::chrono::steady_clock::time_point posted;
+  std::chrono::steady_clock::time_point ran;
+  std::uint64_t writes_at_post = 0;
+  std::uint64_t writes_at_run = 0;
+  loop.post([&] {
+    loop.post([&] {
+      writes_at_post = loop.stats().wakeup_writes;
+      posted = std::chrono::steady_clock::now();
+      loop.post([&] {
+        ran = std::chrono::steady_clock::now();
+        writes_at_run = loop.stats().wakeup_writes;
+        loop.stop();
+      });
+    });
+  });
+  loop.run();
+  EXPECT_LT(ran - posted, std::chrono::milliseconds(50));
+  EXPECT_EQ(writes_at_run, writes_at_post);
+}
+
+// The timer tests below keep every deadline inside the wheel's horizon
+// (slot_count × granularity = 102.4 ms by default), where its
+// next-deadline hint is exact: a farther timer would surface as an
+// earlier bound and wake the loop on its own.
+
+TEST_P(EventLoopTest, TimerArmedBeforeTheHeldDeadlineFiresOnTime) {
+  EventLoop loop(options());
+  std::chrono::steady_clock::time_point armed;
+  std::chrono::steady_clock::time_point fired;
+  loop.post([&] {
+    loop.schedule(100'000, [&] { loop.stop(); });  // the held deadline
+    // This task runs one iteration later, with the timer source holding
+    // the 100 ms deadline.
+    loop.post([&] {
+      armed = std::chrono::steady_clock::now();
+      loop.schedule(10'000, [&] {
+        fired = std::chrono::steady_clock::now();
+        loop.stop();
+      });
+    });
+  });
+  loop.run();
+  ASSERT_NE(fired.time_since_epoch().count(), 0)
+      << "the 10 ms timer never ran";
+  const auto waited = fired - armed;
+  EXPECT_GE(waited, std::chrono::milliseconds(8));
+  EXPECT_LT(waited, std::chrono::milliseconds(60));
+}
+
+TEST_P(EventLoopTest, TimerArmedRightAfterTheTimerFiresFiresOnTime) {
+  // No other timer: a timer source left believing it still held a
+  // deadline would sleep until the loop's one-second backstop.
+  EventLoop loop(options());
+  const auto start = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point fired;
+  loop.schedule(10'000, [&] {
+    loop.schedule(10'000, [&] {
+      fired = std::chrono::steady_clock::now();
+      loop.stop();
+    });
+  });
+  loop.run();
+  const auto waited = fired - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(15));
+  EXPECT_LT(waited, std::chrono::milliseconds(300));
+}
+
+TEST_P(EventLoopTest, TimerSourceIsReArmedOnlyWhenTheDeadlineMoves) {
+  EventLoop loop(options());
+  std::atomic<int> woken{0};
+  std::uint64_t rearms_at_fire = 0;
+  int woken_at_fire = 0;
+  std::thread producer;
+  loop.post([&] {
+    loop.schedule(90'000, [&] {
+      rearms_at_fire = loop.stats().timer_rearms;
+      woken_at_fire = woken.load();
+      loop.stop();
+    });
+    // Every cross-thread post wakes the loop; none moves the deadline.
+    producer = std::thread([&] {
+      for (int i = 0; i < 20; ++i) {
+        loop.post([&] { woken.fetch_add(1); });
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  loop.run();
+  producer.join();
+  EXPECT_GE(woken_at_fire, 1);
+  EXPECT_GE(loop.stats().wakeup_writes, 20u);
+  // epoll: armed once for the 90 ms deadline however often the loop woke.
+  EXPECT_EQ(rearms_at_fire, loop.uses_epoll() ? 1u : 0u);
+}
+
+TEST_P(EventLoopTest, LoopBlocksOnceItsLastTimerHasFired) {
+  // After the only timer fires the loop must sleep until the next event,
+  // not spin on a timer source that still reads as ready.
+  EventLoop loop(options());
+  const auto thread_cpu = [] {
+    timespec now{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    return std::chrono::seconds(now.tv_sec) +
+           std::chrono::nanoseconds(now.tv_nsec);
+  };
+  std::chrono::nanoseconds cpu_at_fire{0};
+  std::chrono::nanoseconds cpu_at_wake{0};
+  std::thread waker;
+  loop.schedule(5'000, [&] {
+    cpu_at_fire = thread_cpu();
+    waker = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      loop.post([&] {
+        cpu_at_wake = thread_cpu();
+        loop.stop();
+      });
+    });
+  });
+  loop.run();
+  waker.join();
+  EXPECT_LT(cpu_at_wake - cpu_at_fire, std::chrono::milliseconds(30));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,

@@ -1,16 +1,22 @@
 // UdpTransport over real loopback sockets: cluster-config parsing, raw
-// datagram delivery, the endpoint-registration threading contract, and
+// datagram delivery, the batched receive path (one recvmmsg per
+// readiness event), the endpoint-registration threading contract, and
 // the decorator-composition check — the same (Batching + reliability)
 // stack that runs over SimTransport must behave identically over UDP,
 // including under forced datagram loss.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <netinet/in.h>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "causal/osend.h"
@@ -134,6 +140,168 @@ TEST(UdpTransport, OversizeSendIsDroppedAndCounted) {
   udp.send(0, 1, std::vector<std::uint8_t>(1000, 0xAB));
   EXPECT_EQ(udp.stats().oversize_drops, 1u);
   EXPECT_EQ(udp.stats().datagrams_sent, 0u);
+}
+
+// ---------- Batched receive (one recvmmsg per readiness event) ----------
+
+/// Loopback usually queues a datagram on the receiving socket before
+/// sendto() returns, but under load the kernel may defer that work to a
+/// softirq thread: give it time, so the first read finds every datagram.
+void settle_loopback() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+/// A socket outside the cluster config, bound to an ephemeral loopback
+/// port: its datagrams come from an unknown source.
+class StrangerSocket {
+ public:
+  StrangerSocket() : fd_(::socket(AF_INET, SOCK_DGRAM, 0)) {
+    require(fd_ >= 0, "StrangerSocket: socket() failed");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    require(::bind(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)) == 0,
+            "StrangerSocket: bind() failed");
+  }
+  ~StrangerSocket() { ::close(fd_); }
+  StrangerSocket(const StrangerSocket&) = delete;
+  StrangerSocket& operator=(const StrangerSocket&) = delete;
+
+  void send_to(const sockaddr_in& dest, std::uint64_t value) const {
+    Writer writer;
+    writer.u64(value);
+    const std::vector<std::uint8_t> bytes = writer.take();
+    const auto* to = reinterpret_cast<const sockaddr*>(&dest);
+    ASSERT_EQ(::sendto(fd_, bytes.data(), bytes.size(), 0, to, sizeof(dest)),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+ private:
+  int fd_;
+};
+
+TEST(UdpTransport, BatchedReceiveKeepsPerSourceOrderInFewCalls) {
+  constexpr std::size_t kSources = 3;
+  constexpr std::uint64_t kDatagrams = 64;
+  const auto ports = testkit::reserve_udp_ports(kSources + 1);
+  const ClusterConfig config = ClusterConfig::localhost(ports);
+  const auto receiver_id = static_cast<NodeId>(kSources);
+
+  EventLoop sender_loop;  // never runs: the senders only send
+  UdpTransport::Options sender_options;
+  sender_options.local_ids = {0, 1, 2};
+  UdpTransport senders(sender_loop, config, sender_options);
+
+  EventLoop loop;
+  UdpTransport::Options receiver_options;
+  receiver_options.local_ids = {receiver_id};
+  UdpTransport receiver(loop, config, receiver_options);
+  std::vector<std::vector<std::uint64_t>> by_source(kSources);
+  std::uint64_t arrived = 0;
+  receiver.add_endpoint([&](NodeId from, const WireFrame& frame) {
+    Reader reader(frame.bytes());
+    by_source.at(from).push_back(reader.u64());
+    if (++arrived == kDatagrams) {
+      loop.stop();
+    }
+  });
+  for (std::size_t i = 0; i < kSources; ++i) {
+    senders.add_endpoint([](NodeId, const WireFrame&) {});
+  }
+
+  // Queue every datagram, round-robin over the sources, before the
+  // receiver's loop runs: the first readiness event finds all of them.
+  for (std::uint64_t i = 0; i < kDatagrams; ++i) {
+    Writer writer;
+    writer.u64(i / kSources);
+    senders.send(static_cast<NodeId>(i % kSources), receiver_id,
+                 writer.take_shared());
+  }
+  ASSERT_EQ(senders.stats().datagrams_sent, kDatagrams);
+  settle_loopback();
+  loop.schedule(5'000'000, [&] { loop.stop(); });  // backstop
+  loop.run();
+
+  ASSERT_EQ(arrived, kDatagrams);
+  for (std::size_t source = 0; source < kSources; ++source) {
+    const std::vector<std::uint64_t>& seqs = by_source[source];
+    for (std::size_t k = 0; k < seqs.size(); ++k) {
+      EXPECT_EQ(seqs[k], k) << "source " << source << " out of order";
+    }
+  }
+  // Eight full batches of eight and one call that finds the socket empty.
+  const UdpTransport::Stats stats = receiver.stats();
+  EXPECT_EQ(stats.datagrams_received, kDatagrams);
+  EXPECT_LE(stats.recv_calls, 9u);
+  EXPECT_EQ(stats.unknown_source, 0u);
+}
+
+TEST(UdpTransport, MaxSizeDatagramArrivesIntact) {
+  const auto ports = testkit::reserve_udp_ports(2);
+  EventLoop loop;
+  UdpTransport udp(loop, ClusterConfig::localhost(ports));
+  std::vector<std::uint8_t> sent(udp.max_datagram_bytes());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 8));
+  }
+  std::vector<std::uint8_t> got;
+  udp.add_endpoint([](NodeId, const WireFrame&) {});
+  udp.add_endpoint([&](NodeId, const WireFrame& frame) {
+    got.assign(frame.bytes().begin(), frame.bytes().end());
+    loop.stop();
+  });
+  udp.send(0, 1, sent);
+  ASSERT_EQ(udp.stats().datagrams_sent, 1u);
+  loop.schedule(5'000'000, [&] { loop.stop(); });  // backstop
+  loop.run();
+  ASSERT_EQ(got.size(), 60u * 1024);
+  EXPECT_TRUE(got == sent) << "the 60 KiB datagram arrived altered";
+}
+
+TEST(UdpTransport, UnknownSourceMidBatchIsCountedWithoutLosingNeighbours) {
+  const auto ports = testkit::reserve_udp_ports(2);
+  const ClusterConfig config = ClusterConfig::localhost(ports);
+  EventLoop sender_loop;  // never runs: the sender only sends
+  UdpTransport::Options sender_options;
+  sender_options.local_ids = {0};
+  UdpTransport sender(sender_loop, config, sender_options);
+  sender.add_endpoint([](NodeId, const WireFrame&) {});
+
+  EventLoop loop;
+  UdpTransport::Options receiver_options;
+  receiver_options.local_ids = {1};
+  UdpTransport receiver(loop, config, receiver_options);
+  std::vector<std::uint64_t> received;
+  receiver.add_endpoint([&](NodeId from, const WireFrame& frame) {
+    EXPECT_EQ(from, 0u);
+    Reader reader(frame.bytes());
+    received.push_back(reader.u64());
+    if (received.size() == 2) {
+      loop.stop();
+    }
+  });
+
+  const StrangerSocket stranger;
+  const auto send_known = [&](std::uint64_t value) {
+    Writer writer;
+    writer.u64(value);
+    sender.send(0, 1, writer.take_shared());
+  };
+  send_known(1);
+  stranger.send_to(config.sockaddr_of(1), 99);
+  send_known(2);
+  settle_loopback();
+  loop.schedule(5'000'000, [&] { loop.stop(); });  // backstop
+  loop.run();
+
+  EXPECT_EQ(received, (std::vector<std::uint64_t>{1, 2}));
+  const UdpTransport::Stats stats = receiver.stats();
+  EXPECT_EQ(stats.datagrams_received, 2u);
+  EXPECT_EQ(stats.unknown_source, 1u);
+  // All three came back from one call, and a short batch means the
+  // socket is empty: no second call that fails with EAGAIN.
+  EXPECT_EQ(stats.recv_calls, 1u);
 }
 
 // ---------- Endpoint-registration threading contract (transport.h) ----------

@@ -19,6 +19,7 @@
 
 #include "apps/install.h"
 #include "common/child_process.h"
+#include "common/temp_dir.h"
 #include "common/udp_ports.h"
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
@@ -127,8 +128,8 @@ TEST(Runtime, SharedFlagsTakeTheEightCommonFlags) {
 }
 
 TEST(Runtime, WriteKvFileNamesAFailingPathOnceAndLeavesNoTmp) {
-  std::string dir = "/tmp/cbc_runtime_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const testkit::TempDir temp("/tmp/cbc_runtime_");
+  const std::string& dir = temp.path();
   const std::string missing = dir + "/missing/report.txt";
   testing::internal::CaptureStderr();
   EXPECT_FALSE(write_kv_file(missing, {{"done", "1"}}));
@@ -215,8 +216,8 @@ TEST(Runtime, ProcessRssReadsProcStatus) {
 
 TEST(Runtime, RetainedStateGaugesAndReportStayBoundedByTheOpenCycle) {
   apps::install_objects();
-  std::string dir = "/tmp/cbc_runtime_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const testkit::TempDir temp("/tmp/cbc_runtime_");
+  const std::string& dir = temp.path();
   const std::string cluster = dir + "/cluster.txt";
   std::ofstream(cluster) << "0 127.0.0.1:" << testkit::reserve_udp_ports(1)[0]
                          << "\n";
