@@ -38,4 +38,16 @@ void StablePointDetector::on_delivery(const Delivery& delivery) {
   }
 }
 
+void StablePointDetector::restore(MessageId last_sync,
+                                  std::vector<MessageId> open_set) {
+  open_set_ = std::move(open_set);
+  at_stable_point_ = open_set_.empty();
+  last_.reset();
+  if (!last_sync.is_null()) {
+    last_.emplace();
+    last_->cycle = cycle_;
+    last_->sync_message = last_sync;
+  }
+}
+
 }  // namespace cbc

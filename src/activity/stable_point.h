@@ -57,13 +57,27 @@ class StablePointDetector {
   /// Processes one delivered message.
   void on_delivery(const Delivery& delivery);
 
+  /// Resumes the cycle a snapshot was taken in (crash recovery, a
+  /// joiner's state transfer): `last_sync` closed the cycle before it and
+  /// `open_set` was delivered since. last() then names only that sync
+  /// message; cycles() is left as it is.
+  void restore(MessageId last_sync, std::vector<MessageId> open_set);
+
+  /// The operation classification this detector was built with.
+  [[nodiscard]] const CommutativitySpec& spec() const { return spec_; }
+
   /// Index of the cycle currently being accumulated (1-based; cycle 1 is
   /// open before the first sync message closes it).
   [[nodiscard]] std::uint64_t open_cycle() const { return cycle_ + 1; }
 
-  /// Commutative messages delivered since the last stable point.
+  /// Commutative messages delivered since the last stable point ({Cid}).
   [[nodiscard]] const std::vector<MessageId>& open_set() const {
     return open_set_;
+  }
+
+  /// The sync message that closed the last cycle; null before the first.
+  [[nodiscard]] MessageId last_sync() const {
+    return last_.has_value() ? last_->sync_message : MessageId::null();
   }
 
   /// Stable points closed so far.

@@ -136,9 +136,10 @@ class BroadcastMember {
   /// (recursively — re-broadcasting from a deliver callback is fine).
   /// Layers built on top of a member guard their own externally-callable
   /// entry points with the SAME lock, so one stack has one lock and no
-  /// ordering hazards. Needed only under ThreadTransport; uncontended
-  /// (cheap) under SimTransport. Ranked kRankStack; helpers documented
-  /// "must hold the stack lock" carry CBC_REQUIRES(stack_mutex()).
+  /// ordering hazards. Contended only when a second thread (a test or
+  /// tool thread) submits while the event loop delivers; uncontended
+  /// (cheap) otherwise. Ranked kRankStack; helpers documented "must hold
+  /// the stack lock" carry CBC_REQUIRES(stack_mutex()).
   [[nodiscard]] virtual RecursiveMutex& stack_mutex() const = 0;
 };
 

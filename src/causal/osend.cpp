@@ -1,8 +1,5 @@
 #include "causal/osend.h"
 
-#include <deque>
-#include <utility>
-
 #include "obs/flight_recorder.h"
 #include "util/ensure.h"
 #include "util/serde.h"
@@ -214,30 +211,11 @@ void OSendMember::adopt_baseline(const VectorClock& baseline) {
   }
 
   // Release any held-back messages whose remaining deps were pre-baseline.
-  std::deque<Delivery> ready;
+  ReadyQueue ready;
   for (const MessageId& dep : newly_satisfied) {
-    const auto waiting = waiters_.find(dep);
-    if (waiting == waiters_.end()) {
-      continue;
-    }
-    for (const MessageId& waiter_id : waiting->second) {
-      const auto it = pending_.find(waiter_id);
-      if (it == pending_.end()) {
-        continue;
-      }
-      ensure(it->second.missing > 0, "adopt_baseline: waiter with no deps");
-      if (--it->second.missing == 0) {
-        ready.push_back(std::move(it->second.delivery));
-        pending_.erase(it);
-      }
-    }
-    waiters_.erase(waiting);
+    release_waiters(dep, ready);
   }
-  while (!ready.empty()) {
-    Delivery current = std::move(ready.front());
-    ready.pop_front();
-    try_deliver(std::move(current));
-  }
+  deliver_ready(std::move(ready));
 }
 
 void OSendMember::try_deliver(Delivery delivery) {
@@ -270,33 +248,46 @@ void OSendMember::try_deliver(Delivery delivery) {
     return;
   }
 
-  // Deliver, then cascade through pending messages this unblocks. Each
-  // entry carries the wall-clock stamp of when it entered the hold-back
-  // queue (0 = delivered on arrival) for the hold-time metric.
-  std::deque<std::pair<Delivery, std::int64_t>> ready;
+  // Deliver, then cascade through pending messages this unblocks.
+  ReadyQueue ready;
   ready.emplace_back(std::move(delivery), 0);
+  deliver_ready(std::move(ready));
+}
+
+void OSendMember::release_waiters(MessageId dep, ReadyQueue& ready) {
+  const auto waiting = waiters_.find(dep);
+  if (waiting == waiters_.end()) {
+    return;
+  }
+  for (const MessageId& waiter_id : waiting->second) {
+    const auto it = pending_.find(waiter_id);
+    if (it == pending_.end()) {
+      continue;
+    }
+    ensure(it->second.missing > 0, "OSend: waiter with no missing deps");
+    if (--it->second.missing > 0) {
+      continue;
+    }
+    if (delivered_locally(waiter_id)) {
+      // Peers retransmit messages an adopted baseline covers; delivering
+      // one would double-apply it to the replica.
+      stats_.duplicates += 1;
+    } else {
+      ready.emplace_back(std::move(it->second.delivery),
+                         it->second.held_since_us);
+    }
+    pending_.erase(it);
+  }
+  waiters_.erase(waiting);
+}
+
+void OSendMember::deliver_ready(ReadyQueue ready) {
   while (!ready.empty()) {
     auto [current, held_since_us] = std::move(ready.front());
     ready.pop_front();
     const MessageId current_id = current.id;
     deliver_now(std::move(current), held_since_us);
-    const auto waiting = waiters_.find(current_id);
-    if (waiting == waiters_.end()) {
-      continue;
-    }
-    for (const MessageId& waiter_id : waiting->second) {
-      const auto it = pending_.find(waiter_id);
-      if (it == pending_.end()) {
-        continue;
-      }
-      ensure(it->second.missing > 0, "OSend: waiter with no missing deps");
-      if (--it->second.missing == 0) {
-        ready.emplace_back(std::move(it->second.delivery),
-                           it->second.held_since_us);
-        pending_.erase(it);
-      }
-    }
-    waiters_.erase(waiting);
+    release_waiters(current_id, ready);
   }
 }
 

@@ -25,9 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "causal/delivery.h"
@@ -163,8 +165,9 @@ class OSendMember final : public ViewSyncMember {
   /// (recursively — re-broadcasting from a deliver callback is fine).
   /// Layers built on top of this member (replica, lock, name service)
   /// guard their own externally-callable entry points with the SAME lock,
-  /// so one stack has one lock and no ordering hazards. Needed only under
-  /// ThreadTransport; uncontended (cheap) under SimTransport.
+  /// so one stack has one lock and no ordering hazards. Contended only
+  /// when a second thread (a test or tool thread) submits while the event
+  /// loop delivers; uncontended (cheap) otherwise.
   [[nodiscard]] RecursiveMutex& stack_mutex() const override {
     return mutex_;
   }
@@ -178,8 +181,19 @@ class OSendMember final : public ViewSyncMember {
     std::int64_t held_since_us = 0;
   };
 
+  /// Deliveries ready to go, each with the wall-clock stamp of when it
+  /// entered the hold-back queue (0 = delivered on arrival).
+  using ReadyQueue = std::deque<std::pair<Delivery, std::int64_t>>;
+
   void on_receive(NodeId from, const WireFrame& frame);
   void try_deliver(Delivery delivery) CBC_REQUIRES(mutex_);
+  /// The one release step: counts down the held-back messages waiting on
+  /// `dep`, now delivered or covered by an adopted baseline, and queues
+  /// each whose last missing dependency it was. One the member already
+  /// holds as delivered (a baseline covered it) counts as a duplicate.
+  void release_waiters(MessageId dep, ReadyQueue& ready) CBC_REQUIRES(mutex_);
+  /// Delivers `ready` in order, releasing the waiters of each delivery.
+  void deliver_ready(ReadyQueue ready) CBC_REQUIRES(mutex_);
   void deliver_now(Delivery delivery, std::int64_t held_since_us)
       CBC_REQUIRES(mutex_);
   [[nodiscard]] bool delivered_locally(MessageId message) const

@@ -41,8 +41,10 @@ struct Violation {
 };
 
 /// Append-only collection of violations, shared by every checker of one
-/// group. Not thread-safe; under ThreadTransport, checkers already run
-/// under their stack lock and group-level checks run at quiescence.
+/// group. Not thread-safe: each checker adds under its own member's stack
+/// lock, so a group sharing one log delivers on one thread (the simulator
+/// or one event loop, with no second thread submitting); group-level
+/// checks run at quiescence.
 class ViolationLog {
  public:
   void add(ViolationKind kind, NodeId member, MessageId message,

@@ -347,12 +347,12 @@ class Node {
     runtime_.checker().restore(snapshot.cycles, snapshot.stable_digests,
                                std::move(floors));
     cbc::Reader state_reader(snapshot.app_state);
-    replica().restore_state(cbc::object::Value::decode(state_reader));
+    replica().restore_state(cbc::object::Value::decode(state_reader),
+                            snapshot.last_sync);
     // Baseline adoption also fast-forwards our send seqs above the
     // frontier's record of our own pre-crash broadcasts, so peers do not
     // discard our first new messages as duplicates.
     osend().adopt_baseline(snapshot.frontier);
-    replica().front_end().restore(snapshot.last_sync, {});
     syncs_delivered_ = snapshot.cycles;
     current_round_ = static_cast<std::int64_t>(snapshot.cycles) - 1;
     awaiting_admission_ = true;

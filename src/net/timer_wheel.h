@@ -15,7 +15,7 @@
 // Firing order is deterministic: expired entries fire in (deadline,
 // insertion seq) order regardless of slot hashing, so two timers armed for
 // the same instant run in the order they were armed — the same contract
-// the SimTransport scheduler and ThreadTransport timer thread provide.
+// the SimTransport scheduler provides.
 //
 // Not thread-safe: the owning EventLoop confines all access to the loop
 // thread and marshals cross-thread schedule() calls itself.

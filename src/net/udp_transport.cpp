@@ -20,16 +20,18 @@ namespace {
 constexpr std::size_t kRecvBatch = 8;
 /// One slab slot: room for any UDP/IPv4 payload (at most 65,507 B).
 constexpr std::size_t kRecvSlotBytes = 64 * 1024;
+/// SO_RCVBUF / SO_SNDBUF request for every socket.
+constexpr int kSocketBufferBytes = 1 << 20;
 
-int bind_udp_socket(const sockaddr_in& addr, int buffer_bytes) {
+int bind_udp_socket(const sockaddr_in& addr) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
   ensure(fd >= 0, "UdpTransport: socket() failed");
   // Loopback bursts (a 3-node cluster retransmitting into one host) need
   // deeper queues than the kernel default; best-effort, never fatal.
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buffer_bytes,
-               sizeof(buffer_bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buffer_bytes,
-               sizeof(buffer_bytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+               sizeof(kSocketBufferBytes));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const int saved = errno;
@@ -102,8 +104,7 @@ NodeId UdpTransport::add_endpoint(Handler handler) {
   require(index < options_.local_ids.size(),
           "UdpTransport: all local ids already registered");
   const NodeId id = options_.local_ids[index];
-  const int fd =
-      bind_udp_socket(config_.sockaddr_of(id), options_.socket_buffer_bytes);
+  const int fd = bind_udp_socket(config_.sockaddr_of(id));
   endpoints_.push_back(Endpoint{id, fd, std::move(handler)});
   registered_.store(index + 1, std::memory_order_release);
   loop_.add_fd(fd, [this, index] {

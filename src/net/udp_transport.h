@@ -62,7 +62,6 @@ class UdpTransport final : public Transport {
     /// Empty means "all of them" (single-process clusters and tests).
     std::vector<NodeId> local_ids;
     std::size_t max_datagram_bytes = 60 * 1024;  ///< send-side size cap
-    int socket_buffer_bytes = 1 << 20;  ///< SO_RCVBUF / SO_SNDBUF request
     /// Observability sinks (Stats collector). Default: off.
     obs::Hooks obs{};
   };

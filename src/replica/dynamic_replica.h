@@ -4,8 +4,8 @@
 // consistent cuts), plus *state transfer*: when a view with joiners
 // installs, survivors ship a snapshot of the application state — captured
 // exactly at the flush cut, so it is identical at every survivor — inside
-// the welcome message, together with the front-end ordering context (last
-// sync id and the open commutative set). A joiner adopts the snapshot
+// the welcome message, together with the open cycle (last sync id and the
+// open commutative set). A joiner adopts the snapshot
 // before any new-view operation is applied, so it is a full replica from
 // its first delivery onward.
 //
@@ -70,12 +70,12 @@ class DynamicReplicaNode final : public ReplicaNode<State> {
   [[nodiscard]] std::vector<std::uint8_t> make_snapshot() {
     Writer writer;
     this->state().encode(writer);
-    // Front-end ordering context, so the joiner's first submissions slot
-    // into the current causal activity instead of floating free.
-    const FrontEndManager& front_end = this->front_end();
-    front_end.last_sync().encode(writer);
-    writer.u32(static_cast<std::uint32_t>(front_end.open_cids().size()));
-    for (const MessageId& id : front_end.open_cids()) {
+    // The open cycle, so the joiner's first submissions slot into the
+    // current causal activity instead of floating free.
+    const StablePointDetector& cycle = this->detector();
+    cycle.last_sync().encode(writer);
+    writer.u32(static_cast<std::uint32_t>(cycle.open_set().size()));
+    for (const MessageId& id : cycle.open_set()) {
       id.encode(writer);
     }
     return writer.take();
@@ -83,7 +83,7 @@ class DynamicReplicaNode final : public ReplicaNode<State> {
 
   void adopt_snapshot(std::span<const std::uint8_t> snapshot) {
     Reader reader(snapshot);
-    this->adopt_state(State::decode(reader));
+    State state = State::decode(reader);
     const MessageId last_sync = MessageId::decode(reader);
     std::vector<MessageId> cids;
     const std::uint32_t count = reader.u32();
@@ -91,7 +91,7 @@ class DynamicReplicaNode final : public ReplicaNode<State> {
     for (std::uint32_t i = 0; i < count; ++i) {
       cids.push_back(MessageId::decode(reader));
     }
-    this->front_end().restore(last_sync, std::move(cids));
+    this->adopt_state(std::move(state), last_sync, std::move(cids));
   }
 
   FlushCoordinator& coordinator_;  // owned by the ReplicaNode as its member

@@ -3,15 +3,17 @@
 namespace cbc {
 
 FrontEndManager::FrontEndManager(BroadcastMember& member,
-                                 CommutativitySpec spec, Options options)
-    : member_(member), spec_(std::move(spec)), options_(options) {}
+                                 const StablePointDetector& cycle,
+                                 Options options)
+    : member_(member), cycle_(cycle), options_(options) {}
 
 MessageId FrontEndManager::submit(const std::string& kind,
                                   std::vector<std::uint8_t> args) {
   const std::string label =
       kind + "#" + std::to_string(member_.id()) + "." +
       std::to_string(++label_counter_);
-  if (spec_.is_commutative(kind)) {
+  const MessageId last_sync = cycle_.last_sync();
+  if (cycle_.spec().is_commutative(kind)) {
     ++c_submitted_;
     // Commutative requests order only after the last sync message; they
     // stay concurrent with one another (||{rqst_c}) — unless fifo_chain
@@ -19,31 +21,19 @@ MessageId FrontEndManager::submit(const std::string& kind,
     // ignored by DepSpec, so the first link needs no special case).
     DepSpec deps =
         options_.fifo_chain
-            ? DepSpec::after_all({last_sync_, last_own_commutative_})
-            : DepSpec::after(last_sync_);
+            ? DepSpec::after_all({last_sync, last_own_commutative_})
+            : DepSpec::after(last_sync);
     const MessageId message = member_.broadcast(label, std::move(args), deps);
     last_own_commutative_ = message;
     return message;
   }
   ++nc_submitted_;
-  DepSpec deps;
-  if (cids_.empty()) {
-    deps = DepSpec::after(last_sync_);
-  } else {
-    deps = DepSpec::after_all(cids_);
-  }
-  // {Cid} is cleared by on_delivery when this sync message is delivered
-  // locally (synchronously, when its dependencies are already met here).
+  const std::vector<MessageId>& cids = cycle_.open_set();
+  const DepSpec deps =
+      cids.empty() ? DepSpec::after(last_sync) : DepSpec::after_all(cids);
+  // The detector closes {Cid} when this sync message is delivered locally
+  // (synchronously, when its dependencies are already met here).
   return member_.broadcast(label, std::move(args), deps);
-}
-
-void FrontEndManager::on_delivery(const Delivery& delivery) {
-  if (spec_.is_commutative(delivery.label())) {
-    cids_.push_back(delivery.id);
-  } else {
-    last_sync_ = delivery.id;
-    cids_.clear();
-  }
 }
 
 }  // namespace cbc

@@ -13,19 +13,21 @@
 //
 // yielding the cycle  rqst_nc(r-1) → ||{rqst_c(r,k)} → rqst_nc(r).
 //
-// One refinement over the literal pseudocode: the manager tracks {Cid}
-// from *delivered* traffic, not only its own submissions — the paper
-// already requires this ("the manager keeps track of the occurrence of
-// commutative and non-commutative operations"; its graph must equal the
-// replicas'), and it is what makes a sync message's Occurs_After set cover
-// commutative requests issued by other members.
+// One refinement over the literal pseudocode: {Cid} and the last sync
+// come from *delivered* traffic, not only the manager's own submissions —
+// the paper already requires this ("the manager keeps track of the
+// occurrence of commutative and non-commutative operations"; its graph
+// must equal the replicas'), and it is what makes a sync message's
+// Occurs_After set cover commutative requests issued by other members.
+// The manager keeps no copy of that open cycle: it reads the replica's
+// StablePointDetector, which sees every delivery in order.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "activity/commutativity.h"
+#include "activity/stable_point.h"
 #include "causal/delivery.h"
 
 namespace cbc {
@@ -44,47 +46,26 @@ class FrontEndManager {
     bool fifo_chain = false;
   };
 
-  /// `member` must outlive the manager. The owner must forward every
-  /// delivered message to on_delivery() (ReplicaNode does this).
-  FrontEndManager(BroadcastMember& member, CommutativitySpec spec)
-      : FrontEndManager(member, std::move(spec), Options{}) {}
-  FrontEndManager(BroadcastMember& member, CommutativitySpec spec,
+  /// `member` and `cycle` must outlive the manager. `cycle` classifies
+  /// operations and supplies the open cycle (the last sync and {Cid}); its
+  /// owner feeds it every message delivered at this member (ReplicaNode
+  /// does this).
+  FrontEndManager(BroadcastMember& member, const StablePointDetector& cycle,
                   Options options);
 
   /// Submits one operation; label becomes "<kind>#<n>" and the
   /// Occurs_After set follows the client() pseudocode above.
   MessageId submit(const std::string& kind, std::vector<std::uint8_t> args);
 
-  /// Must be called for every message delivered at this member, in
-  /// delivery order (keeps Ncid/{Cid} synchronized with the replica view).
-  void on_delivery(const Delivery& delivery);
-
-  /// The last delivered non-commutative (sync) message; null before any.
-  [[nodiscard]] MessageId last_sync() const { return last_sync_; }
-
-  /// Commutative messages delivered since the last sync ({Cid}).
-  [[nodiscard]] const std::vector<MessageId>& open_cids() const {
-    return cids_;
-  }
-
   /// Count of sync messages submitted by this manager (its Ncid).
   [[nodiscard]] std::uint64_t nc_submitted() const { return nc_submitted_; }
   [[nodiscard]] std::uint64_t c_submitted() const { return c_submitted_; }
 
-  /// Restores ordering context from a snapshot (joiner state transfer):
-  /// the last sync message and the open commutative set at the cut.
-  void restore(MessageId last_sync, std::vector<MessageId> cids) {
-    last_sync_ = last_sync;
-    cids_ = std::move(cids);
-  }
-
  private:
   BroadcastMember& member_;
-  CommutativitySpec spec_;
+  const StablePointDetector& cycle_;
   Options options_;
   MessageId last_own_commutative_ = MessageId::null();  // fifo_chain tail
-  MessageId last_sync_ = MessageId::null();
-  std::vector<MessageId> cids_;
   std::uint64_t nc_submitted_ = 0;
   std::uint64_t c_submitted_ = 0;
   std::uint64_t label_counter_ = 0;

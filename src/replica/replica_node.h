@@ -32,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "activity/commutativity.h"
@@ -52,14 +51,10 @@ class ReplicaNode {
   /// at which it was taken.
   using StableReadFn = std::function<void(const State&, const StablePoint&)>;
 
-  /// Callback fired when a particular message has been applied locally;
-  /// receives the post-application state (used to answer a submitted read
-  /// at its serialization point).
-  using AppliedFn = std::function<void(const State&)>;
-
   /// Callback fired after each delivered operation has been applied,
   /// with the response its application produced (history recording,
-  /// client reply paths).
+  /// client reply paths; a read's response is the value at its
+  /// serialization point).
   using ApplyObserverFn =
       std::function<void(const Delivery&, const std::vector<std::uint8_t>&)>;
 
@@ -90,18 +85,18 @@ class ReplicaNode {
               FrontEndManager::Options front_end_options = {},
               State initial = State{})
       : member_(std::move(member)),
-        front_end_(*member_, spec, front_end_options),
-        detector_(spec,
+        detector_(std::move(spec),
                   [this](const StablePoint& point) { on_stable_point(point); }),
+        front_end_(*member_, detector_, front_end_options),
         state_(std::move(initial)) {
     member_->set_deliver(
         [this](const Delivery& delivery) { on_delivery(delivery); });
   }
 
   /// Submits an operation through the front-end manager. Returns the
-  /// request's message id. Thread-safe (shares the member's stack lock
-  /// with the delivery path, so it may be called from any thread under
-  /// ThreadTransport).
+  /// request's message id. Thread-safe: it shares the member's stack lock
+  /// with the delivery path, so a test or tool thread may submit while
+  /// the event loop delivers.
   MessageId submit(const std::string& kind, std::vector<std::uint8_t> args) {
     const LockGuard guard(member_->stack_mutex());
     return front_end_.submit(kind, std::move(args));
@@ -110,20 +105,6 @@ class ReplicaNode {
   /// Convenience for the src/apps Op structs ({kind, args}).
   template <typename OpT>
   MessageId submit(const OpT& op) {
-    return submit(op.kind, op.args);
-  }
-
-  /// Submits an operation and registers a callback for the moment it is
-  /// applied at *this* replica. For a non-commutative read this is the
-  /// paper's consistent read: the observed state equals every other
-  /// member's state at the same point.
-  template <typename OpT>
-  MessageId submit_with_result(const OpT& op, AppliedFn on_applied) {
-    const LockGuard guard(member_->stack_mutex());
-    // Register under the id the next broadcast will get, *before*
-    // submitting: local delivery happens synchronously inside submit().
-    pending_result_.emplace(MessageId{member_->id(), next_local_seq()},
-                            std::move(on_applied));
     return submit(op.kind, op.args);
   }
 
@@ -153,11 +134,14 @@ class ReplicaNode {
 
   /// Seeds the replica from a transferred stable-point snapshot (crash
   /// recovery). The snapshot becomes both the working state and the last
-  /// stable state; call before any delivery flows through this node.
-  void restore_state(State snapshot) {
+  /// stable state, and `last_sync`, the sync message that closed its
+  /// cycle, is what the next cycle orders after. Call before any delivery
+  /// flows through this node.
+  void restore_state(State snapshot, MessageId last_sync) {
     const LockGuard guard(member_->stack_mutex());
     state_ = snapshot;
     last_stable_state_ = std::move(snapshot);
+    detector_.restore(last_sync, {});
   }
 
   /// Always empty: the node keeps only last_stable_state(). Only
@@ -200,15 +184,16 @@ class ReplicaNode {
  protected:
   /// Replaces the working state with a transferred one, leaving
   /// last_stable_state() alone: a joiner adopts its snapshot at a view's
-  /// install cut, not at a stable point (DynamicReplicaNode).
-  void adopt_state(State snapshot) { state_ = std::move(snapshot); }
-
- private:
-  [[nodiscard]] SeqNo next_local_seq() const {
-    // Member seqs start at 1 and increment per broadcast.
-    return member_->stats().broadcasts + 1;
+  /// install cut, not at a stable point (DynamicReplicaNode). The cycle
+  /// open at the cut resumes: `last_sync` closed the one before it, and
+  /// `open_set` ({Cid}) was delivered since.
+  void adopt_state(State snapshot, MessageId last_sync,
+                   std::vector<MessageId> open_set) {
+    state_ = std::move(snapshot);
+    detector_.restore(last_sync, std::move(open_set));
   }
 
+ private:
   void on_delivery(const Delivery& delivery) {
     // Apply the operation: label "<kind>#<origin>.<n>" -> kind.
     const std::string kind = CommutativitySpec::kind_of(delivery.label());
@@ -217,14 +202,7 @@ class ReplicaNode {
     if (apply_observer_) {
       apply_observer_(delivery, response);
     }
-    front_end_.on_delivery(delivery);
     detector_.on_delivery(delivery);
-    const auto pending = pending_result_.find(delivery.id);
-    if (pending != pending_result_.end()) {
-      AppliedFn fn = std::move(pending->second);
-      pending_result_.erase(pending);
-      fn(state_);
-    }
   }
 
   void on_stable_point(const StablePoint& point) {
@@ -240,12 +218,11 @@ class ReplicaNode {
   }
 
   std::unique_ptr<BroadcastMember> member_;
+  StablePointDetector detector_;  // before front_end_, which reads it
   FrontEndManager front_end_;
-  StablePointDetector detector_;
   State state_{};
   std::optional<State> last_stable_state_;
   std::vector<StableReadFn> deferred_reads_;
-  std::unordered_map<MessageId, AppliedFn> pending_result_;
   ApplyObserverFn apply_observer_;
 };
 

@@ -158,13 +158,10 @@ bool SharedFlags::parse(ArgReader& args) {
       return true;
     }
   }
-  if (flag == "--metrics-port") {
-    metrics_port = args.number<int>(0, 65535);
-  } else if (flag == "--force-poll") {
-    force_poll = true;
-  } else {
+  if (flag != "--metrics-port") {
     return false;
   }
+  metrics_port = args.number<int>(0, 65535);
   return true;
 }
 
@@ -242,8 +239,6 @@ NodeRuntime::NodeRuntime(const SharedFlags& flags, Config config)
       config_(std::move(config)),
       flight_(install_flight(flags_, config_), &uninstall_flight),
       entry_(find_entry(config_.object)),
-      loop_(net::EventLoop::Options{.force_poll = flags_.force_poll,
-                                    .wheel = {}}),
       options_(stack_options(config_,
                              object::derive_commutativity(entry_.spec()),
                              metrics())),

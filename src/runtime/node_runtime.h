@@ -101,7 +101,6 @@ struct SharedFlags {
   std::string record_history_path;
   std::string fault_plan_path;
   std::string flight_path;
-  bool force_poll = false;
   int metrics_port = -1;  ///< -1 = no endpoint; 0 = ephemeral
   std::string metrics_snapshot_path;
 
@@ -121,7 +120,6 @@ inline constexpr char kSharedUsage[] =
     "                    crash dumps the flight ring and exits 137\n"
     "  --flight FILE     back the always-on flight ring with FILE (survives\n"
     "                    SIGKILL); else it dumps to <report>.flight\n"
-    "  --force-poll      use the poll event-loop backend\n"
     "  --metrics-port P  serve Prometheus plaintext on 127.0.0.1:P\n"
     "                    (0 = ephemeral; report and progress name it)\n"
     "  --metrics-snapshot FILE  rewrite the metrics page here every 250ms\n";

@@ -13,8 +13,9 @@
 //     count * ( u32 length, length bytes )   -- each an inner frame
 //
 // Works over SimTransport (deterministic: the flush timer is a scheduler
-// event) and ThreadTransport (the queue is mutex-guarded; the timer runs on
-// the transport's timer thread). Everything registered on one
+// event) and net::UdpTransport (the timer runs on the loop thread; the
+// queue is mutex-guarded, so a test or tool thread may send beside it).
+// Everything registered on one
 // BatchingTransport speaks the batch framing — don't mix endpoints of the
 // inner transport with endpoints of the decorator. A client with no
 // stack (net::OobClient) speaks it through pack() and for_each_frame(),

@@ -173,6 +173,7 @@ void ReliableEndpoint::send_control_frame(NodeId source) {
     }
     frame.u8(static_cast<std::uint8_t>(FrameType::kControl));
     frame.u64(std::min(floor, peer.ack_ceiling));
+    frame.u64(floor);
     frame.u64_vec(missing);
     stats_.control_frames += 1;
     note_sent(source, transport_.now_us());
@@ -201,6 +202,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
   // header parse is guarded — an upper layer's parse errors are its own.
   FrameType type{};
   SeqNo seq = 0;
+  SeqNo receiver_floor = 0;  // control frames: the peer's real floor
   std::vector<std::uint64_t> missing;
   std::int64_t hb_origin_us = 0;  // heartbeat timestamps (0 = legacy frame)
   std::int64_t hb_echo_origin_us = 0;
@@ -212,6 +214,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
       seq = reader.u64();
     } else if (type == FrameType::kControl) {
       seq = reader.u64();  // cumulative ack
+      receiver_floor = reader.u64();
       missing = reader.u64_vec();
     } else if (type == FrameType::kWindowBase) {
       seq = reader.u64();  // lowest seq the sender retains
@@ -331,6 +334,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     PeerSendState& peer = send_state_[from];
     peer.unacked.erase(peer.unacked.begin(),
                        peer.unacked.upper_bound(cumulative));
+    peer.receiver_floor = receiver_floor;
     // A control frame is proof of a responsive peer: reset its backoff.
     peer.backoff_us = 0;
     peer.unresponsive_reported = false;
@@ -373,11 +377,13 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
 
 void ReliableEndpoint::on_sender_timer() {
   // Retransmit unacked data; covers dropped tail messages that gap-driven
-  // NACKs can never discover. The burst cap (lowest seqs first — the ones
-  // the receiver needs to advance its prefix) keeps a slow or dead peer
-  // from turning each tick into a storm, and each link that still has
-  // unacked data after a pass backs off exponentially (reset by any
-  // control frame from that peer), so a dead peer decays to a trickle.
+  // NACKs can never discover. A pass starts above the receiver's reported
+  // floor: below it every frame arrived and waits only on the receiver's
+  // ack ceiling. The burst cap (lowest seqs first — the ones the receiver
+  // needs to advance its prefix) keeps a slow or dead peer from turning
+  // each tick into a storm, and each link that still has unacked data
+  // after a pass backs off exponentially (reset by any control frame from
+  // that peer), so a dead peer decays to a trickle.
   std::vector<std::pair<NodeId, SharedBuffer>> to_resend;
   {
     const LockGuard guard(mutex_);
@@ -392,13 +398,19 @@ void ReliableEndpoint::on_sender_timer() {
           to_resend.size() >= kMaxRetransmitBurst) {
         continue;
       }
-      for (const auto& [seq, data_frame] : peer.unacked) {
-        if (to_resend.size() >= kMaxRetransmitBurst) {
-          break;
-        }
-        to_resend.emplace_back(peer_id, data_frame);
-        obs::flight_record(obs::FlightEvent::kRetransmit, MessageId{id_, seq},
-                           peer_id);
+      auto it = peer.unacked.upper_bound(peer.receiver_floor);
+      std::size_t budget = kMaxRetransmitBurst - to_resend.size();
+      if (it == peer.unacked.end()) {
+        // The receiver reported every unacked frame. Resend the lowest
+        // alone: a live receiver drops it and acks at once, and one that
+        // restarted since the report learns of its gap.
+        it = peer.unacked.begin();
+        budget = 1;
+      }
+      for (; it != peer.unacked.end() && budget > 0; ++it, --budget) {
+        to_resend.emplace_back(peer_id, it->second);
+        obs::flight_record(obs::FlightEvent::kRetransmit,
+                           MessageId{id_, it->first}, peer_id);
       }
       schedule_next_retransmit(peer, now);
     }

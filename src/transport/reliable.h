@@ -11,9 +11,13 @@
 //  - per (source, destination) link sequence numbers; receivers dedupe
 //    against a PrefixSeqSet (the contiguous prefix + the seqs above it);
 //  - receivers with detected gaps periodically send control frames
-//    carrying (cumulative ack, missing list) — fast NACK recovery;
-//  - senders with unacked data periodically retransmit it — this covers
-//    dropped *tail* messages that no gap would ever reveal;
+//    carrying (cumulative ack, contiguous floor, missing list) — fast NACK
+//    recovery. The ack is the floor capped by the ack ceiling (see
+//    set_ack_ceiling); without a ceiling the two are equal;
+//  - senders with unacked data periodically retransmit it, starting above
+//    the receiver's last reported floor — this covers dropped *tail*
+//    messages that no gap would ever reveal, even while a ceiling holds
+//    back the acks of everything below them;
 //  - receivers ack duplicates immediately so retransmission converges;
 //  - retransmits toward a silent peer back off exponentially (with
 //    deterministic jitter) up to 16 * retransmit_interval_us, so a dead
@@ -84,9 +88,11 @@ struct ReliableStats {
 
 /// One member's reliable link bundle over a Transport.
 ///
-/// Thread-safety: all state is guarded by one mutex, so the endpoint works
-/// under both SimTransport (single-threaded) and ThreadTransport (handler
-/// and timer threads). The upward handler is invoked without the lock held.
+/// Thread-safety: all state is guarded by one mutex, so besides
+/// SimTransport (single-threaded) the endpoint works over
+/// net::UdpTransport while a test or tool thread sends and the loop thread
+/// runs its handlers and timers. The upward handler is invoked without
+/// the lock held.
 class ReliableEndpoint {
  public:
   using Handler = std::function<void(NodeId from, const WireFrame& frame)>;
@@ -164,8 +170,9 @@ class ReliableEndpoint {
 
   /// Caps the cumulative ack advertised to `peer` at `ceiling`. Frames
   /// above the ceiling are still received, delivered, and dup-suppressed —
-  /// but never acknowledged, so the sender retains (and keeps
-  /// retransmitting) them. Checkpointing nodes advance the ceiling to the
+  /// but never acknowledged, so the sender retains them. Control frames
+  /// still report the real floor, so the sender resends only what lies
+  /// above it. Checkpointing nodes advance the ceiling to the
   /// persisted frontier after every flush: anything this node ever acked
   /// is then recoverable from its own checkpoint, so a crash between
   /// stable points cannot lose frames the senders already released.
@@ -208,6 +215,9 @@ class ReliableEndpoint {
   struct PeerSendState {
     SeqNo next_seq = 1;
     std::map<SeqNo, SharedBuffer> unacked;  // seq -> full data frame
+    /// The contiguous floor in the receiver's last control frame. Unacked
+    /// frames at or below it arrived; only its ack ceiling keeps them.
+    SeqNo receiver_floor = 0;
     /// Exponential-backoff state: current interval (0 = base) and the
     /// absolute time this link's next retransmit is allowed.
     SimTime backoff_us = 0;
@@ -262,7 +272,8 @@ class ReliableEndpoint {
   /// Builds the framed [header][payload] buffer for one data message.
   [[nodiscard]] SharedBuffer make_data_frame(SeqNo seq,
                                              const SharedBuffer& payload) const;
-  /// Control frame to `source` with our cumulative ack + missing seqs.
+  /// Control frame to `source` with our cumulative ack, contiguous floor
+  /// and missing seqs.
   void send_control_frame(NodeId source);
   void on_sender_timer();
   void on_receiver_timer();

@@ -1,16 +1,15 @@
 // Transport abstraction under the ordering layers.
 //
 // A Transport moves immutable, refcounted frames between endpoints and
-// provides timers. Four implementations ship with the library:
+// provides timers. Two implementations carry frames:
 //   - SimTransport: deterministic, on the discrete-event SimNetwork;
-//     used by tests and every bench.
-//   - ThreadTransport: real std::thread concurrency with per-endpoint
-//     delivery queues; used by examples to show the same protocol stack
-//     running outside the simulator.
+//     used by tests, examples and every bench.
 //   - net::UdpTransport: real nonblocking UDP sockets on a single-threaded
-//     event loop (net/udp_transport.h) — members in different processes.
-//   - BatchingTransport: a decorator over any of the above that packs
-//     several frames per wire message (transport/batching.h).
+//     event loop (net/udp_transport.h) — members in different processes,
+//     or several in one process over loopback.
+// Decorators wrap either: BatchingTransport packs several frames per
+// wire message (transport/batching.h), and fault::ChaosTransport injects
+// a seeded FaultPlan's loss, delay and reordering.
 //
 // Frames are SharedBuffers: a broadcast to N destinations shares ONE
 // buffer across all sends, and receive handlers get a WireFrame window
@@ -41,15 +40,13 @@ namespace cbc {
 ///    once the endpoint they involve exists — including from inside a
 ///    receive handler or a scheduled action.
 ///  - schedule()d actions run on the same execution context that delivers
-///    messages (the simulator step, a timer thread, or the event loop).
+///    messages (the simulator step or the event loop).
 ///
 /// Endpoint lifecycle: registration is a start-up activity. Every
 /// implementation accepts add_endpoint() before its execution context
 /// starts delivering; registering later is implementation-defined and
 /// must either work or fail loudly:
 ///  - SimTransport: any time (single-threaded by construction).
-///  - ThreadTransport: must complete before the first send(); endpoints
-///    added later exist but miss messages sent before registration.
 ///  - net::UdpTransport: before EventLoop::run(), or on the loop thread
 ///    itself; a late call from any other thread throws InvalidArgument
 ///    (never a silent race — see net/udp_transport.h).
@@ -83,7 +80,7 @@ class Transport {
   virtual void schedule(SimTime delay_us, std::function<void()> action) = 0;
 
   /// Current transport time in microseconds (virtual for SimTransport,
-  /// monotonic wall clock for ThreadTransport).
+  /// the event loop's monotonic clock for net::UdpTransport).
   [[nodiscard]] virtual SimTime now_us() const = 0;
 };
 

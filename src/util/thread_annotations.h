@@ -26,12 +26,8 @@
 //   kRankReliable (200)   ReliableEndpoint's link-state mutex
 //   kRankTransport(300)   transport decorators (batching queues, chaos
 //                         state, UDP send stats)
-//   kRankPeerTable(500)   ThreadTransport's endpoint table
-//   kRankPeerQueue(510)   one ThreadTransport endpoint's inbox
-//   kRankJitter   (520)   ThreadTransport's shared jitter RNG
-//   kRankTimer    (530)   ThreadTransport's timer queue (armed from under
-//                         reliable/batching locks, hence above 300)
-//   kRankLoopPending(800) EventLoop's cross-thread task queue
+//   kRankLoopPending(800) EventLoop's cross-thread task queue (posted
+//                         and scheduled from under any lock above)
 //   kRankLeaf     (900)   push-only leaves (the object catalog) —
 //                         safe to take while holding anything above.
 //
@@ -40,8 +36,6 @@
 // std::mutex / std::lock_guard / std::unique_lock may appear (lint L1).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <string>
@@ -93,10 +87,8 @@
 /// Function returns a reference to the named capability.
 #define CBC_RETURN_CAPABILITY(x) CBC_THREAD_ANNOTATION(lock_returned(x))
 
-/// Escape hatch: function body is exempt from analysis. Use sparingly and
-/// say why at the use site.
-#define CBC_NO_THREAD_SAFETY_ANALYSIS \
-  CBC_THREAD_ANNOTATION(no_thread_safety_analysis)
+// No escape-hatch macro exempts a function body: the analysis checks
+// every function in src/.
 
 namespace cbc {
 
@@ -108,10 +100,6 @@ inline constexpr int kRankRegistry = 50;     ///< MetricsRegistry tables
 inline constexpr int kRankStack = 100;       ///< member stack_mutex()
 inline constexpr int kRankReliable = 200;    ///< ReliableEndpoint state
 inline constexpr int kRankTransport = 300;   ///< transport decorator state
-inline constexpr int kRankPeerTable = 500;   ///< ThreadTransport endpoints
-inline constexpr int kRankPeerQueue = 510;   ///< one endpoint's inbox
-inline constexpr int kRankJitter = 520;      ///< ThreadTransport jitter RNG
-inline constexpr int kRankTimer = 530;       ///< ThreadTransport timers
 inline constexpr int kRankLoopPending = 800; ///< EventLoop posted tasks
 inline constexpr int kRankLeaf = 900;        ///< push-only leaves
 
@@ -180,8 +168,6 @@ inline void note_release(const void* address) {
 // Annotated, ranked mutex wrappers.
 // ---------------------------------------------------------------------------
 
-class CondVar;
-
 /// std::mutex carrying a static capability and a runtime rank. The rank
 /// check runs BEFORE blocking, so an inversion reports deterministically
 /// instead of deadlocking.
@@ -208,7 +194,6 @@ class CBC_CAPABILITY("mutex") Mutex {
   const Mutex& operator!() const { return *this; }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
   const int rank_;
   const char* const name_;
@@ -264,67 +249,5 @@ class CBC_SCOPED_CAPABILITY LockGuard {
 
 template <typename MutexT>
 LockGuard(MutexT&) -> LockGuard<MutexT>;
-
-/// Condition variable waiting on a cbc::Mutex the caller already holds.
-/// The wait adopts the held native mutex, so the thread's rank bookkeeping
-/// stays consistent across the unlock/relock inside wait: the HeldLockStack
-/// entry persists while blocked (the thread acquires nothing while
-/// waiting) and is accurate again once wait returns with the lock held.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
-  template <typename Predicate>
-  void wait(Mutex& mu, Predicate pred) CBC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
-    cv_.wait(inner, std::move(pred));
-    inner.release();  // ownership stays with the caller's LockGuard
-  }
-
-  /// Predicate-free wait — the caller re-checks its condition in a loop
-  /// (spurious wakeups included).
-  void wait(Mutex& mu) CBC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
-    cv_.wait(inner);
-    inner.release();
-  }
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(Mutex& mu,
-                          const std::chrono::duration<Rep, Period>& timeout)
-      CBC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(inner, timeout);
-    inner.release();
-    return status;
-  }
-
-  template <typename Clock, typename Duration, typename Predicate>
-  bool wait_until(Mutex& mu,
-                  const std::chrono::time_point<Clock, Duration>& deadline,
-                  Predicate pred) CBC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
-    const bool satisfied = cv_.wait_until(inner, deadline, std::move(pred));
-    inner.release();
-    return satisfied;
-  }
-
-  template <typename Rep, typename Period, typename Predicate>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout,
-                Predicate pred) CBC_REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
-    const bool satisfied = cv_.wait_for(inner, timeout, std::move(pred));
-    inner.release();
-    return satisfied;
-  }
-
- private:
-  std::condition_variable cv_;
-};
 
 }  // namespace cbc

@@ -290,6 +290,36 @@ TEST(OSend, DepOnDepartedSendersMessageStillSatisfied) {
   EXPECT_EQ(group.log(1).back().id, after_departed);
 }
 
+TEST(OSend, AdoptedBaselineReleasesWhatItCoversAndRenumbersOwnSends) {
+  // Member 2 adopts a baseline saying sender 1's first 3 messages and its
+  // own first 4 are delivered (a flush joiner's or a recovered member's
+  // cut). Sender 0's two messages wait on sender 1's seq 1 and seq 5,
+  // neither of which member 2 ever receives.
+  SimEnv env;
+  Group<OSendMember> group(env.transport, 3);
+  const MessageId below =
+      group[0].osend("below", bytes(1), DepSpec::after(MessageId{1, 1}));
+  const MessageId above =
+      group[0].osend("above", bytes(2), DepSpec::after(MessageId{1, 5}));
+  env.run();
+  ASSERT_EQ(group[2].holdback_depth(), 2u);
+  ASSERT_TRUE(group.log(2).empty());
+
+  VectorClock baseline(3);
+  baseline.set(1, 3);
+  baseline.set(2, 4);
+  group[2].adopt_baseline(baseline);
+  // A message held on a dep at or below the baseline is delivered...
+  EXPECT_EQ(delivered_ids(group.log(2)), std::vector<MessageId>{below});
+  EXPECT_TRUE(group[2].has_delivered(MessageId{1, 3}));
+  // ...one held on a dep above it stays held...
+  EXPECT_EQ(group[2].holdback_depth(), 1u);
+  EXPECT_FALSE(group[2].has_delivered(above));
+  // ...and the member's own numbering resumes past its baseline entry.
+  EXPECT_EQ(group[2].osend("next", bytes(3), DepSpec::none()),
+            (MessageId{2, 5}));
+}
+
 // Property: a random causally-well-formed workload (every dependency names
 // an already-delivered message at its sender) delivers at every member in
 // some valid topological order of the closed graph.

@@ -497,24 +497,5 @@ TEST(LockOrder, ReleaseRestoresCleanState) {
   SUCCEED();
 }
 
-TEST(LockOrder, CondVarWaitPreservesRankBookkeeping) {
-  // A CondVar wait releases the native mutex while blocked but keeps the
-  // thread's rank entry; after the wait returns, the discipline still
-  // sees the lock held and release restores a clean slate.
-  Mutex mu{kRankReliable, "cv mutex"};
-  CondVar cv;
-  bool ready = true;
-  {
-    const LockGuard guard(mu);
-    cv.wait(mu, [&] { return ready; });
-    // Still holding mu at its rank: acquiring a LOWER rank must throw.
-    RecursiveMutex stack_mutex{kRankStack, "stack"};
-    EXPECT_THROW({ const LockGuard bad(stack_mutex); }, LogicError);
-  }
-  RecursiveMutex stack_mutex{kRankStack, "stack"};
-  const LockGuard fine(stack_mutex);
-  SUCCEED();
-}
-
 }  // namespace
 }  // namespace cbc

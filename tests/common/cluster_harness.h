@@ -54,7 +54,6 @@ class ClusterHarness {
     /// Start every node with --record-history history_path(id): each
     /// member persists its delivery history for cbc_check at SIGTERM.
     bool record_history = false;
-    bool force_poll = false;
     /// Start every node with tracing (--trace trace_path(id)) and an
     /// ephemeral metrics endpoint + snapshot file. The report then carries
     /// metrics_port=..., and terminate_node() leaves a per-node Chrome
@@ -142,9 +141,6 @@ class ClusterHarness {
       if (options_.record_history) {
         args.push_back("--record-history");
         args.push_back(history_path(group, id));
-      }
-      if (options_.force_poll) {
-        args.push_back("--force-poll");
       }
       if (!options_.fault_plan.empty()) {
         args.push_back("--fault-plan");

@@ -359,12 +359,18 @@ TEST(DynamicReplica, SnapshotCarriesFrontEndContext) {
       env.transport, view2, apps::Counter::spec()));
   nodes[0]->propose_view(view2);
   env.run();
+  // The joiner's detector resumes the open cycle at the cut.
+  EXPECT_EQ(nodes[2]->detector().open_set(), nodes[0]->detector().open_set());
+  EXPECT_EQ(nodes[2]->detector().open_set().size(), 1u);
   // Joiner issues the cycle-closing read; its AND-set must cover the
   // pre-join inc (known only via the snapshot's restored context).
   nodes[2]->submit(apps::Counter::rd());
   env.run();
   ASSERT_TRUE(nodes[0]->detector().last().has_value());
   EXPECT_TRUE(nodes[0]->detector().last()->coverage_complete);
+  ASSERT_TRUE(nodes[2]->detector().last().has_value());
+  EXPECT_EQ(nodes[2]->detector().last()->commutative_set.size(), 1u);
+  EXPECT_TRUE(nodes[2]->detector().last()->coverage_complete);
   EXPECT_EQ(nodes[0]->last_stable_state()->value(), 1);
   EXPECT_EQ(nodes[2]->last_stable_state()->value(), 1);
 }

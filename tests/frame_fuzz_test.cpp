@@ -77,9 +77,11 @@ TEST(FrameFuzz, SlicedControlFramesAreCountedNotFatal) {
       env.transport.add_endpoint([](NodeId, const WireFrame&) {});
   ReliableEndpoint endpoint(env.transport,
                             [](NodeId, const WireFrame&) {});
-  // A well-formed control frame: type, cumulative ack, 3-entry NACK list.
+  // A well-formed control frame: type, cumulative ack, contiguous floor,
+  // 3-entry NACK list.
   Writer writer;
   writer.u8(2);
+  writer.u64(5);
   writer.u64(5);
   writer.u64_vec({7, 9, 11});
   const std::vector<std::uint8_t> full = writer.take();

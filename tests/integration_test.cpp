@@ -1,19 +1,28 @@
 // Cross-module integration tests: the full stack under realistic fault
-// envelopes, the paper's end-to-end scenarios, and the thread transport.
+// envelopes, the paper's end-to-end scenarios, and the stack on real
+// threads over loopback UDP.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "apps/card_game.h"
 #include "apps/counter.h"
 #include "apps/document.h"
 #include "activity/transition_check.h"
 #include "common/group_fixture.h"
+#include "common/loop_runner.h"
 #include "common/sim_env.h"
+#include "common/udp_ports.h"
+#include "fault/chaos_transport.h"
 #include "lock/lock_arbiter.h"
+#include "net/cluster_config.h"
+#include "net/event_loop.h"
+#include "net/udp_transport.h"
 #include "replica/replica_group.h"
-#include "transport/thread_transport.h"
+#include "total/asend.h"
 #include "util/rng.h"
 
 namespace cbc {
@@ -201,44 +210,115 @@ TEST(Integration, LockSerializedCriticalSectionsNeverOverlap) {
 
 // ---------- Whole stack on real threads ----------
 
-TEST(Integration, ReplicaGroupOnThreadTransport) {
-  ThreadTransport::Options toptions;
-  toptions.max_jitter_us = 1000;
-  toptions.seed = 3;
-  ThreadTransport transport(toptions);
-  ReplicaGroup<apps::Counter> group(transport, 3, apps::Counter::spec());
+/// `n` in-process members' loopback UDP endpoints behind a ChaosTransport
+/// that delays every frame by up to 2 ms and gives a fifth of them an
+/// overtaking delay. Members register before the loop starts; a
+/// LoopRunner then delivers on the loop thread while the test thread
+/// submits, so every stack, reliable and transport lock is taken from two
+/// threads.
+struct LoopbackNetwork {
+  explicit LoopbackNetwork(std::size_t n)
+      : udp(loop,
+            net::ClusterConfig::localhost(testkit::reserve_udp_ports(n))),
+        chaos(udp, chaos_options()) {}
+
+  static fault::ChaosTransport::Options chaos_options() {
+    fault::ChaosTransport::Options options;
+    options.plan =
+        fault::FaultPlan::parse("seed 3\nlink * * delay 0 2000 reorder 0.2\n");
+    return options;
+  }
+
+  net::EventLoop loop;
+  net::UdpTransport udp;
+  fault::ChaosTransport chaos;
+};
+
+/// Polls `done` until it holds or 20 s pass; `done` reads member state
+/// under each member's stack lock.
+template <typename Done>
+bool wait_until(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(Integration, ReplicaGroupOnLoopbackUdp) {
+  LoopbackNetwork network(3);
+  ReplicaNode<apps::Counter>::Options options;
+  options.member.reliability.enabled = true;
+  ReplicaGroup<apps::Counter> group(network.chaos, 3, apps::Counter::spec(),
+                                    options);
+  // Node i's current value and closed cycles, read under its stack lock
+  // (the loop thread applies deliveries under the same lock).
+  const auto read = [&group](std::size_t i) {
+    ReplicaNode<apps::Counter>& node = group.node(i);
+    const LockGuard guard(node.member().stack_mutex());
+    return std::pair{node.state().value(), node.detector().cycles()};
+  };
+  const auto all_read = [&read](std::int64_t value, std::uint64_t cycles) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (read(i) != std::pair{value, cycles}) {
+        return false;
+      }
+    }
+    return true;
+  };
+  testkit::LoopRunner runner(network.loop);
   group.node(0).submit(apps::Counter::inc(2));
   group.node(1).submit(apps::Counter::inc(3));
   group.node(2).submit(apps::Counter::inc(5));
-  transport.drain();
+  ASSERT_TRUE(wait_until([&] { return all_read(10, 0); }));
   group.node(0).submit(apps::Counter::rd());
-  transport.drain();
-  EXPECT_TRUE(group.states_agree());
-  EXPECT_TRUE(group.stable_states_agree());
-  EXPECT_EQ(group.node(2).state().value(), 10);
+  ASSERT_TRUE(wait_until([&] { return all_read(10, 1); }));
+  for (std::size_t i = 0; i < 3; ++i) {
+    ReplicaNode<apps::Counter>& node = group.node(i);
+    const LockGuard guard(node.member().stack_mutex());
+    ASSERT_TRUE(node.last_stable_state().has_value()) << "member " << i;
+    EXPECT_EQ(node.last_stable_state()->value(), 10) << "member " << i;
+  }
+  EXPECT_GT(network.chaos.stats().delays, 0u);
 }
 
-TEST(Integration, ASendOnThreadTransportTotalOrder) {
-  ThreadTransport::Options toptions;
-  toptions.max_jitter_us = 2000;
-  toptions.seed = 9;
-  ThreadTransport transport(toptions);
+TEST(Integration, ASendOnLoopbackUdpTotalOrder) {
+  LoopbackNetwork network(3);
   const GroupView view = testkit::make_view(3);
+  ASendMember::Options options;
+  options.reliability.enabled = true;
   std::array<testkit::Recorder, 3> recorders;  // outlive the members
   std::vector<std::unique_ptr<ASendMember>> members;
   for (std::size_t i = 0; i < 3; ++i) {
-    members.push_back(std::make_unique<ASendMember>(transport, view,
-                                                    recorders[i].tap()));
+    members.push_back(std::make_unique<ASendMember>(
+        network.chaos, view, recorders[i].tap(), options));
   }
+  // Member i's delivered ids, read under its stack lock.
+  const auto ids = [&](std::size_t i) {
+    const LockGuard guard(members[i]->stack_mutex());
+    return recorders[i].ids();
+  };
+  testkit::LoopRunner runner(network.loop);
   for (int k = 0; k < 10; ++k) {
     members[static_cast<std::size_t>(k) % 3]->asend("m" + std::to_string(k),
                                                     {});
   }
-  transport.drain();
-  const auto reference = recorders[0].ids();
+  ASSERT_TRUE(wait_until([&] {
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (ids(i).size() < 10) {
+        return false;
+      }
+    }
+    return true;
+  }));
+  const auto reference = ids(0);
   EXPECT_EQ(reference.size(), 10u);
   for (std::size_t i = 1; i < 3; ++i) {
-    EXPECT_EQ(recorders[i].ids(), reference);
+    EXPECT_EQ(ids(i), reference);
   }
 }
 

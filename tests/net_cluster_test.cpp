@@ -245,6 +245,39 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
   EXPECT_EQ(cluster.report(2)->at("recovered"), "1");
 }
 
+TEST(Cluster, CheckpointingMembersFinishWhenOneBindsLate) {
+  // With checkpoints a member acks nothing before its first stable point,
+  // so its peers retain every frame they send it. Node 0 binds its socket
+  // only after nodes 1 and 2 have sent it their 200 round-0 ops: those
+  // frames are lost with nothing sent after them, so no NACK names them,
+  // and only retransmit passes that start above the floor node 0 reports
+  // resend the ones past a pass's first 64.
+  ClusterHarness cluster({.nodes = 3,
+                          .rounds = 5,
+                          .ops_per_round = 200,
+                          .object = "queue",
+                          .checkpoints = true});
+  cluster.start_node(1);
+  cluster.start_node(2);
+  // Each has delivered its own round-0 ops, so it has sent them.
+  ASSERT_TRUE(cluster.wait_for_progress(1, "delivered", 200));
+  ASSERT_TRUE(cluster.wait_for_progress(2, "delivered", 200));
+  cluster.start_node(0);
+  for (std::size_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(cluster.wait_for_report(id, /*require_done=*/true, 120'000))
+        << "node " << id << " never finished";
+  }
+  cluster.terminate_all();
+  const NodeReport leader = *cluster.report(0);
+  expect_clean(leader);
+  EXPECT_EQ(leader.at("digest_count"), "5");
+  for (std::size_t id = 1; id < 3; ++id) {
+    const NodeReport report = *cluster.report(id);
+    expect_clean(report);
+    EXPECT_EQ(report.at("digest"), leader.at("digest"));
+  }
+}
+
 TEST(Cluster, CheckpointOverOneDatagramFailsRecoveryAtOnce) {
   // A queue checkpoint carries every enqueued item (16 B each); 180
   // enqueues a round take it to ~86 KB by the quiesce round, past
@@ -252,10 +285,6 @@ TEST(Cluster, CheckpointOverOneDatagramFailsRecoveryAtOnce) {
   // state request with a refusal naming the size, so --recover exits 1
   // at once with the size on stderr — not after the 30 s transfer
   // deadline, for a response the transport drops on every retry.
-  // Rounds stay at 61 frames per link: with checkpoints nothing is acked
-  // before the first stable point, and a retransmit pass resends only
-  // the 64 lowest unacked frames, so frames sent before a member bound
-  // its socket are recovered only inside that window (see ROADMAP).
   constexpr std::int64_t kQuiesceRound = 29;
   ClusterHarness cluster({.nodes = 3,
                           .rounds = 40,

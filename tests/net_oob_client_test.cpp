@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/loop_runner.h"
 #include "common/udp_ports.h"
 #include "kv/session.h"
 #include "net/cluster_config.h"
@@ -43,16 +44,8 @@ class Member {
         batching_(udp_),
         reply_(std::move(reply)),
         endpoint_(batching_, [](NodeId, const WireFrame&) {},
-                  endpoint_options()) {
-    thread_ = std::thread([this] { loop_.run(); });
-    while (!loop_.running()) {
-      std::this_thread::yield();
-    }
-  }
-  ~Member() {
-    loop_.stop();
-    thread_.join();
-  }
+                  endpoint_options()),
+        runner_(loop_) {}
 
   [[nodiscard]] sockaddr_in address() const {
     return config_.sockaddr_of(kMember);
@@ -90,7 +83,7 @@ class Member {
   Reply reply_;
   std::atomic<std::uint64_t> requests_{0};
   ReliableEndpoint endpoint_;
-  std::thread thread_;
+  testkit::LoopRunner runner_;  // last: stops the loop before the rest goes
 };
 
 /// Accepts exactly the payload `want`.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "causal/osend.h"
+#include "common/loop_runner.h"
 #include "common/sim_env.h"
 #include "common/udp_ports.h"
 #include "fault/chaos_transport.h"
@@ -39,6 +40,7 @@ namespace {
 using net::ClusterConfig;
 using net::EventLoop;
 using net::UdpTransport;
+using testkit::LoopRunner;
 
 // ---------- ClusterConfig ----------
 
@@ -72,28 +74,6 @@ TEST(ClusterConfig, RejectsMalformedInput) {
 }
 
 // ---------- Raw datagram delivery ----------
-
-/// Runs the loop on a worker thread for a test body executing on the
-/// main thread; always stops and joins on destruction.
-class LoopRunner {
- public:
-  explicit LoopRunner(EventLoop& loop) : loop_(loop) {
-    thread_ = std::thread([this] { loop_.run(); });
-    // Wait until the loop is actually live so the threading contract
-    // tests exercise the *running* state.
-    while (!loop_.running()) {
-      std::this_thread::yield();
-    }
-  }
-  ~LoopRunner() {
-    loop_.stop();
-    thread_.join();
-  }
-
- private:
-  EventLoop& loop_;
-  std::thread thread_;
-};
 
 TEST(UdpTransport, DeliversDatagramsBetweenLocalEndpoints) {
   const auto ports = testkit::reserve_udp_ports(2);

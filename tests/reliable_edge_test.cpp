@@ -1,11 +1,13 @@
 // ReliableEndpoint edge cases driven deterministically: instead of seeded
 // random loss, a raw transport endpoint plays the peer and crafts exact
 // frame sequences — duplicated data, gaps that force NACK recovery,
-// out-of-window and stale control frames, unknown frame types. Every
+// out-of-window and stale control frames, unknown frame types — or a
+// scripted partition loses exact frames between two endpoints. Every
 // schedule here is exact, so each assertion pins one recovery rule.
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -38,10 +40,13 @@ struct RawPeer {
     transport.send(id, to, writer.take_shared());
   }
 
+  /// A control frame as a receiver without an ack ceiling sends it: its
+  /// contiguous floor equals its cumulative ack.
   void send_control(NodeId to, SeqNo cumulative,
                     std::vector<std::uint64_t> missing) {
     Writer writer;
     writer.u8(kControlType);
+    writer.u64(cumulative);
     writer.u64(cumulative);
     writer.u64_vec(missing);
     transport.send(id, to, writer.take_shared());
@@ -77,7 +82,9 @@ struct RawPeer {
     return bases;
   }
 
-  /// Parses the most recent control frame as (cumulative, missing).
+  /// Parses the most recent control frame as (cumulative, missing); the
+  /// endpoint under test has no ack ceiling, so its floor must equal its
+  /// cumulative ack.
   [[nodiscard]] std::pair<SeqNo, std::vector<std::uint64_t>>
   last_control() const {
     for (auto it = received.rbegin(); it != received.rend(); ++it) {
@@ -85,6 +92,7 @@ struct RawPeer {
         Reader reader(std::span(it->second));
         reader.u8();
         const SeqNo cumulative = reader.u64();
+        EXPECT_EQ(reader.u64(), cumulative);
         return {cumulative, reader.u64_vec()};
       }
     }
@@ -265,6 +273,41 @@ TEST(ReliableEdge, WindowBaseRaisesTheFloorPastHeldSeqsAndAcksAtOnce) {
   EXPECT_EQ(rig.endpoint.stats().duplicates_suppressed, 1u);
   EXPECT_EQ(rig.endpoint.stats().window_resyncs, 1u);
   EXPECT_EQ(rig.env.scheduler.pending(), 0u);
+}
+
+TEST(ReliableEdge, LostTailAboveTheFloorIsResentWhileAcksAreCapped) {
+  // The receiver acks nothing (ceiling 0), as a checkpointing member does
+  // before its first stable point, so the sender keeps all 100 frames.
+  // Seqs 70..100 are lost on first send and nothing above them arrives,
+  // so no NACK can name them: only a retransmit pass that starts above
+  // the floor the receiver reports (69), not at the lowest unacked seq,
+  // resends them.
+  testkit::SimEnv env;
+  std::set<std::uint64_t> received;
+  ReliableEndpoint sender(env.transport, [](NodeId, const WireFrame&) {});
+  ReliableEndpoint receiver(env.transport,
+                            [&](NodeId, const WireFrame& frame) {
+                              Reader reader(frame.bytes());
+                              received.insert(reader.u64());
+                            });
+  receiver.set_ack_ceiling(sender.id(), 0);
+  const auto send = [&](std::uint64_t value) {
+    Writer writer;
+    writer.u64(value);
+    sender.send(receiver.id(), writer.take());
+  };
+  for (std::uint64_t seq = 1; seq <= 69; ++seq) {
+    send(seq);
+  }
+  env.network.set_partitions({{sender.id()}, {receiver.id()}});
+  for (std::uint64_t seq = 70; seq <= 100; ++seq) {
+    send(seq);
+  }
+  env.network.heal();
+  // Default intervals: 2 ms control, 5 x 2 ms = 10 ms retransmit.
+  env.run_until(4 * 10'000);
+  EXPECT_EQ(received.size(), 100u);
+  EXPECT_EQ(sender.unacked_total(), 100u);  // the ceiling still holds
 }
 
 TEST(ReliableEdge, DuplicateOfGapFrameStillAboveContiguousIsSuppressed) {

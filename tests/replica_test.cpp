@@ -130,10 +130,17 @@ TEST(Replica, SubmitWithResultObservesSerializationPoint) {
   ReplicaGroup<apps::Counter> group(env.transport, 2, apps::Counter::spec());
   group.node(0).submit(apps::Counter::inc(7));
   env.run();
+  // A read's response, as the apply observer sees it, is the value at its
+  // serialization point (the paper's consistent read).
   std::optional<std::int64_t> read_value;
-  group.node(1).submit_with_result(
-      apps::Counter::rd(),
-      [&](const apps::Counter& state) { read_value = state.value(); });
+  group.node(1).set_apply_observer(
+      [&](const Delivery& delivery, const std::vector<std::uint8_t>& response) {
+        if (CommutativitySpec::kind_of(delivery.label()) == "rd") {
+          Reader reader(response);
+          read_value = reader.i64();
+        }
+      });
+  group.node(1).submit(apps::Counter::rd());
   env.run();
   ASSERT_TRUE(read_value.has_value());
   EXPECT_EQ(*read_value, 7);

@@ -103,7 +103,7 @@ TEST(Runtime, SharedFlagsTakeTheEightCommonFlags) {
   std::vector<std::string> storage;
   std::vector<char*> argv = make_argv(
       "bin --report r --progress p --record-history h --fault-plan f "
-      "--flight fl --force-poll --metrics-port 0 --metrics-snapshot m "
+      "--flight fl --metrics-port 0 --metrics-snapshot m "
       "--rounds 3", storage);
   ArgReader in(static_cast<int>(argv.size()), argv.data(), 1);
   SharedFlags flags;
@@ -119,7 +119,6 @@ TEST(Runtime, SharedFlagsTakeTheEightCommonFlags) {
   EXPECT_EQ(flags.record_history_path, "h");
   EXPECT_EQ(flags.fault_plan_path, "f");
   EXPECT_EQ(flags.flight_path, "fl");
-  EXPECT_TRUE(flags.force_poll);
   EXPECT_EQ(flags.metrics_port, 0);
   EXPECT_EQ(flags.metrics_snapshot_path, "m");
   EXPECT_TRUE(flags.metrics());

@@ -1,13 +1,11 @@
-// Tests for the transport layer: SimTransport, ThreadTransport, and the
-// ReliableEndpoint loss-recovery layer.
+// Tests for the transport layer: SimTransport and the ReliableEndpoint
+// loss-recovery layer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/sim_env.h"
 #include "transport/reliable.h"
-#include "transport/thread_transport.h"
 #include "util/serde.h"
 
 namespace cbc {
@@ -212,83 +210,6 @@ TEST(Reliable, JitterReorderingToleratedWithoutRetransmitStorm) {
   const std::set<std::uint64_t> unique(pair.bob_received.begin(),
                                        pair.bob_received.end());
   EXPECT_EQ(unique.size(), 40u);
-}
-
-// ---------- ThreadTransport ----------
-
-TEST(ThreadTransport, DeliversAcrossThreads) {
-  ThreadTransport transport;
-  std::atomic<int> received{0};
-  std::atomic<NodeId> seen_from{kNoNode};
-  const NodeId a = transport.add_endpoint(
-      [](NodeId, const WireFrame&) {});
-  const NodeId b = transport.add_endpoint(
-      [&](NodeId from, const WireFrame& frame) {
-        seen_from.store(from);
-        received.fetch_add(static_cast<int>(frame.bytes().size()));
-      });
-  transport.send(a, b, {1, 2, 3});
-  transport.drain();
-  EXPECT_EQ(received.load(), 3);
-  EXPECT_EQ(seen_from.load(), a);
-}
-
-TEST(ThreadTransport, ManyMessagesAllArrive) {
-  ThreadTransport transport;
-  std::atomic<int> count{0};
-  const NodeId a = transport.add_endpoint(
-      [](NodeId, const WireFrame&) {});
-  const NodeId b = transport.add_endpoint(
-      [&](NodeId, const WireFrame&) { count.fetch_add(1); });
-  for (int i = 0; i < 500; ++i) {
-    transport.send(a, b, {static_cast<std::uint8_t>(i)});
-  }
-  transport.drain();
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadTransport, TimersFire) {
-  ThreadTransport transport;
-  std::atomic<bool> fired{false};
-  transport.schedule(1000, [&] { fired.store(true); });
-  transport.drain();
-  EXPECT_TRUE(fired.load());
-}
-
-TEST(ThreadTransport, JitterStillDeliversEverything) {
-  ThreadTransport::Options options;
-  options.max_jitter_us = 3000;
-  options.seed = 77;
-  ThreadTransport transport(options);
-  std::atomic<int> count{0};
-  const NodeId a = transport.add_endpoint(
-      [](NodeId, const WireFrame&) {});
-  const NodeId b = transport.add_endpoint(
-      [&](NodeId, const WireFrame&) { count.fetch_add(1); });
-  for (int i = 0; i < 100; ++i) {
-    transport.send(a, b, std::vector<std::uint8_t>{0});
-  }
-  transport.drain();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadTransport, ReliableLayerWorksOnThreads) {
-  ThreadTransport::Options options;
-  options.max_jitter_us = 500;
-  ThreadTransport transport(options);
-  std::atomic<int> count{0};
-  ReliableEndpoint a(transport, [](NodeId, const WireFrame&) {},
-                     {.control_interval_us = 1000, .enabled = true});
-  ReliableEndpoint b(
-      transport, [&](NodeId, const WireFrame&) { count.fetch_add(1); },
-      {.control_interval_us = 1000, .enabled = true});
-  for (int i = 0; i < 50; ++i) {
-    Writer writer;
-    writer.u64(static_cast<std::uint64_t>(i));
-    a.send(b.id(), writer.take());
-  }
-  transport.drain();
-  EXPECT_EQ(count.load(), 50);
 }
 
 }  // namespace
