@@ -220,7 +220,7 @@ BENCHMARK(BM_FlightRecord);
 
 void BM_FlightRecordNoRecorder(benchmark::State& state) {
   // The fast path with no recorder installed — a relaxed pointer load
-  // and a branch (and nothing at all under -DCBC_OBS=OFF).
+  // and a branch.
   obs::install_flight_recorder(nullptr);
   std::uint64_t seq = 0;
   for (auto _ : state) {

@@ -17,9 +17,8 @@
 # Usage: examples/chaos_cluster.sh [BUILD_DIR] [ROUNDS] [OPS] [OUT_DIR] [OBJECT]
 #
 # OBJECT picks the replicated object the cluster runs (--object; any
-# catalog name whose sync op is state-inert, as checkpoints require:
-# counter, queue, ...). Defaults to $CBC_CLUSTER_OBJECT when set, else
-# counter.
+# catalog name: counter, queue, registry, ...). Defaults to
+# $CBC_CLUSTER_OBJECT when set, else counter.
 set -eu
 
 BUILD_DIR=${1:-build}

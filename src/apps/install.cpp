@@ -46,8 +46,7 @@ void install_objects() {
       Counter::rd()));
 
   // The registry's C-class is its queries (§5.2); updates close
-  // activities, so the round sync is a deterministic upd. Mutating sync
-  // => no checkpointing for this object (cbc_node enforces).
+  // activities, so the round sync is a deterministic upd.
   catalog.install(entry_for<Registry>(
       "registry", &Registry::seq_spec,
       [](cbc::NodeId node, std::uint64_t, std::uint64_t k) {
@@ -88,7 +87,7 @@ void install_objects() {
   // Session-unique keys by construction: each member writes its own key
   // namespace ("s<node>_k<slot>"), one write per slot per round — the kv
   // store's single-writer-per-key domain claim, upheld here. The
-  // state-inert fence closes rounds and keeps checkpointing available.
+  // state-inert fence closes rounds.
   catalog.install(entry_for<KvStore>(
       "kv", &KvStore::seq_spec,
       [](cbc::NodeId node, std::uint64_t round, std::uint64_t k) {

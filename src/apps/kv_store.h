@@ -65,8 +65,7 @@ class KvStore {
   /// State-inert sync op: its response is the digest of the sub-map whose
   /// keys hash into `bucket` of `buckets` (default: the whole map), so it
   /// closes causal activities (two fences around a put disagree) while
-  /// leaving the map untouched — which is what lets checkpoint capture
-  /// ride the round-closing sync delivery. Sharded deployments fence with
+  /// leaving the map untouched. Sharded deployments fence with
   /// (shard, shard_count) so a merged multi-shard replay still reproduces
   /// each shard's responses.
   static Op fence(std::uint64_t bucket = 0, std::uint64_t buckets = 1);

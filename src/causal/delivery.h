@@ -53,7 +53,11 @@ class Delivery {
 
   MessageId id;                 ///< globally unique message id
   NodeId sender = kNoNode;      ///< originating member
-  SimTime sent_at = 0;          ///< transport time at broadcast
+  /// Transport time at broadcast, on the sender's clock: comparable only
+  /// with times from the same transport clock — one process, or one
+  /// simulation. Across processes each event loop counts from its own
+  /// epoch (cbc_trace_merge --report aligns clocks instead).
+  SimTime sent_at = 0;
   SimTime delivered_at = 0;     ///< transport time at delivery
 
   /// Application label (e.g. "inc"). Shared with the envelope unless an

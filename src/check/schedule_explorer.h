@@ -92,7 +92,7 @@ class ScheduleExplorer {
  public:
   ScheduleExplorer(ScenarioFactory factory, ExplorerOptions options)
       : factory_(std::move(factory)), options_(std::move(options)) {
-    if (obs::kCompiledIn && options_.metrics != nullptr) {
+    if (options_.metrics != nullptr) {
       schedules_counter_ = &options_.metrics->counter(
           options_.metrics_prefix + ".schedules_explored");
       minimize_counter_ = &options_.metrics->counter(

@@ -194,7 +194,7 @@ class Server {
     // An applied broadcast is the earliest sound moment to wake parked
     // client requests — deferred to a posted task so serving happens
     // outside the stack, with the front end fully caught up.
-    config.on_apply = [this] {
+    config.on_apply = [this](const cbc::Delivery&) {
       runtime_.loop().post([this] { service_->on_delivery(); });
     };
     // Every scrape line from this process carries its shard/replica

@@ -17,6 +17,11 @@ namespace cbc::net {
 
 namespace {
 
+/// Scrapes are served on loopback only.
+constexpr std::uint32_t kBindAddr = 0x7F000001;  // 127.0.0.1, host order
+/// A request whose headers exceed this is dropped unanswered.
+constexpr std::size_t kMaxRequestBytes = 8 * 1024;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ensure(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
@@ -60,8 +65,8 @@ std::string request_path(const std::string& request) {
 
 MetricsHttpServer::MetricsHttpServer(EventLoop& loop,
                                      obs::MetricsRegistry& registry,
-                                     Options options)
-    : loop_(loop), registry_(registry), options_(options) {
+                                     std::uint16_t port)
+    : loop_(loop), registry_(registry) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   ensure(listen_fd_ >= 0, "MetricsHttpServer: socket() failed");
   const int one = 1;
@@ -69,8 +74,8 @@ MetricsHttpServer::MetricsHttpServer(EventLoop& loop,
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(options_.bind_addr);
-  addr.sin_port = htons(options_.port);
+  addr.sin_addr.s_addr = htonl(kBindAddr);
+  addr.sin_port = htons(port);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
       ::listen(listen_fd_, 8) != 0) {
@@ -151,7 +156,7 @@ void MetricsHttpServer::on_readable(std::size_t index) {
       return;
     }
     conn.request.append(buf, static_cast<std::size_t>(n));
-    if (conn.request.size() > options_.max_request_bytes) {
+    if (conn.request.size() > kMaxRequestBytes) {
       close_connection(index);
       return;
     }
@@ -192,7 +197,6 @@ void MetricsHttpServer::respond_and_close(std::size_t index) {
       "Connection: close\r\n\r\n";
   response += body;
   write_all(connections_[index].fd, response);
-  requests_served_ += 1;
   close_connection(index);
 }
 

@@ -2,7 +2,7 @@
 // EventLoop.
 //
 // A deliberately minimal HTTP/1.0 responder: it binds a TCP listen socket
-// (port 0 picks an ephemeral port, readable via port() after start) and,
+// on 127.0.0.1 (port 0 picks an ephemeral port, readable via port()) and,
 // for every accepted connection, reads until the end of the request
 // headers, writes one `200 OK` response, and closes. No keep-alive, no
 // TLS, and exactly three routes:
@@ -35,26 +35,19 @@ namespace cbc::net {
 /// `/healthz`.
 class MetricsHttpServer {
  public:
-  struct Options {
-    std::uint16_t port = 0;        ///< 0 = ephemeral; see port()
-    std::uint32_t bind_addr = 0x7F000001;  ///< host order; default 127.0.0.1
-    std::size_t max_request_bytes = 8 * 1024;  ///< oversized requests drop
-  };
-
-  /// Binds and registers the listen socket. Must run before
-  /// EventLoop::run() or on the loop thread (same contract as
-  /// UdpTransport::add_endpoint). Throws InvalidArgument on bind failure.
+  /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()) and registers the
+  /// listen socket. Must run before EventLoop::run() or on the loop
+  /// thread (same contract as UdpTransport::add_endpoint). Throws
+  /// InvalidArgument on bind failure.
   MetricsHttpServer(EventLoop& loop, obs::MetricsRegistry& registry,
-                    Options options);
+                    std::uint16_t port);
   ~MetricsHttpServer();
 
   MetricsHttpServer(const MetricsHttpServer&) = delete;
   MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
 
-  /// The bound TCP port (the kernel's pick when Options::port was 0).
+  /// The bound TCP port (the kernel's pick when the requested one was 0).
   [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  std::uint64_t requests_served() const { return requests_served_; }
 
  private:
   struct Connection {
@@ -71,13 +64,9 @@ class MetricsHttpServer {
 
   EventLoop& loop_;
   obs::MetricsRegistry& registry_;
-  Options options_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<Connection> connections_ CBC_GUARDED_BY(loop_.capability());
-  // Bumped on the loop thread; read by the (quiescent) public accessor,
-  // so not statically guarded.
-  std::uint64_t requests_served_ = 0;
 };
 
 }  // namespace cbc::net

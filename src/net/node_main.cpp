@@ -6,7 +6,7 @@
 // hooks generate the round traffic, and its serialize hook feeds digests,
 // checkpoints, and state transfer. The stack, the shared flags and the
 // process shell are runtime::NodeRuntime's (src/runtime/node_runtime.h);
-// this file is the round workload the delivery tap drives.
+// this file is the round workload its apply hook drives.
 //
 // The workload is round-structured so that stable-point digests are
 // deterministic across members even though UDP reorders freely:
@@ -182,26 +182,15 @@ class Node {
         sync_kind_(entry_.sync_op.kind),
         marker_count_(runtime_.view().size(), 0),
         departed_(runtime_.view().size(), false),
-        recovered_(std::move(recovered)) {
-    // Checkpoints are captured at the sync's delivery tap, before the
-    // replica applies it — only sound when the sync op is state-inert.
-    // Probe that instead of trusting a label.
-    const std::unique_ptr<cbc::object::ReplicatedObject> probe = entry_.make();
-    const std::unique_ptr<cbc::object::ReplicatedObject> before =
-        probe->clone();
-    cbc::Reader sync_args(entry_.sync_op.args);
-    probe->apply(sync_kind_, sync_args);
-    cbc::require(probe->equals(*before) || !checkpoints_enabled(),
-                 "--checkpoint/--recover require a state-inert sync op; "
-                 "object '" + args_.object + "' closes rounds with "
-                 "mutating '" + sync_kind_ + "'");
-    if (cbc::obs::MetricsRegistry* registry = runtime_.metrics()) {
-      recovery_checkpoints_ =
-          &registry->counter("recovery.checkpoints_written");
-      recovery_transfers_ = &registry->counter("recovery.transfers_served");
-      recovery_restored_ = &registry->gauge("recovery.restored_cycles");
-      recovery_checked_ = &registry->gauge("recovery.chain_checked_cycles");
-    }
+        recovered_(std::move(recovered)),
+        recovery_checkpoints_(
+            runtime_.metrics().counter("recovery.checkpoints_written")),
+        recovery_transfers_(
+            runtime_.metrics().counter("recovery.transfers_served")),
+        recovery_restored_(
+            runtime_.metrics().gauge("recovery.restored_cycles")),
+        recovery_checked_(
+            runtime_.metrics().gauge("recovery.chain_checked_cycles")) {
     if (checkpoints_enabled() && !args_.observer) {
       // Start acknowledging nothing: a frame is only ever acked once a
       // flushed checkpoint covers it, so senders retain (and a restored
@@ -236,7 +225,7 @@ class Node {
     config.self = args_.id;
     config.total_order = !causal();
     config.object = args_.object;
-    config.tap = [this](const cbc::Delivery& delivery) {
+    config.on_apply = [this](const cbc::Delivery& delivery) {
       on_delivery(delivery);
     };
     if (causal()) {
@@ -283,9 +272,7 @@ class Node {
     osend().send_oob(from, cbc::fault::encode_state_reply(
                                *latest_checkpoint_,
                                runtime_.udp().max_datagram_bytes()));
-    if (recovery_transfers_ != nullptr) {
-      recovery_transfers_->inc();
-    }
+    recovery_transfers_.inc();
   }
 
   /// Rebuilds local state from a live peer's transferred checkpoint, then
@@ -358,10 +345,8 @@ class Node {
     awaiting_admission_ = true;
     latest_checkpoint_ = snapshot;
     apply_ack_ceilings(snapshot);
-    if (recovery_restored_ != nullptr) {
-      recovery_restored_->set(static_cast<std::int64_t>(snapshot.cycles));
-      recovery_checked_->set(static_cast<std::int64_t>(checked));
-    }
+    recovery_restored_.set(static_cast<std::int64_t>(snapshot.cycles));
+    recovery_checked_.set(static_cast<std::int64_t>(checked));
   }
 
   /// Raises the per-peer ack ceilings to `snapshot`'s frontier: the
@@ -378,9 +363,8 @@ class Node {
     }
   }
 
-  /// Runs on the loop thread only. Inspects deliveries for workload
-  /// control. The replica/checker layers have already processed the
-  /// message when the tap fires (tap sits above the checker).
+  /// Runs on the loop thread only, once the replica has applied
+  /// `delivery`: inspects it for workload control.
   void on_delivery(const cbc::Delivery& delivery) {
     const std::string kind =
         cbc::CommutativitySpec::kind_of(delivery.label());
@@ -426,14 +410,14 @@ class Node {
     return causal() && (!args_.checkpoint_path.empty() || args_.recover);
   }
 
-  /// Runs at the sync's delivery tap, where the checkpoint is consistent
-  /// by construction: the checker has folded this sync into the digest
-  /// chain, the ordering layer's delivered prefix covers exactly the
-  /// closed cycles (every next-cycle op causally follows this sync, so
-  /// none can have been delivered yet), and the replica — which applies
-  /// *after* the tap, but the sync op is state-inert (probed at boot) —
-  /// holds the agreed stable-point state. The disk write is deferred to
-  /// the next pump.
+  /// Runs once the replica has applied the sync, where the checkpoint is
+  /// consistent by construction: the checker has folded this sync into
+  /// the digest chain, the ordering layer's delivered prefix covers
+  /// exactly the closed cycles (every next-cycle op causally follows this
+  /// sync, so none can have been delivered yet), and the replica holds
+  /// the agreed stable-point state — last_stable_state() once the sync's
+  /// stable point is detected. The disk write is deferred to the next
+  /// pump.
   void capture_checkpoint(const cbc::Delivery& sync) {
     cbc::fault::Checkpoint snapshot;
     snapshot.node = args_.id;
@@ -457,9 +441,7 @@ class Node {
       latest_checkpoint_->save(args_.checkpoint_path);
     }
     apply_ack_ceilings(*latest_checkpoint_);
-    if (recovery_checkpoints_ != nullptr) {
-      recovery_checkpoints_->inc();
-    }
+    recovery_checkpoints_.inc();
   }
 
   /// Leader side of the rejoin handshake. The granted round is clamped
@@ -554,6 +536,8 @@ class Node {
       maybe_close_round();
     }
     if (!runtime_.report_written() && syncs_delivered_ >= args_.rounds) {
+      // The last sync starts no round, so nothing else rewrites progress.
+      write_progress();
       write_report();  // done; keep looping to serve retransmissions
       // A done report promises an on-disk metrics page too — a fast run
       // may finish before the first snapshot tick.
@@ -667,10 +651,10 @@ class Node {
   bool checkpoint_dirty_ = false;
   bool awaiting_admission_ = false;
   bool rejoin_submitted_ = false;
-  cbc::obs::Counter* recovery_checkpoints_ = nullptr;
-  cbc::obs::Counter* recovery_transfers_ = nullptr;
-  cbc::obs::Gauge* recovery_restored_ = nullptr;
-  cbc::obs::Gauge* recovery_checked_ = nullptr;  // cycles cross-checked
+  cbc::obs::Counter& recovery_checkpoints_;
+  cbc::obs::Counter& recovery_transfers_;
+  cbc::obs::Gauge& recovery_restored_;
+  cbc::obs::Gauge& recovery_checked_;  // cycles cross-checked
 };
 
 /// Recovery bootstrap, run BEFORE the stack exists: fetch a live peer's

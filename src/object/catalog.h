@@ -40,12 +40,12 @@ struct CatalogEntry {
   std::function<Op(NodeId node, std::uint64_t round, std::uint64_t k)>
       workload_op;
 
-  /// The sync (non-C-class) op closing each round's causal activity.
-  /// Checkpoint-enabled runs additionally need it state-inert (a read):
-  /// cluster checkpoints are captured at the sync's delivery tap, before
-  /// the replica applies it — cbc_node probes and enforces this. Objects
-  /// whose C-class IS their reads (the registry: queries commute, updates
-  /// close) necessarily use a mutating sync op and skip checkpointing.
+  /// The sync (non-C-class) op closing each round's causal activity. It
+  /// may read (the counter's `rd`) or update: an object whose C-class IS
+  /// its reads (the registry: queries commute, updates close) closes
+  /// rounds with an update. Either way a cluster checkpoint is captured
+  /// once the replica has applied the sync, so it holds the agreed
+  /// stable-point state.
   Op sync_op;
 };
 

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "graph/message_id.h"
-#include "obs/hooks.h"
 #include "obs/trace.h"
 
 namespace cbc::obs {
@@ -156,14 +155,11 @@ class FlightRecorder {
 void install_flight_recorder(FlightRecorder* recorder);
 
 /// The one call instrumented sites make. Cost with no recorder
-/// installed: a relaxed pointer load and a branch; compiled out
-/// entirely under -DCBC_OBS=OFF.
+/// installed: a relaxed pointer load and a branch.
 inline void flight_record(FlightEvent event, const MessageId& id,
                           std::uint64_t arg = 0) {
-  if constexpr (kCompiledIn) {
-    if (FlightRecorder* recorder = flight_recorder()) {
-      recorder->record(event, id, arg);
-    }
+  if (FlightRecorder* recorder = flight_recorder()) {
+    recorder->record(event, id, arg);
   }
 }
 

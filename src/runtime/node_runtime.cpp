@@ -29,11 +29,6 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigterm(int) { g_terminate_requested = 1; }
 void on_sigusr2(int) { g_dump_requested = 1; }
 
-obs::Hooks hooks_for(obs::MetricsRegistry* metrics, std::string prefix) {
-  return metrics != nullptr ? obs::Hooks{metrics, std::move(prefix)}
-                            : obs::Hooks{};
-}
-
 object::CatalogEntry find_entry(const std::string& object) {
   const auto entry = object::Catalog::instance().find(object);
   require(entry.has_value(), "unknown --object '" + object + "'");
@@ -64,22 +59,6 @@ void uninstall_flight(obs::FlightRecorder* recorder) {
   obs::install_flight_recorder(nullptr);
   delete recorder;
 }
-
-/// Shows every delivery to the binary's workload, checker to replica.
-class DeliveryTap final : public ProtocolLayer {
- public:
-  DeliveryTap(std::unique_ptr<BroadcastMember> lower,
-              std::function<void(const Delivery&)> inspect)
-      : ProtocolLayer(std::move(lower)), inspect_(std::move(inspect)) {}
-
- private:
-  void on_lower_delivery(const Delivery& delivery) override {
-    inspect_(delivery);
-    deliver_up(delivery);
-  }
-
-  std::function<void(const Delivery&)> inspect_;
-};
 
 /// Atomic (pid-unique tmp + rename) write; see write_kv_file.
 bool write_file_atomic(const std::string& path, std::string_view contents) {
@@ -203,23 +182,22 @@ int run_main(const char* binary, const std::function<int()>& body) {
 
 StackOptions stack_options(const Config& config,
                            const CommutativitySpec& derived,
-                           obs::MetricsRegistry* metrics) {
+                           obs::MetricsRegistry& registry) {
   StackOptions options;
   options.udp.local_ids = {config.self};
-  options.udp.obs = hooks_for(metrics, "udp");
-  options.batching.obs = hooks_for(metrics, "batch");
+  options.udp.obs = {&registry, "udp"};
+  options.batching.obs = {&registry, "batch"};
   ReliableEndpoint::Options& reliability = options.osend.reliability;
   reliability.enabled = true;
-  reliability.obs = hooks_for(metrics, "reliable");
+  reliability.obs = {&registry, "reliable"};
   reliability.oob_handler = config.oob_handler;
   reliability.suspect_after_us = config.suspect_after_us;
   reliability.heartbeat_interval_us = config.heartbeat_interval_us;
   reliability.on_liveness = config.on_liveness;
-  options.osend.obs = hooks_for(metrics, "osend");
+  options.osend.obs = {&registry, "osend"};
   options.asend.reliability = reliability;
-  options.asend.obs = hooks_for(metrics, "asend");
-  options.stack.obs = hooks_for(metrics, "stack");
-  options.check.obs = hooks_for(metrics, "check");
+  options.asend.obs = {&registry, "asend"};
+  options.check.obs = {&registry, "check"};
   options.check.expect_total_order = config.total_order;
   options.check.stable_spec = derived;
   // A departure nop races the in-flight sync and can land in different
@@ -230,10 +208,6 @@ StackOptions stack_options(const Config& config,
   return options;
 }
 
-obs::Hooks NodeRuntime::hooks(std::string prefix) {
-  return hooks_for(metrics(), std::move(prefix));
-}
-
 NodeRuntime::NodeRuntime(const SharedFlags& flags, Config config)
     : flags_(flags),
       config_(std::move(config)),
@@ -241,7 +215,7 @@ NodeRuntime::NodeRuntime(const SharedFlags& flags, Config config)
       entry_(find_entry(config_.object)),
       options_(stack_options(config_,
                              object::derive_commutativity(entry_.spec()),
-                             metrics())),
+                             registry_)),
       udp_(loop_, config_.cluster, options_.udp),
       chaos_(make_chaos()),
       batching_(chaos_ != nullptr ? static_cast<Transport&>(*chaos_)
@@ -264,10 +238,8 @@ NodeRuntime::NodeRuntime(const SharedFlags& flags, Config config)
                    static_cast<double>(replica_->stable_states()));
       });
   if (flags_.metrics_port >= 0) {
-    net::MetricsHttpServer::Options http_options;
-    http_options.port = static_cast<std::uint16_t>(flags_.metrics_port);
     metrics_http_ = std::make_unique<net::MetricsHttpServer>(
-        loop_, registry_, http_options);
+        loop_, registry_, static_cast<std::uint16_t>(flags_.metrics_port));
   }
 }
 
@@ -299,19 +271,11 @@ void NodeRuntime::build_stack() {
     member = std::make_unique<OSendMember>(
         batching_, view_, [](const Delivery&) {}, options_.osend);
   }
-  if (flags_.metrics()) {
-    member = std::make_unique<obs::InstrumentationLayer>(std::move(member),
-                                                         options_.stack);
-  }
   auto checker = std::make_unique<check::InvariantChecker>(
       std::move(member), log_, options_.check);
   checker_ = checker.get();
-  member = std::move(checker);
-  if (config_.tap) {
-    member = std::make_unique<DeliveryTap>(std::move(member), config_.tap);
-  }
   replica_ = std::make_unique<Replica>(
-      std::move(member), *options_.check.stable_spec, options_.front_end,
+      std::move(checker), *options_.check.stable_spec, options_.front_end,
       object::Value(entry_.make()));
   const bool record_ops =
       !flags_.record_history_path.empty() || !config_.trace_path.empty();
@@ -338,7 +302,7 @@ void NodeRuntime::build_stack() {
           history_.push_back(std::move(op));
         }
         if (config_.on_apply) {
-          config_.on_apply();
+          config_.on_apply(delivery);
         }
       });
 }

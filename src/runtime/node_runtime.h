@@ -6,19 +6,20 @@
 //     -> [ChaosTransport]              with --fault-plan
 //       -> BatchingTransport           (N frames per datagram)
 //         -> OSendMember | ASendMember (reliability enabled)
-//           -> [InstrumentationLayer]  "stack" series, when metrics are on
-//             -> check::InvariantChecker (derived spec, `nop` exempt)
-//               -> [delivery tap]      Config::tap
-//                 -> ReplicaNode<object::Value> (FIFO-chained front end)
+//           -> check::InvariantChecker (derived spec, `nop` exempt)
+//             -> ReplicaNode<object::Value> (FIFO-chained front end)
 //
-// Around it the runtime owns the process shell: signal flags, the flight
-// ring, metrics (HTTP endpoint, snapshot timer), the 20 ms tick, report
-// and progress files, the recorded history and the --trace file. A
-// binary adds only its workload. kSharedUsage documents the flags both
-// binaries take; metrics hooks are attached only with --metrics-port or
-// --metrics-snapshot. SIGUSR2 dumps the metrics page (to the snapshot
-// file, else stderr) and the flight ring; on SIGTERM the binary writes
-// its report and the runtime stop()s.
+// A binary sees each delivery through Config::on_apply, once the replica
+// has applied it. Around the stack the runtime owns the process shell:
+// signal flags, the flight ring, metrics (HTTP endpoint, snapshot timer),
+// the 20 ms tick, report and progress files, the recorded history and
+// the --trace file. A binary adds only its workload. kSharedUsage
+// documents the flags both binaries take. Every layer's hooks name the
+// runtime's registry whatever the flags; --metrics-port and
+// --metrics-snapshot only choose where its page goes. SIGUSR2 dumps the
+// metrics page (to the snapshot file, else stderr with --metrics-port)
+// and the flight ring; on SIGTERM the binary writes its report and the
+// runtime stop()s.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,6 @@
 #include "object/catalog.h"
 #include "object/value.h"
 #include "obs/flight_recorder.h"
-#include "obs/instrument_layer.h"
 #include "replica/replica_node.h"
 #include "total/asend.h"
 #include "transport/batching.h"
@@ -106,9 +106,6 @@ struct SharedFlags {
 
   /// Consumes the reader's current flag when it is a shared one.
   bool parse(ArgReader& args);
-  [[nodiscard]] bool metrics() const {
-    return metrics_port >= 0 || !metrics_snapshot_path.empty();
-  }
 };
 
 inline constexpr char kSharedUsage[] =
@@ -151,9 +148,9 @@ struct Config {
   std::string object;           ///< catalog name. node: --object; kv: "kv"
   /// node: checkpoint requests (causal only); kv: client requests.
   std::function<void(NodeId, std::span<const std::uint8_t>)> oob_handler;
-  /// Sees each delivery between checker and replica. node: its rounds.
-  std::function<void(const Delivery&)> tap;
-  std::function<void()> on_apply;  ///< kv: wakes parked requests
+  /// Sees each delivery once the replica has applied it. node: its
+  /// rounds and checkpoints; kv: wakes parked requests.
+  std::function<void(const Delivery&)> on_apply;
   /// Failure detector (0 = off). node: --suspect-timeout-ms and
   /// --heartbeat-ms, with the leader's round-closure callback.
   SimTime suspect_after_us = 0;
@@ -174,20 +171,19 @@ struct Config {
 };
 
 /// Every layer's options for one member, as both binaries run it (and as
-/// tests/runtime_test.cpp pins them). `metrics` nullptr = hooks empty.
+/// tests/runtime_test.cpp pins them). Every hook names `registry`.
 struct StackOptions {
   net::UdpTransport::Options udp;
   BatchingTransport::Options batching;
   OSendMember::Options osend;
   ASendMember::Options asend;
-  obs::InstrumentationLayer::Options stack;
   check::InvariantChecker::Options check;
   FrontEndManager::Options front_end;
 };
 
 [[nodiscard]] StackOptions stack_options(const Config& config,
                                          const CommutativitySpec& derived,
-                                         obs::MetricsRegistry* metrics);
+                                         obs::MetricsRegistry& registry);
 
 /// One member process: the stack above, plus its shell. The flight ring
 /// is installed before any protocol state exists (cbc_node's --recover
@@ -219,18 +215,18 @@ class NodeRuntime {
     keys.emplace_back("metrics_port", metrics_port_text());
     write_kv_file(flags_.progress_path, keys);
   }
-  /// The metrics page to --metrics-snapshot, else to stderr (metrics on).
+  /// The metrics page to --metrics-snapshot, else to stderr with
+  /// --metrics-port; without either, nothing.
   void dump_metrics();
 
   /// Appends an op to the recorded history (origins already final).
   void record(check::HistoryOp op) { history_.push_back(std::move(op)); }
 
-  /// The registry, and hooks for a per-binary component, when metrics
-  /// are on; else nullptr and empty hooks.
-  [[nodiscard]] obs::MetricsRegistry* metrics() {
-    return flags_.metrics() ? &registry_ : nullptr;
+  /// The registry, and hooks on it for a per-binary component.
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return registry_; }
+  [[nodiscard]] obs::Hooks hooks(std::string prefix) {
+    return obs::Hooks{&registry_, std::move(prefix)};
   }
-  [[nodiscard]] obs::Hooks hooks(std::string prefix);
   [[nodiscard]] net::EventLoop& loop() { return loop_; }
   [[nodiscard]] const object::CatalogEntry& entry() const { return entry_; }
   [[nodiscard]] const GroupView& view() const { return view_; }

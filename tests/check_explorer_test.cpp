@@ -380,9 +380,6 @@ TEST(ScheduleExplorer, CombinedCoverageExceedsThousandInterleavings) {
 }
 
 TEST(ScheduleExplorer, MetricsCountTheSearch) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   obs::MetricsRegistry registry;
   ExplorerOptions options = default_options();
   options.metrics = &registry;

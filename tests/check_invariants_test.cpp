@@ -401,9 +401,6 @@ TEST(InvariantChecker, ViolationReportNamesKindMemberAndMessage) {
 }
 
 TEST(InvariantChecker, MetricsCountersTrackTheRun) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // Both checkers share one registry and prefix, so the counters are the
   // group-wide aggregate across members.
   obs::MetricsRegistry registry;

@@ -25,7 +25,6 @@
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
 #include "obs/flight_recorder.h"
-#include "obs/hooks.h"
 #include "obs/trace.h"
 #include "obs/trace_merge.h"
 
@@ -102,6 +101,13 @@ TEST(Cluster, ThreeNodesConvergeOnLoopback) {
     EXPECT_EQ(report.at("digest"), leader.at("digest"));
     EXPECT_EQ(report.at("delivered"), leader.at("delivered"));
     EXPECT_EQ(report.at("stable_state"), leader.at("stable_state"));
+  }
+  // A done member's progress file has reached its last round too.
+  for (std::size_t id = 0; id < 3; ++id) {
+    const std::optional<NodeReport> progress =
+        ClusterHarness::parse_kv_file(cluster.progress_path(id));
+    ASSERT_TRUE(progress.has_value()) << "node " << id;
+    EXPECT_EQ(progress->at("syncs"), "10") << "node " << id;
   }
 }
 
@@ -196,53 +202,59 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
   // checkpoint over the state-transfer frames, restores replica + checker
   // + sequence numbers from it, and rejoins through leader admission.
   // Every member — including the recovered one — must finish with the
-  // identical stable-point digest chain and zero checker violations.
+  // identical stable-point digest chain and zero checker violations. The
+  // registry runs too: its sync op is an update, so its checkpoint holds
+  // the state the sync produced.
   constexpr std::uint64_t kRounds = 8;
   constexpr std::int64_t kQuiesceRound = 2;
-  ClusterHarness cluster({.nodes = 3,
-                          .rounds = kRounds,
-                          .ops_per_round = 10,
-                          .checkpoints = true,
-                          .suspect_timeout_ms = 4'000});
-  cluster.start_node(0);
-  cluster.start_node(1);
-  cluster.start_node(2,
-                     {"--quiesce-at-round", std::to_string(kQuiesceRound)});
+  for (const std::string object : {"", "registry"}) {
+    SCOPED_TRACE("object '" + object + "'");
+    ClusterHarness cluster({.nodes = 3,
+                            .rounds = kRounds,
+                            .ops_per_round = 10,
+                            .object = object,
+                            .checkpoints = true,
+                            .suspect_timeout_ms = 4'000});
+    cluster.start_node(0);
+    cluster.start_node(1);
+    cluster.start_node(
+        2, {"--quiesce-at-round", std::to_string(kQuiesceRound)});
 
-  // Safe-kill ordering: the victim must report quiesced=1 (its own sync
-  // delivered, reliability layer drained) AND both survivors must have
-  // delivered the victim's quiesce-round sync, so the transfer peer's
-  // checkpoint frontier covers every message node 2 ever sent. Killing
-  // earlier would make the recovered process reuse sequence numbers of
-  // its own uncovered messages, which peers would then dup-drop. (Round
-  // K+1 cannot close while the quiesced victim is alive — its marker is
-  // missing — so K+1 delivered syncs is also the most that can be
-  // awaited here.)
-  ASSERT_TRUE(cluster.wait_for_progress(2, "quiesced", 1));
-  ASSERT_TRUE(cluster.wait_for_progress(0, "syncs", kQuiesceRound + 1));
-  ASSERT_TRUE(cluster.wait_for_progress(1, "syncs", kQuiesceRound + 1));
-  cluster.kill_node(2);
+    // Safe-kill ordering: the victim must report quiesced=1 (its own
+    // sync delivered, reliability layer drained) AND both survivors must
+    // have delivered the victim's quiesce-round sync, so the transfer
+    // peer's checkpoint frontier covers every message node 2 ever sent.
+    // Killing earlier would make the recovered process reuse sequence
+    // numbers of its own uncovered messages, which peers would then
+    // dup-drop. (Round K+1 cannot close while the quiesced victim is
+    // alive — its marker is missing — so K+1 delivered syncs is also the
+    // most that can be awaited here.)
+    ASSERT_TRUE(cluster.wait_for_progress(2, "quiesced", 1));
+    ASSERT_TRUE(cluster.wait_for_progress(0, "syncs", kQuiesceRound + 1));
+    ASSERT_TRUE(cluster.wait_for_progress(1, "syncs", kQuiesceRound + 1));
+    cluster.kill_node(2);
 
-  cluster.start_node(2, {"--recover"});
-  ASSERT_TRUE(cluster.wait_for_progress(2, "admitted", 1))
-      << "recovered node was never re-admitted by the leader";
-  for (std::size_t id = 0; id < 3; ++id) {
-    ASSERT_TRUE(cluster.wait_for_report(id, /*require_done=*/true))
-        << "node " << id << " never finished";
+    cluster.start_node(2, {"--recover"});
+    ASSERT_TRUE(cluster.wait_for_progress(2, "admitted", 1))
+        << "recovered node was never re-admitted by the leader";
+    for (std::size_t id = 0; id < 3; ++id) {
+      ASSERT_TRUE(cluster.wait_for_report(id, /*require_done=*/true))
+          << "node " << id << " never finished";
+    }
+    cluster.terminate_all();
+
+    const NodeReport leader = *cluster.report(0);
+    expect_clean(leader);
+    EXPECT_EQ(leader.at("digest_count"), std::to_string(kRounds));
+    for (std::size_t id = 1; id < 3; ++id) {
+      const NodeReport report = *cluster.report(id);
+      expect_clean(report);
+      EXPECT_EQ(report.at("digest_count"), leader.at("digest_count"));
+      EXPECT_EQ(report.at("digest"), leader.at("digest"));
+      EXPECT_EQ(report.at("stable_state"), leader.at("stable_state"));
+    }
+    EXPECT_EQ(cluster.report(2)->at("recovered"), "1");
   }
-  cluster.terminate_all();
-
-  const NodeReport leader = *cluster.report(0);
-  expect_clean(leader);
-  EXPECT_EQ(leader.at("digest_count"), std::to_string(kRounds));
-  for (std::size_t id = 1; id < 3; ++id) {
-    const NodeReport report = *cluster.report(id);
-    expect_clean(report);
-    EXPECT_EQ(report.at("digest_count"), leader.at("digest_count"));
-    EXPECT_EQ(report.at("digest"), leader.at("digest"));
-    EXPECT_EQ(report.at("stable_state"), leader.at("stable_state"));
-  }
-  EXPECT_EQ(cluster.report(2)->at("recovered"), "1");
 }
 
 TEST(Cluster, CheckpointingMembersFinishWhenOneBindsLate) {
@@ -416,9 +428,6 @@ TEST(Cluster, RecordedHistoriesSatisfyCausalConsistencyForEveryObject) {
 }
 
 TEST(Cluster, ObservabilityScrapeAndMergedTrace) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // Acceptance run for the observability layer: three traced processes,
   // live Prometheus scrape off a running node's event loop, and one
   // merged Chrome trace with deliver spans on every process row and
@@ -442,15 +451,13 @@ TEST(Cluster, ObservabilityScrapeAndMergedTrace) {
   ASSERT_NE(page.find("# TYPE"), std::string::npos);
   for (const std::string metric :
        {"cbc_osend_delivered", "cbc_udp_datagrams_sent",
-        "cbc_batch_messages_in", "cbc_check_deliveries",
-        "cbc_stack_deliveries"}) {
+        "cbc_batch_messages_in", "cbc_check_deliveries"}) {
     const std::string value = metric_value(page, metric);
     ASSERT_FALSE(value.empty()) << metric << " missing from scrape";
     EXPECT_GT(std::stod(value), 0.0) << metric;
   }
   // The histogram rides the same page.
-  EXPECT_NE(page.find("cbc_stack_submit_to_deliver_us_count"),
-            std::string::npos);
+  EXPECT_NE(page.find("cbc_osend_hold_us_count"), std::string::npos);
 
   // The snapshot timer wrote the same page to disk.
   EXPECT_TRUE(
@@ -477,9 +484,6 @@ TEST(Cluster, ObservabilityScrapeAndMergedTrace) {
 }
 
 TEST(Cluster, FlightDumpOfKilledNodeMergesIntoSurvivorTimeline) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // The postmortem claim end to end: a member dies by SIGKILL — no
   // signal handler, no trace flush, no report — and its file-backed
   // flight ring still decodes into the same timeline as the survivors'

@@ -116,7 +116,7 @@ TEST(ObjectSpec, DerivationIsDeterministic) {
   }
 }
 
-// ---------- Nop and sync-op inertness ----------
+// ---------- Nop inertness ----------
 
 TEST(ObjectSpec, NopIsInertOnEveryObject) {
   apps::install_objects();
@@ -129,24 +129,6 @@ TEST(ObjectSpec, NopIsInertOnEveryObject) {
     Reader args(nop.args);
     probed->apply(nop.kind, args);
     EXPECT_TRUE(probed->equals(*fresh)) << name;
-  }
-}
-
-TEST(ObjectSpec, SyncOpInertnessMatchesCheckpointEligibility) {
-  // Checkpoint-enabled cluster runs capture state at the sync's delivery
-  // tap, before the replica applies it — sound only for state-inert sync
-  // ops. The registry is the documented exception: its C-class IS its
-  // reads, so its sync op must mutate (an upd), and cbc_node refuses
-  // --checkpoint for it.
-  apps::install_objects();
-  for (const std::string& name : Catalog::instance().names()) {
-    const auto entry = Catalog::instance().find(name);
-    ASSERT_TRUE(entry.has_value());
-    const std::unique_ptr<object::ReplicatedObject> fresh = entry->make();
-    const std::unique_ptr<object::ReplicatedObject> probed = entry->make();
-    Reader args(entry->sync_op.args);
-    probed->apply(entry->sync_op.kind, args);
-    EXPECT_EQ(probed->equals(*fresh), name != "registry") << name;
   }
 }
 

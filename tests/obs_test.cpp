@@ -1,9 +1,8 @@
 // Observability layer tests: MetricsRegistry primitives and exposition,
 // Chrome trace-event rendering, the JSON mini-parser and trace merger,
-// the InstrumentationLayer decorator, and — the load-bearing ones —
-// trace-context propagation through batching and through reliable
-// retransmission into the flight ring (a retransmitted frame must never
-// mint a second deliver span).
+// and — the load-bearing ones — trace-context propagation through
+// batching and through reliable retransmission into the flight ring (a
+// retransmitted frame must never mint a second deliver span).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include "common/group_fixture.h"
 #include "common/sim_env.h"
 #include "obs/flight_recorder.h"
-#include "obs/instrument_layer.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -286,37 +284,7 @@ std::map<std::string, int> deliver_spans_by_msg(
   return by_msg;
 }
 
-TEST(ObsStack, InstrumentationLayerMetersTheBoundary) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
-  SimEnv env;
-  ObsFixture obs_fixture;
-  const GroupView view = testkit::make_view(2);
-  std::vector<std::unique_ptr<BroadcastMember>> stacks;
-  for (std::size_t i = 0; i < 2; ++i) {
-    auto member = std::make_unique<OSendMember>(
-        env.transport, view, [](const Delivery&) {}, OSendMember::Options{});
-    stacks.push_back(std::make_unique<obs::InstrumentationLayer>(
-        std::move(member),
-        obs::InstrumentationLayer::Options{obs_fixture.hooks("stack")}));
-  }
-  const MessageId first =
-      stacks[0]->broadcast("a", bytes(1), DepSpec::none());
-  stacks[1]->broadcast("b", bytes(2), DepSpec::after(first));
-  env.run();
-
-  const auto snap = obs_fixture.registry.snapshot();
-  EXPECT_EQ(snap.at("stack.broadcasts"), 2.0);
-  // 2 messages delivered at each of 2 members.
-  EXPECT_EQ(snap.at("stack.deliveries"), 4.0);
-  EXPECT_EQ(snap.at("stack.submit_to_deliver_us.count"), 4.0);
-}
-
 TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // Messages ride shared batch frames; the deliver spans at every member
   // must still carry the originating MessageId and close its msg flow.
   SimEnv env;
@@ -354,9 +322,6 @@ TEST(ObsStack, TraceContextSurvivesBatchUnbatching) {
 }
 
 TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // A lossy+duplicating network forces the reliable layer to retransmit
   // and to suppress duplicates; the trace must still show exactly one
   // deliver span per (message, member), and the retransmission counters
@@ -409,9 +374,6 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
 }
 
 TEST(ObsStack, CausalHoldShowsUpAsOccursAfterEdges) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   SimEnv env;
   ObsFixture obs_fixture;
   OSendMember::Options member_options;

@@ -121,9 +121,7 @@ TEST(Runtime, SharedFlagsTakeTheEightCommonFlags) {
   EXPECT_EQ(flags.flight_path, "fl");
   EXPECT_EQ(flags.metrics_port, 0);
   EXPECT_EQ(flags.metrics_snapshot_path, "m");
-  EXPECT_TRUE(flags.metrics());
   EXPECT_EQ(others, std::vector<std::string>{"--rounds"});
-  EXPECT_FALSE(SharedFlags{}.metrics());
 }
 
 TEST(Runtime, WriteKvFileNamesAFailingPathOnceAndLeavesNoTmp) {
@@ -175,7 +173,6 @@ void expect_production_options(const StackOptions& options, bool total_order) {
       options.osend.reliability.obs,
       options.asend.obs,
       options.asend.reliability.obs,
-      options.stack.obs,
       options.check.obs,
   };
 }
@@ -189,21 +186,21 @@ TEST(Runtime, StackOptionsAreTheProductionSet) {
   config.self = 2;
   config.oob_handler = [](NodeId, std::span<const std::uint8_t>) {};
 
-  const StackOptions causal = stack_options(config, derived, nullptr);
+  obs::MetricsRegistry registry;
+  const StackOptions causal = stack_options(config, derived, registry);
   expect_production_options(causal, /*total_order=*/false);
   EXPECT_EQ(causal.udp.local_ids, std::vector<NodeId>{2});
   EXPECT_EQ(causal.osend.reliability.suspect_after_us, 0);
-  for (const obs::Hooks& hooks : all_hooks(causal)) {
-    EXPECT_FALSE(hooks.any());  // no metrics sink configured
-  }
 
   config.total_order = true;
-  obs::MetricsRegistry registry;
-  const StackOptions total = stack_options(config, derived, &registry);
+  const StackOptions total = stack_options(config, derived, registry);
   expect_production_options(total, /*total_order=*/true);
-  for (const obs::Hooks& hooks : all_hooks(total)) {
-    EXPECT_EQ(hooks.metrics, &registry);
-    EXPECT_FALSE(hooks.prefix.empty());
+  // Every layer meters into the runtime's registry, whatever the flags.
+  for (const StackOptions* options : {&causal, &total}) {
+    for (const obs::Hooks& hooks : all_hooks(*options)) {
+      EXPECT_EQ(hooks.metrics, &registry);
+      EXPECT_FALSE(hooks.prefix.empty());
+    }
   }
 }
 
@@ -222,7 +219,6 @@ TEST(Runtime, RetainedStateGaugesAndReportStayBoundedByTheOpenCycle) {
                          << "\n";
   SharedFlags flags;
   flags.report_path = dir + "/report.txt";
-  flags.metrics_snapshot_path = dir + "/metrics.prom";  // metrics on
   Config config;
   config.cluster = net::ClusterConfig::load(cluster);
   config.members = config.cluster.to_view();
@@ -246,7 +242,7 @@ TEST(Runtime, RetainedStateGaugesAndReportStayBoundedByTheOpenCycle) {
       runtime.replica().submit(entry.workload_op(0, cycles, op));
     }
     ASSERT_EQ(runtime.delivered(), 50u * 5 + 3);
-    const auto snap = runtime.metrics()->snapshot();
+    const auto snap = runtime.metrics().snapshot();
     EXPECT_GT(snap.at("process.rss_bytes"), 0.0);
     EXPECT_EQ(snap.at("check.retained"), 3.0);
     EXPECT_EQ(snap.at("replica.stable_states"), 1.0);

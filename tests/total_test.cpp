@@ -128,9 +128,6 @@ TEST(ASend, DefaultMemberLogHoldsAtMostOneDelivery) {
 }
 
 TEST(ASend, FlightRingJournalsSubmitEncodeAndEveryDelivery) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DCBC_OBS=OFF)";
-  }
   // Total-order postmortems and --trace deliver spans need the same
   // per-envelope stages OSend journals.
   obs::FlightRecorder ring(obs::FlightRecorder::Options{});

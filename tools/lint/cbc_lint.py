@@ -89,8 +89,7 @@ METRIC_CALL = re.compile(r"\.(counter|gauge|histogram)\s*\(")
 # catalog table and bench/cluster_metrics_baseline.prom alongside.
 METRIC_FAMILIES = frozenset({
     "udp", "fault", "reliable", "recovery", "batch", "osend", "asend",
-    "check", "explorer", "stack", "kv", "flight", "clock", "process",
-    "replica",
+    "check", "explorer", "kv", "flight", "clock", "process", "replica",
 })
 # An obs prefix assignment names a family for every series the instance
 # registers (variables literally named `prefix`; `*_prefix` helpers for
