@@ -3,11 +3,14 @@
 # added latency + a scripted partition on the survivor links), with
 # stable-point checkpointing and the heartbeat failure detector on.
 # Node 2 quiesces after QUIESCE_ROUND, is SIGKILLed mid-run — no final
-# report, no graceful departure — and is relaunched with --recover: the
-# fresh process fetches a survivor's checkpoint over the state-transfer
-# frames, restores, and rejoins through leader admission. The script
-# fails unless every member (including the recovered one) reports the
-# identical stable-point digest with zero checker violations.
+# report, no graceful departure — and is relaunched with --recover as
+# soon as both survivors' failure detectors have suspected it: the fresh
+# process fetches a survivor's checkpoint over the state-transfer
+# frames, restores, and rejoins a round still running through leader
+# admission. The script fails unless every member (including the
+# recovered one) reports the identical stable-point digest with zero
+# checker violations, and unless the recovered node started rounds past
+# the cycle it restored (it rejoined live traffic, not a finished run).
 #
 # Artifacts left in OUT_DIR: fault.txt, reportN.txt, metricsN.prom
 # (gated in CI by bench/compare.py --metrics), flightN.bin (file-backed
@@ -22,7 +25,7 @@
 set -eu
 
 BUILD_DIR=${1:-build}
-ROUNDS=${2:-8}
+ROUNDS=${2:-100}
 OPS=${3:-10}
 OUT=${4:-$(mktemp -d /tmp/cbc_chaos.XXXXXX)}
 OBJECT=${5:-${CBC_CLUSTER_OBJECT:-counter}}
@@ -80,6 +83,16 @@ wait_progress() {
   done
 }
 
+# Blocks until metrics page $1 (rewritten every 250 ms) reports series
+# $2 >= $3.
+wait_metric() {
+  while ! awk -v key="$2" -v want="$3" \
+      '$1 == key && $2 + 0 >= want { ok = 1 } END { exit !ok }' \
+      "$1" 2>/dev/null; do
+    sleep 0.1
+  done
+}
+
 start_node 0
 start_node 1
 start_node 2 --quiesce-at-round "$QUIESCE_ROUND"
@@ -108,11 +121,14 @@ if [ -x "$FLIGHT_BIN" ]; then
   "$FLIGHT_BIN" --summary "$OUT/flight2_killed.bin"
 fi
 
-# Hold the relaunch past the suspect timeout so the failure detector
-# actually fires on the survivors: the leader marks node 2 departed,
-# closes the stalled round without its marker, and the chaos gate can
-# require suspect/alive events to be positive.
-sleep $(( (SUSPECT_MS + 2000) / 1000 ))
+# Relaunch once the failure detector has fired on both survivors, so the
+# chaos gate can require suspect and alive events: the leader marks node
+# 2 departed and closes rounds without its marker meanwhile, and the
+# relaunched process restores the latest checkpoint and is admitted into
+# a round still running. Waiting longer would let the run finish first,
+# leaving the recovered node nothing to rejoin.
+wait_metric "$OUT/metrics0.prom" cbc_reliable_suspect_events 1
+wait_metric "$OUT/metrics1.prom" cbc_reliable_suspect_events 1
 
 echo "--- relaunch node 2 with --recover"
 start_node 2 --recover
@@ -147,6 +163,18 @@ for i in 0 1 2; do
 done
 if ! grep -q '^recovered=1' "$OUT/report2.txt"; then
   echo "node 2 report does not carry recovered=1" >&2
+  FAIL=1
+fi
+# Live rejoin: the recovered node started rounds past the cycles it
+# restored. A node relaunched after the last round closed restores every
+# cycle and starts none.
+STARTED=$(sed -n 's/^rounds_started=//p' "$OUT/report2.txt")
+RESTORED=$(awk '$1 == "cbc_recovery_restored_cycles" { print $2 + 0 }' \
+    "$OUT/metrics2.prom")
+if [ -z "$STARTED" ] || [ -z "$RESTORED" ] ||
+    [ "$STARTED" -le "$RESTORED" ]; then
+  echo "node 2 rejoined no live round: rounds_started=$STARTED" \
+      "restored_cycles=$RESTORED" >&2
   FAIL=1
 fi
 [ "$FAIL" -eq 0 ] || exit 1

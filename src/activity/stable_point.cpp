@@ -38,10 +38,9 @@ void StablePointDetector::on_delivery(const Delivery& delivery) {
   }
 }
 
-void StablePointDetector::restore(MessageId last_sync,
-                                  std::vector<MessageId> open_set) {
-  open_set_ = std::move(open_set);
-  at_stable_point_ = open_set_.empty();
+void StablePointDetector::restore(MessageId last_sync) {
+  open_set_.clear();
+  at_stable_point_ = true;
   last_.reset();
   if (!last_sync.is_null()) {
     last_.emplace();

@@ -57,11 +57,11 @@ class StablePointDetector {
   /// Processes one delivered message.
   void on_delivery(const Delivery& delivery);
 
-  /// Resumes the cycle a snapshot was taken in (crash recovery, a
-  /// joiner's state transfer): `last_sync` closed the cycle before it and
-  /// `open_set` was delivered since. last() then names only that sync
-  /// message; cycles() is left as it is.
-  void restore(MessageId last_sync, std::vector<MessageId> open_set);
+  /// Resumes at the stable point a snapshot was taken at (crash
+  /// recovery): `last_sync` closed the cycle the snapshot ends, and the
+  /// next one opens empty. last() then names only that sync message;
+  /// cycles() is left as it is.
+  void restore(MessageId last_sync);
 
   /// The operation classification this detector was built with.
   [[nodiscard]] const CommutativitySpec& spec() const { return spec_; }

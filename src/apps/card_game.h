@@ -51,7 +51,7 @@ class CardGame {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Snapshot serialization (checkpointing / joiner state transfer).
+  /// Snapshot serialization (checkpointing / recovery state transfer).
   void encode(Writer& writer) const;
   static CardGame decode(Reader& reader);
 

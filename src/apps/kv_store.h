@@ -47,7 +47,7 @@ class KvStore {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Snapshot serialization (checkpointing / joiner state transfer).
+  /// Snapshot serialization (checkpointing / recovery state transfer).
   void encode(Writer& writer) const;
   static KvStore decode(Reader& reader);
 

@@ -48,7 +48,7 @@ class Registry {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Snapshot serialization (checkpointing / joiner state transfer).
+  /// Snapshot serialization (checkpointing / recovery state transfer).
   void encode(Writer& writer) const;
   static Registry decode(Reader& reader);
 

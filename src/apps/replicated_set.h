@@ -39,7 +39,7 @@ class ReplicatedSet {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Snapshot serialization (checkpointing / joiner state transfer).
+  /// Snapshot serialization (checkpointing / recovery state transfer).
   void encode(Writer& writer) const;
   static ReplicatedSet decode(Reader& reader);
 

@@ -4,7 +4,7 @@
 // causal, vector-clock causal, sequencer total, deterministic-merge total)
 // presents the same surface: broadcast bytes with a label, get Delivery
 // callbacks in an order that satisfies the discipline. Protocols above
-// (replica, lock, appcons, flush) are written against this interface so
+// (replica, lock, appcons, checker) are written against this interface so
 // any discipline can be composed under any upper protocol and benches can
 // swap stacks without code changes.
 //
@@ -110,8 +110,8 @@ struct OrderingStats {
 };
 
 /// Common interface of one group member under some ordering discipline —
-/// the bottom of every protocol stack. Upper layers (flush, replica, lock,
-/// appcons) hold this interface, never a concrete discipline.
+/// the bottom of every protocol stack. Upper layers (checker, replica,
+/// lock, appcons) hold this interface, never a concrete discipline.
 class BroadcastMember {
  public:
   virtual ~BroadcastMember() = default;

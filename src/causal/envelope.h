@@ -6,10 +6,10 @@
 //
 //     [discipline prelude][envelope section]
 //
-// where the prelude carries discipline-specific state (OSend's view id and
-// piggybacked delivered-prefix, CBCAST's vector timestamp, ASend's round
-// number, the sequencer's global stamp) and the envelope section is this
-// shared codec. Senders append the section to their frame; receivers parse
+// where the prelude carries discipline-specific state (CBCAST's vector
+// timestamp, ASend's round number, the sequencer's global stamp; OSend
+// has none, its frame is the section alone) and the envelope section is
+// this shared codec. Senders append the section to their frame; receivers parse
 // it in place. The payload is never copied after encoding: hold-back
 // queues, the delivery log, and application callbacks all see spans into
 // the same refcounted frame (see util/buffer.h for the instrumentation

@@ -69,16 +69,12 @@ MessageId OSendMember::broadcast(std::string label,
                                  std::vector<std::uint8_t> payload,
                                  const DepSpec& deps) {
   const LockGuard guard(mutex_);
-  require(!sends_suspended_ || label.rfind("__vc", 0) == 0,
-          "OSendMember::broadcast: sends suspended during a view change");
   const MessageId message_id{id(), next_seq_++};
   stats_.broadcasts += 1;
   obs::flight_record(obs::FlightEvent::kSubmit, message_id);
 
-  // Encode ONCE: prelude + envelope section into a single shared frame.
+  // Encode ONCE: the envelope section is the whole shared frame.
   Writer writer;
-  writer.u64(view_.id());  // receivers buffer frames from future views
-  const std::size_t section_offset = writer.size();
   Envelope::encode_section(writer, message_id, label, deps,
                            transport_.now_us(), payload);
   const SharedBuffer frame = writer.take_shared();
@@ -92,7 +88,7 @@ MessageId OSendMember::broadcast(std::string label,
   // Local copy bypasses the network: a sender has "seen" its own message
   // the moment it generates it (it still honours any unseen dependency).
   // Parsing our own frame keeps self-delivery on the same zero-copy path.
-  try_deliver(Delivery(Envelope::parse(frame, section_offset)));
+  try_deliver(Delivery(Envelope::parse(frame, 0)));
   return message_id;
 }
 
@@ -105,71 +101,20 @@ void OSendMember::on_receive(NodeId from, const WireFrame& frame) {
   // corrupt or forged).
   Delivery delivery;
   try {
-    Reader reader(frame.bytes());
-    if (reader.u64() > view_.id()) {
-      // Successor-view traffic racing ahead of our flush: no message may be
-      // delivered in different views at different members, so hold it until
-      // we install that view ourselves.
-      foreign_buffer_.push_back(frame);
-      return;
-    }
-    delivery =
-        Delivery(Envelope::parse(frame.buffer, frame.offset + reader.position()));
+    delivery = Delivery(Envelope::parse(frame.buffer, frame.offset));
   } catch (const SerdeError&) {
     stats_.malformed += 1;
     return;
   }
-  if (delivery.sender != from) {
+  if (delivery.sender != from || !view_.contains(from)) {
     // Every member sends its own messages, so an envelope naming another
-    // sender than the link it arrived on is corrupt or forged.
+    // sender than the link it arrived on is corrupt or forged; the group
+    // is fixed, so a sender outside it is no member at all.
     stats_.malformed += 1;
     return;
   }
   stats_.received += 1;
-
-  if (!view_.contains(from)) {
-    // A joiner may start broadcasting in the successor view before this
-    // member has installed it; buffer and replay at install_view().
-    foreign_buffer_.push_back(frame);
-    return;
-  }
   try_deliver(std::move(delivery));
-}
-
-void OSendMember::install_view(const GroupView& new_view) {
-  const LockGuard guard(mutex_);
-  require(new_view.contains(id()), "install_view: self not in the new view");
-  require(new_view.id() > view_.id(), "install_view: view id must advance");
-
-  // The rank-indexed prefix follows each surviving member to its new rank.
-  VectorClock new_prefix(new_view.size());
-  for (std::size_t new_rank = 0; new_rank < new_view.size(); ++new_rank) {
-    const auto old_rank = view_.rank_of(new_view.member_at(new_rank));
-    if (old_rank.has_value()) {
-      new_prefix.set(static_cast<NodeId>(new_rank),
-                     delivered_prefix_.at(static_cast<NodeId>(*old_rank)));
-    }
-  }
-  view_ = new_view;
-  delivered_prefix_ = std::move(new_prefix);
-
-  // Replay traffic buffered for this (or a future) view.
-  std::vector<WireFrame> buffered = std::move(foreign_buffer_);
-  foreign_buffer_.clear();
-  for (const WireFrame& frame : buffered) {
-    // Re-enter through the normal receive path (sender is parsed from the
-    // frame; frames from still-future views re-buffer harmlessly). Frames
-    // were buffered after only a view-id peek, so the rest of the frame
-    // is still untrusted here.
-    try {
-      Reader reader(frame.bytes());
-      (void)reader.u64();  // view id
-      const MessageId parsed = MessageId::decode(reader);
-      on_receive(parsed.sender, frame);
-    } catch (const SerdeError&) {
-      stats_.malformed += 1;
-    }
-  }
 }
 
 void OSendMember::adopt_baseline(const VectorClock& baseline) {

@@ -16,12 +16,13 @@
 // (§3.2), so a caller that wants the graph builds it from the delivery
 // stream it is handed (tests/common/recorder.h does).
 //
-// Wire layout: [u64 view_id][envelope section] — the view id is the
-// OSend-specific prelude, the section is the shared Envelope codec
-// (causal/envelope.h). A message carries its Occurs_After set and nothing
-// whose size depends on the group. A broadcast encodes ONE frame shared
-// by every destination and by the sender's self-delivery; receivers parse
-// in place and hold-back entries alias the same frame.
+// Wire layout: the envelope section alone (causal/envelope.h). A message
+// carries its Occurs_After set and nothing whose size depends on the
+// group. The group is fixed for the member's lifetime (the paper's one
+// group per computation), so a frame whose sender is outside the view is
+// counted malformed, as a forged sender is. A broadcast encodes ONE frame
+// shared by every destination and by the sender's self-delivery; receivers
+// parse in place and hold-back entries alias the same frame.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "group/group_view.h"
-#include "stack/view_sync.h"
 #include "time/vector_clock.h"
 #include "transport/reliable.h"
 #include "transport/transport.h"
@@ -52,7 +52,7 @@ namespace cbc {
 /// Construction registers a transport endpoint; construct all members of a
 /// group before the first osend(). Not thread-safe per instance (each
 /// member's handler already runs serially under both transports).
-class OSendMember final : public ViewSyncMember {
+class OSendMember final : public BroadcastMember {
  public:
   struct Options {
     /// Reliability layer configuration (pass-through by default; enable
@@ -64,10 +64,9 @@ class OSendMember final : public ViewSyncMember {
     obs::Hooks obs{};
   };
 
-  /// `transport` must outlive the member; the view is copied (the member
-  /// owns its current view — see install_view()). The member's node id is
-  /// assigned by the transport and must be a member of `view` — i.e.
-  /// register members in ascending view order.
+  /// `transport` must outlive the member; the view is copied. The
+  /// member's node id is assigned by the transport and must be a member
+  /// of `view` — i.e. register members in ascending view order.
   OSendMember(Transport& transport, const GroupView& view, DeliverFn deliver)
       : OSendMember(transport, view, std::move(deliver), Options{}) {}
   OSendMember(Transport& transport, const GroupView& view, DeliverFn deliver,
@@ -106,7 +105,7 @@ class OSendMember final : public ViewSyncMember {
   }
 
   /// Contiguous delivered prefix per sender (rank-indexed by view).
-  [[nodiscard]] const VectorClock& delivered_prefix() const override {
+  [[nodiscard]] const VectorClock& delivered_prefix() const {
     return delivered_prefix_;
   }
 
@@ -114,28 +113,14 @@ class OSendMember final : public ViewSyncMember {
   /// covered by an adopted baseline).
   [[nodiscard]] bool has_delivered(MessageId message) const;
 
-  // --- Dynamic membership (used by FlushCoordinator; see causal/flush.h).
-
-  void install_view(const GroupView& new_view) override;
-  void adopt_baseline(const VectorClock& baseline) override;
-
-  /// Blocks application broadcasts (labels not starting with "__vc")
-  /// while a view change is flushing; system traffic still flows.
-  void suspend_sends() override { sends_suspended_ = true; }
-  void resume_sends() override { sends_suspended_ = false; }
-  [[nodiscard]] bool sends_suspended() const override {
-    return sends_suspended_;
-  }
-
   [[nodiscard]] const GroupView& view() const override { return view_; }
 
-  // --- Robustness hooks (failure detection and crash recovery).
+  // --- Crash recovery.
 
-  /// Peers currently suspected by the reliability layer's heartbeat
-  /// detector (empty unless Options::reliability.suspect_after_us > 0).
-  [[nodiscard]] std::vector<NodeId> suspected_peers() const override {
-    return endpoint_.suspected_peers();
-  }
+  /// Adopts a delivered-prefix baseline (rank-indexed by view): messages
+  /// at or below it are deemed delivered ("before my time"). A member
+  /// restored from a checkpoint adopts the checkpoint's frontier.
+  void adopt_baseline(const VectorClock& baseline);
 
   /// Sends an out-of-band frame (no seq, no retransmission) to one peer —
   /// the carrier for state-transfer responses during crash recovery.
@@ -200,21 +185,15 @@ class OSendMember final : public ViewSyncMember {
       CBC_REQUIRES(mutex_);
 
   Transport& transport_;
-  GroupView view_;  // owned: replaced by install_view()
+  GroupView view_;
   DeliverFn deliver_;
   Options options_;
   ReliableEndpoint endpoint_;
   mutable RecursiveMutex mutex_{kRankStack, "osend stack"};
-  bool sends_suspended_ = false;
-  // Wire messages from senders outside the current view (a joiner racing
-  // ahead of our install): replayed on install_view(). Frames are retained
-  // by refcount — no bytes are copied into the buffer.
-  std::vector<WireFrame> foreign_buffer_ CBC_GUARDED_BY(mutex_);
 
   SeqNo next_seq_ CBC_GUARDED_BY(mutex_) = 1;
-  // Delivered membership, keyed by NodeId rather than view rank so that a
-  // message from a sender who has since left the view still counts as
-  // delivered. delivered_prefix_ is its rank-indexed wire image.
+  // Delivered membership per sender; delivered_prefix_ is its
+  // rank-indexed image.
   std::unordered_map<NodeId, PrefixSeqSet> delivered_by_sender_
       CBC_GUARDED_BY(mutex_);
   std::unordered_map<MessageId, PendingMessage> pending_

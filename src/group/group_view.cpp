@@ -42,23 +42,4 @@ std::string GroupView::to_string() const {
   return out.str();
 }
 
-void GroupView::encode(Writer& writer) const {
-  writer.u64(id_);
-  writer.u32(static_cast<std::uint32_t>(members_.size()));
-  for (const NodeId member : members_) {
-    writer.u32(member);
-  }
-}
-
-GroupView GroupView::decode(Reader& reader) {
-  const ViewId id = reader.u64();
-  const std::uint32_t count = reader.u32();
-  std::vector<NodeId> members;
-  members.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    members.push_back(reader.u32());
-  }
-  return GroupView(id, std::move(members));
-}
-
 }  // namespace cbc

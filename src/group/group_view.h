@@ -12,12 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "util/serde.h"
 #include "util/types.h"
 
 namespace cbc {
 
-/// Monotonically increasing identifier of a membership epoch.
+/// Identifier of a group view; a group keeps one view for its whole run.
 using ViewId = std::uint64_t;
 
 /// Immutable snapshot of group membership. Members are stored sorted by
@@ -46,9 +45,6 @@ class GroupView {
   bool operator==(const GroupView& other) const = default;
 
   [[nodiscard]] std::string to_string() const;
-
-  void encode(Writer& writer) const;
-  static GroupView decode(Reader& reader);
 
  private:
   ViewId id_ = 0;

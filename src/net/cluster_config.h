@@ -1,12 +1,12 @@
 // Static cluster membership: node id -> UDP address.
 //
 // The paper's group model (§2) assumes a fixed, globally known set of
-// members per logical group; view changes are out of scope for the wire
-// layer (the causal disciplines carry a view id). ClusterConfig is the
-// network-side realization of that assumption: a small text file maps each
-// dense NodeId to a host:port, every process loads the same file, and the
-// resulting addressing is — like the paper's dependency graphs — "stable
-// information, identical at all members".
+// members per logical group, and the group never changes: a restarted
+// member rejoins with its own id from a checkpoint (cbc_node --recover).
+// ClusterConfig is the network-side realization of that assumption: a
+// small text file maps each dense NodeId to a host:port, every process
+// loads the same file, and the resulting addressing is — like the paper's
+// dependency graphs — "stable information, identical at all members".
 //
 // File format, one member per line, ids dense from 0:
 //

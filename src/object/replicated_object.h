@@ -62,7 +62,7 @@ class ReplicatedObject {
   virtual std::vector<std::uint8_t> apply(std::string_view kind,
                                           Reader& args) = 0;
 
-  /// Snapshot serialization (checkpointing / joiner state transfer).
+  /// Snapshot serialization (checkpointing / recovery state transfer).
   virtual void encode(Writer& writer) const = 0;
 
   /// Replaces this object's state with a decoded snapshot.

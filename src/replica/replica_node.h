@@ -141,7 +141,7 @@ class ReplicaNode {
     const LockGuard guard(member_->stack_mutex());
     state_ = snapshot;
     last_stable_state_ = std::move(snapshot);
-    detector_.restore(last_sync, {});
+    detector_.restore(last_sync);
   }
 
   /// Always empty: the node keeps only last_stable_state(). Only
@@ -180,18 +180,6 @@ class ReplicaNode {
     return detector_;
   }
   [[nodiscard]] NodeId id() const { return member_->id(); }
-
- protected:
-  /// Replaces the working state with a transferred one, leaving
-  /// last_stable_state() alone: a joiner adopts its snapshot at a view's
-  /// install cut, not at a stable point (DynamicReplicaNode). The cycle
-  /// open at the cut resumes: `last_sync` closed the one before it, and
-  /// `open_set` ({Cid}) was delivered since.
-  void adopt_state(State snapshot, MessageId last_sync,
-                   std::vector<MessageId> open_set) {
-    state_ = std::move(snapshot);
-    detector_.restore(last_sync, std::move(open_set));
-  }
 
  private:
   void on_delivery(const Delivery& delivery) {

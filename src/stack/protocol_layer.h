@@ -2,8 +2,8 @@
 //
 // A ProtocolLayer owns the member below it, splices itself into the
 // delivery path (set_deliver on the lower member), and is itself a
-// BroadcastMember — so layers stack: the flush coordinator over OSend,
-// an application protocol over the flush coordinator, and so on. The
+// BroadcastMember — so layers stack: the invariant checker over OSend,
+// a replica over the checker, and so on. The
 // default implementation is transparent; subclasses override
 // on_lower_delivery() to consume/rewrite/delay upward traffic and
 // broadcast() to interpose on the downward path.

@@ -204,7 +204,7 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
   SeqNo seq = 0;
   SeqNo receiver_floor = 0;  // control frames: the peer's real floor
   std::vector<std::uint64_t> missing;
-  std::int64_t hb_origin_us = 0;  // heartbeat timestamps (0 = legacy frame)
+  std::int64_t hb_origin_us = 0;  // heartbeat timestamps
   std::int64_t hb_echo_origin_us = 0;
   std::int64_t hb_echo_rx_us = 0;
   try {
@@ -219,15 +219,9 @@ void ReliableEndpoint::on_frame(NodeId from, const WireFrame& frame) {
     } else if (type == FrameType::kWindowBase) {
       seq = reader.u64();  // lowest seq the sender retains
     } else if (type == FrameType::kHeartbeat) {
-      // Clock-offset piggyback; all three fields are optional so a bare
-      // legacy [u8] heartbeat still parses.
-      if (reader.remaining() >= 8) {
-        hb_origin_us = reader.i64();
-      }
-      if (reader.remaining() >= 16) {
-        hb_echo_origin_us = reader.i64();
-        hb_echo_rx_us = reader.i64();
-      }
+      hb_origin_us = reader.i64();  // clock-offset piggyback
+      hb_echo_origin_us = reader.i64();
+      hb_echo_rx_us = reader.i64();
     } else if (type == FrameType::kOob) {
       // No further header.
     } else {
@@ -580,17 +574,6 @@ bool ReliableEndpoint::update_clock_offset(NodeId from, std::int64_t t1,
     clock.rtt_gauge->set(static_cast<std::int64_t>(clock.rtt_us));
   }
   return true;
-}
-
-std::vector<NodeId> ReliableEndpoint::suspected_peers() const {
-  const LockGuard guard(mutex_);
-  std::vector<NodeId> suspected;
-  for (const auto& [peer, liveness] : liveness_) {
-    if (liveness.suspected) {
-      suspected.push_back(peer);
-    }
-  }
-  return suspected;
 }
 
 bool ReliableEndpoint::note_heard(NodeId from, SimTime now) {

@@ -159,9 +159,6 @@ class ReliableEndpoint {
   /// are attached. Call once, after construction.
   void monitor_peers(const std::vector<NodeId>& peers);
 
-  /// Currently suspected peers (monitored, silent past the timeout).
-  [[nodiscard]] std::vector<NodeId> suspected_peers() const;
-
   /// Fast-forwards every per-link send sequence to at least `next_seq`
   /// (existing links and links created later). Recovery hook: a member
   /// restored from a checkpoint re-enters with the link sequence its old
@@ -201,9 +198,8 @@ class ReliableEndpoint {
     // [u8][i64 t_origin][i64 echo_origin][i64 echo_rx] — explicit
     // liveness when a link idles. The three wall-clock timestamps are the
     // clock-offset piggyback (NTP-style: my send time plus an echo of
-    // your last heartbeat's send/receive pair); legacy peers sent a bare
-    // [u8] and receivers still accept that — trailing fields are
-    // optional on parse.
+    // your last heartbeat's send/receive pair; an echo of 0 means none
+    // has arrived yet).
     kHeartbeat = 3,
     kWindowBase = 4,   // [u8][u64 base] — lowest seq the sender retains
     kOob = 5,          // [u8][payload] — out-of-band passthrough

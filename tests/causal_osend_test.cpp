@@ -208,17 +208,20 @@ TEST(OSend, RawDuplicatesDroppedById) {
 }
 
 TEST(OSend, FrameBytesDoNotGrowWithGroupSize) {
-  // A frame carries the view id and the envelope, with its Occurs_After
-  // set; nothing in it is sized by the group.
+  // A frame is the envelope section alone, with its Occurs_After set;
+  // nothing in it is sized by the group. The message is F1's write
+  // (bench_fig1_broadcast).
   auto bytes_per_unicast = [](std::size_t group_size) {
     SimEnv env;
     Group<OSendMember> group(env.transport, group_size);
-    group[0].osend("m", bytes(1), DepSpec::none());
+    group[0].osend("write(VAL)", std::vector<std::uint8_t>(8), DepSpec::none());
     env.run();
     EXPECT_EQ(env.network.stats().sent, group_size - 1);
     return env.network.stats().bytes / env.network.stats().sent;
   };
   EXPECT_EQ(bytes_per_unicast(2), bytes_per_unicast(32));
+  // id 12 + label 4+10 + deps 4 + sent_at 8 + payload 4+8: no prelude.
+  EXPECT_EQ(bytes_per_unicast(2), 50u);
 }
 
 TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
@@ -264,36 +267,10 @@ TEST(OSend, DefaultMemberRetainsNoPerMessageHistory) {
   }
 }
 
-TEST(OSend, DepOnDepartedSendersMessageStillSatisfied) {
-  SimEnv env;
-  Group<OSendMember> group(env.transport, 3, OSendMember::Options{});
-  MessageId departed_last;
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      const MessageId sent = group[i].osend("op", bytes(1), DepSpec::none());
-      if (i == 2) {
-        departed_last = sent;
-      }
-    }
-    env.run();
-  }
-  // Member 2 leaves; its delivered messages stay delivered at the rest.
-  const GroupView survivors(2, {0, 1});
-  group[0].install_view(survivors);
-  group[1].install_view(survivors);
-  const MessageId after_departed =
-      group[0].osend("after", bytes(2), DepSpec::after(departed_last));
-  env.run();
-  EXPECT_EQ(group[0].holdback_depth(), 0u);
-  EXPECT_EQ(group[1].holdback_depth(), 0u);
-  EXPECT_TRUE(group[1].has_delivered(after_departed));
-  EXPECT_EQ(group.log(1).back().id, after_departed);
-}
-
 TEST(OSend, AdoptedBaselineReleasesWhatItCoversAndRenumbersOwnSends) {
   // Member 2 adopts a baseline saying sender 1's first 3 messages and its
-  // own first 4 are delivered (a flush joiner's or a recovered member's
-  // cut). Sender 0's two messages wait on sender 1's seq 1 and seq 5,
+  // own first 4 are delivered (a recovered member's checkpoint
+  // frontier). Sender 0's two messages wait on sender 1's seq 1 and seq 5,
   // neither of which member 2 ever receives.
   SimEnv env;
   Group<OSendMember> group(env.transport, 3);

@@ -9,18 +9,16 @@
 #include "causal/envelope.h"
 #include "graph/dep_spec.h"
 #include "graph/message_id.h"
-#include "group/group_view.h"
 #include "util/serde.h"
 
 namespace cbc::testkit {
 
-/// The frame `id.sender` broadcasts in view `view` for a message with no
-/// dependencies and an empty payload, laid out as OSendMember::broadcast
-/// lays it out: [u64 view_id][envelope section].
-inline std::vector<std::uint8_t> osend_frame(ViewId view, MessageId id,
+/// The frame `id.sender` broadcasts for a message with no dependencies and
+/// an empty payload, laid out as OSendMember::broadcast lays it out: the
+/// envelope section alone.
+inline std::vector<std::uint8_t> osend_frame(MessageId id,
                                              std::string_view label) {
   Writer writer;
-  writer.u64(view);
   Envelope::encode_section(writer, id, label, DepSpec::none(), /*sent_at=*/0,
                            {});
   return writer.take();

@@ -178,15 +178,27 @@ TEST(FrameFuzz, HeartbeatAndOobFramesTolerateTruncationAndFlips) {
   };
   ReliableEndpoint endpoint(env.transport, [](NodeId, const WireFrame&) {},
                             options);
-  // The empty frame (heartbeat truncated to nothing) is malformed; a bare
-  // [u8 kHeartbeat] is the valid frame, and trailing garbage after the
-  // type byte is ignored rather than fatal.
-  env.transport.send(raw, endpoint.id(), std::vector<std::uint8_t>{});
-  env.transport.send(raw, endpoint.id(), {3});
-  env.transport.send(raw, endpoint.id(), {3, 0xDE, 0xAD});
+  // Well-formed, as a monitoring endpoint sends it: [u8 kHeartbeat]
+  // [i64 origin][i64 echo origin][i64 echo rx], here the first heartbeat
+  // of a link (no echo yet). Every strict prefix — the empty frame and
+  // the bare type byte included — is missing fields and must land in the
+  // malformed counter; only the whole frame is a heartbeat.
+  Writer writer;
+  writer.u8(3);
+  writer.i64(1'700'000'000'000'000);
+  writer.i64(0);
+  writer.i64(0);
+  const std::vector<std::uint8_t> full = writer.take();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    env.transport.send(raw, endpoint.id(),
+                       std::vector<std::uint8_t>(full.begin(),
+                                                 full.begin() + cut));
+    EXPECT_NO_THROW(env.run());
+  }
+  env.transport.send(raw, endpoint.id(), full);
   EXPECT_NO_THROW(env.run());
-  EXPECT_EQ(endpoint.stats().malformed_frames, 1u);
-  EXPECT_EQ(endpoint.stats().heartbeats_received, 2u);
+  EXPECT_EQ(endpoint.stats().malformed_frames, full.size());
+  EXPECT_EQ(endpoint.stats().heartbeats_received, 1u);
   // Oob frames pass any payload through opaquely — including an empty one
   // — and flipping payload bits must reach the handler, not the parser.
   env.transport.send(raw, endpoint.id(), {5});
@@ -350,15 +362,15 @@ TEST(FrameFuzz, SlicedBatchDeliversDecodablePrefixAndCountsTheRest) {
 TEST(FrameFuzz, EveryTruncationOfAnOSendFrameIsCounted) {
   SimEnv env;
   Group<OSendMember> group(env.transport, 2);
-  const std::vector<std::uint8_t> full = osend_frame(1, MessageId{0, 1}, "op");
+  const std::vector<std::uint8_t> full = osend_frame(MessageId{0, 1}, "op");
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     env.transport.send(0, 1,
                        std::vector<std::uint8_t>(full.begin(),
                                                  full.begin() + cut));
     EXPECT_NO_THROW(env.run());
   }
-  // Short prefixes (< 8 bytes) cannot even yield a view id; longer ones
-  // fail later in the parse. All must land in the malformed counter.
+  // Short prefixes cannot even yield a message id; longer ones fail later
+  // in the parse. All must land in the malformed counter.
   EXPECT_EQ(group[1].stats().malformed, full.size());
   EXPECT_EQ(group[1].stats().delivered, 0u);
   // The untruncated frame is well formed: it delivers exactly once.
@@ -475,11 +487,11 @@ TEST(FrameFuzz, KvPeekTypeBoundsUnknownAndEmptyPayloads) {
 TEST(FrameFuzz, BitFlippedOSendFramesNeverCrashTheMember) {
   SimEnv env;
   Group<OSendMember> group(env.transport, 2);
-  const std::vector<std::uint8_t> full = osend_frame(1, MessageId{0, 1}, "op");
+  const std::vector<std::uint8_t> full = osend_frame(MessageId{0, 1}, "op");
   // Deterministic sweep: flip bit (i % 8) of byte i, one frame per flip.
   // Depending on where the flip lands the frame may parse as malformed,
-  // buffer for a future view, dedupe, or even deliver — all acceptable;
-  // aborting the member is not.
+  // name a sender outside the view, dedupe, or even deliver — all
+  // acceptable; aborting the member is not.
   for (std::size_t i = 0; i < full.size(); ++i) {
     std::vector<std::uint8_t> mutated = full;
     mutated[i] ^= static_cast<std::uint8_t>(1u << (i % 8));

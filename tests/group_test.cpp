@@ -1,8 +1,7 @@
-// Unit tests for group views and the membership service.
+// Unit tests for group views.
 #include <gtest/gtest.h>
 
 #include "group/group_view.h"
-#include "group/membership.h"
 #include "util/ensure.h"
 
 namespace cbc {
@@ -35,71 +34,9 @@ TEST(GroupView, RankOutOfRangeRejected) {
   EXPECT_THROW((void)view.member_at(1), InvalidArgument);
 }
 
-TEST(GroupView, EncodeDecodeRoundTrip) {
-  GroupView view(42, {3, 1, 7});
-  Writer writer;
-  view.encode(writer);
-  Reader reader(writer.bytes());
-  const GroupView copy = GroupView::decode(reader);
-  EXPECT_EQ(view, copy);
-  EXPECT_EQ(copy.id(), 42u);
-}
-
 TEST(GroupView, ToStringShowsIdAndMembers) {
   GroupView view(3, {2, 1});
   EXPECT_EQ(view.to_string(), "view#3{1,2}");
-}
-
-TEST(Membership, InitialViewIsOne) {
-  Membership membership({0, 1, 2});
-  EXPECT_EQ(membership.view().id(), 1u);
-  EXPECT_EQ(membership.view().size(), 3u);
-}
-
-TEST(Membership, JoinInstallsSuccessorView) {
-  Membership membership({0, 1});
-  const GroupView& next = membership.join(5);
-  EXPECT_EQ(next.id(), 2u);
-  EXPECT_TRUE(next.contains(5));
-  EXPECT_EQ(membership.history().size(), 2u);
-}
-
-TEST(Membership, LeaveRemovesMember) {
-  Membership membership({0, 1, 2});
-  const GroupView& next = membership.leave(1);
-  EXPECT_EQ(next.id(), 2u);
-  EXPECT_FALSE(next.contains(1));
-  EXPECT_EQ(next.size(), 2u);
-}
-
-TEST(Membership, ListenersSeeEveryInstallInOrder) {
-  Membership membership({0});
-  std::vector<ViewId> seen;
-  membership.subscribe(
-      [&seen](const GroupView& view) { seen.push_back(view.id()); });
-  membership.join(1);
-  membership.join(2);
-  membership.leave(1);
-  EXPECT_EQ(seen, (std::vector<ViewId>{2, 3, 4}));
-}
-
-TEST(Membership, InvalidTransitionsRejected) {
-  Membership membership({0});
-  EXPECT_THROW(membership.join(0), InvalidArgument);
-  EXPECT_THROW(membership.leave(9), InvalidArgument);
-  EXPECT_THROW(membership.leave(0), InvalidArgument);  // would empty group
-  EXPECT_THROW(Membership({}), InvalidArgument);
-}
-
-TEST(Membership, ViewIdsStrictlyIncrease) {
-  Membership membership({0, 1});
-  for (NodeId n = 10; n < 20; ++n) {
-    membership.join(n);
-  }
-  const auto& history = membership.history();
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_EQ(history[i].id(), history[i - 1].id() + 1);
-  }
 }
 
 }  // namespace

@@ -202,17 +202,25 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
   // checkpoint over the state-transfer frames, restores replica + checker
   // + sequence numbers from it, and rejoins through leader admission.
   // Every member — including the recovered one — must finish with the
-  // identical stable-point digest chain and zero checker violations. The
+  // identical stable-point digest chain and zero checker violations.
+  // The counter run chains two recoveries (in a fixed group, recovery is
+  // the one way back in): the first recovered incarnation quiesces at a
+  // later round and is killed in turn, so the second restores from a
+  // checkpoint taken after the first rejoined, and is admitted again. The
   // registry runs too: its sync op is an update, so its checkpoint holds
   // the state the sync produced.
-  constexpr std::uint64_t kRounds = 8;
+  struct Run {
+    std::string object;
+    std::uint64_t rounds;
+    std::int64_t requiesce_round;  // the first recovery's; -1: recover once
+  };
   constexpr std::int64_t kQuiesceRound = 2;
-  for (const std::string object : {"", "registry"}) {
-    SCOPED_TRACE("object '" + object + "'");
+  for (const Run& run : {Run{"", 12, 6}, Run{"registry", 8, -1}}) {
+    SCOPED_TRACE("object '" + run.object + "'");
     ClusterHarness cluster({.nodes = 3,
-                            .rounds = kRounds,
+                            .rounds = run.rounds,
                             .ops_per_round = 10,
-                            .object = object,
+                            .object = run.object,
                             .checkpoints = true,
                             .suspect_timeout_ms = 4'000});
     cluster.start_node(0);
@@ -228,11 +236,24 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
     // numbers of its own uncovered messages, which peers would then
     // dup-drop. (Round K+1 cannot close while the quiesced victim is
     // alive — its marker is missing — so K+1 delivered syncs is also the
-    // most that can be awaited here.)
-    ASSERT_TRUE(cluster.wait_for_progress(2, "quiesced", 1));
-    ASSERT_TRUE(cluster.wait_for_progress(0, "syncs", kQuiesceRound + 1));
-    ASSERT_TRUE(cluster.wait_for_progress(1, "syncs", kQuiesceRound + 1));
-    cluster.kill_node(2);
+    // most that can be awaited here.) The killed incarnation's progress
+    // file goes with it, so the next incarnation's waits read only what
+    // that one writes.
+    const auto kill_once_quiesced = [&cluster](std::int64_t round) {
+      const bool safe = cluster.wait_for_progress(2, "quiesced", 1) &&
+                        cluster.wait_for_progress(0, "syncs", round + 1) &&
+                        cluster.wait_for_progress(1, "syncs", round + 1);
+      cluster.kill_node(2);
+      ::unlink(cluster.progress_path(2).c_str());
+      return safe;
+    };
+    ASSERT_TRUE(kill_once_quiesced(kQuiesceRound));
+    if (run.requiesce_round >= 0) {
+      cluster.start_node(2, {"--recover", "--quiesce-at-round",
+                             std::to_string(run.requiesce_round)});
+      ASSERT_TRUE(kill_once_quiesced(run.requiesce_round))
+          << "first recovered incarnation never quiesced";
+    }
 
     cluster.start_node(2, {"--recover"});
     ASSERT_TRUE(cluster.wait_for_progress(2, "admitted", 1))
@@ -245,7 +266,7 @@ TEST(Cluster, KilledMemberRecoversFromCheckpointAndRejoins) {
 
     const NodeReport leader = *cluster.report(0);
     expect_clean(leader);
-    EXPECT_EQ(leader.at("digest_count"), std::to_string(kRounds));
+    EXPECT_EQ(leader.at("digest_count"), std::to_string(run.rounds));
     for (std::size_t id = 1; id < 3; ++id) {
       const NodeReport report = *cluster.report(id);
       expect_clean(report);
