@@ -209,7 +209,8 @@ void BM_FlightRecord(benchmark::State& state) {
   // The always-on cost an instrumented site pays per event: one relaxed
   // ticket fetch_add plus a 40-byte seqlock-published store (the <5%
   // acceptance bar for the flight recorder rides on this number).
-  obs::FlightRecorder recorder({.capacity = 1 << 14});
+  obs::FlightRecorder recorder(
+      {.capacity = 1 << 14, .path = {}, .dump_path = {}});
   std::uint64_t seq = 0;
   for (auto _ : state) {
     recorder.record(obs::FlightEvent::kDeliver, MessageId{1, ++seq}, seq);

@@ -1,23 +1,15 @@
 #include "net/event_loop.h"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include "util/ensure.h"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/timerfd.h>
-#define CBC_HAVE_EPOLL 1
-#else
-#define CBC_HAVE_EPOLL 0
-#endif
 
 namespace cbc::net {
 
@@ -30,6 +22,14 @@ void set_nonblocking(int fd) {
          "EventLoop: fcntl(F_SETFL, O_NONBLOCK) failed");
 }
 
+void watch_readable(int epoll_fd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  ensure(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0,
+         "EventLoop: epoll_ctl(ADD) failed");
+}
+
 void close_if_open(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -40,47 +40,24 @@ void close_if_open(int& fd) {
 }  // namespace
 
 EventLoop::EventLoop(Options options)
-    : options_(options),
-      epoch_(std::chrono::steady_clock::now()),
-      wheel_(options.wheel) {
-#if CBC_HAVE_EPOLL
-  if (!options_.force_poll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    ensure(epoll_fd_ >= 0, "EventLoop: epoll_create1 failed");
-    wake_read_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    ensure(wake_read_ >= 0, "EventLoop: eventfd failed");
-    wake_write_ = wake_read_;  // eventfd is bidirectional
-    timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
-    ensure(timer_fd_ >= 0, "EventLoop: timerfd_create failed");
-    for (const int fd : {wake_read_, timer_fd_}) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      ensure(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
-             "EventLoop: epoll_ctl(ADD) failed for internal fd");
-    }
-    return;
-  }
-#endif
-  int pipe_fds[2] = {-1, -1};
-  ensure(::pipe(pipe_fds) == 0, "EventLoop: pipe failed");
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  set_nonblocking(wake_read_);
-  set_nonblocking(wake_write_);
+    : epoch_(std::chrono::steady_clock::now()) {
+  require(!options.force_poll,
+          "EventLoop: there is no poll backend; force_poll must be false");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  ensure(epoll_fd_ >= 0, "EventLoop: epoll_create1 failed");
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  ensure(wake_fd_ >= 0, "EventLoop: eventfd failed");
+  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
+  ensure(timer_fd_ >= 0, "EventLoop: timerfd_create failed");
+  watch_readable(epoll_fd_, wake_fd_);
+  watch_readable(epoll_fd_, timer_fd_);
 }
 
 EventLoop::~EventLoop() {
   ensure(!running(), "EventLoop destroyed while running");
-#if CBC_HAVE_EPOLL
   close_if_open(timer_fd_);
+  close_if_open(wake_fd_);
   close_if_open(epoll_fd_);
-#endif
-  if (wake_write_ != wake_read_) {
-    close_if_open(wake_write_);
-  }
-  close_if_open(wake_read_);
-  wake_write_ = -1;
 }
 
 std::size_t EventLoop::watch_index(int fd) const {
@@ -99,15 +76,7 @@ void EventLoop::add_fd(int fd, std::function<void()> on_readable) {
   require(watch_index(fd) == watches_.size(),
           "EventLoop::add_fd: fd already registered");
   set_nonblocking(fd);
-#if CBC_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ensure(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
-           "EventLoop: epoll_ctl(ADD) failed");
-  }
-#endif
+  watch_readable(epoll_fd_, fd);
   watches_.push_back(Watch{fd, std::move(on_readable)});
 }
 
@@ -115,11 +84,7 @@ void EventLoop::remove_fd(int fd) {
   assert_in_loop();
   const std::size_t i = watch_index(fd);
   require(i < watches_.size(), "EventLoop::remove_fd: fd not registered");
-#if CBC_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   // Null the handler instead of erasing: dispatch may be mid-iteration
   // over watches_ (a handler removing its own or a sibling fd).
   watches_[i].fd = -1;
@@ -144,17 +109,19 @@ void EventLoop::schedule(SimTime delay_us, std::function<void()> action) {
   if (delay_us < 0) {
     delay_us = 0;
   }
+  const SimTime due = now_us() + delay_us;
   if (in_loop_thread()) {
     assert_in_loop();
-    wheel_.schedule_at(now_us() + delay_us, std::move(action));
+    timers_.at(due, std::move(action));
     return;
   }
-  // Cross-thread: marshal the arm itself onto the loop thread so the wheel
-  // stays loop-confined. The deadline is fixed here, not at drain time.
-  const SimTime due = now_us() + delay_us;
+  // Cross-thread: marshal the arm itself onto the loop thread so the timer
+  // queue stays loop-confined. The deadline is fixed here, not at drain
+  // time; if the queue's clock has passed it by then, the timer fires at
+  // the next advance.
   post([this, due, action = std::move(action)]() mutable {
     assert_in_loop();
-    wheel_.schedule_at(due, std::move(action));
+    timers_.at(std::max(due, timers_.now()), std::move(action));
   });
 }
 
@@ -165,22 +132,17 @@ SimTime EventLoop::now_us() const {
 }
 
 void EventLoop::wake() {
-  if (wake_write_ < 0) {
-    return;
-  }
   const std::uint64_t one = 1;
-  // A full pipe/eventfd already guarantees a pending wakeup; EAGAIN is fine.
-  [[maybe_unused]] const ssize_t n =
-      ::write(wake_write_, &one, wake_write_ == wake_read_ ? sizeof(one) : 1);
+  // A saturated eventfd counter already guarantees a pending wakeup;
+  // EAGAIN is fine.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   wakeup_writes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void EventLoop::drain_wakeup() {
-  // One read empties an eventfd's counter. A pipe holding more bytes than
-  // this stays readable, and the level-triggered poll comes back for it.
-  std::uint8_t scratch[256];
-  [[maybe_unused]] const ssize_t n =
-      ::read(wake_read_, scratch, sizeof(scratch));
+  // One read empties an eventfd's counter.
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof(count));
 }
 
 bool EventLoop::has_posted_tasks() const {
@@ -199,32 +161,12 @@ void EventLoop::run_posted_tasks() {
   }
 }
 
-int EventLoop::poll_timeout_ms() const {
-  if (has_posted_tasks()) {
-    return 0;
-  }
-  const std::optional<SimTime> due = wheel_.next_due_hint();
-  if (!due.has_value()) {
-    return 1000;  // wakeup fd interrupts sooner when anything arrives
-  }
-  const SimTime wait_us = *due - now_us();
-  if (wait_us <= 0) {
-    return 0;
-  }
-  // Round up so the loop never wakes before the deadline and spins.
-  return static_cast<int>(std::min<SimTime>((wait_us + 999) / 1000, 1000));
-}
-
 void EventLoop::arm_timer_source() {
-#if CBC_HAVE_EPOLL
-  if (timer_fd_ < 0) {
-    return;
-  }
   // Unchanged deadline: the timerfd still holds it, so the loop wakes in
   // time without a syscall. Once it has expired it is set again whatever
   // the deadline: timerfd_settime also clears its readiness, which spares
   // reading it.
-  const std::optional<SimTime> due = wheel_.next_due_hint();
+  const std::optional<SimTime> due = timers_.next_at();
   if (!timer_expired_ && due == timer_due_) {
     return;
   }
@@ -239,23 +181,20 @@ void EventLoop::arm_timer_source() {
   timer_rearms_.fetch_add(1, std::memory_order_relaxed);
   timer_due_ = due;
   timer_expired_ = false;
-#endif
 }
 
 void EventLoop::dispatch_fd(int fd) {
-  if (fd == wake_read_) {
+  if (fd == wake_fd_) {
     drain_wakeup();
     return;
   }
-#if CBC_HAVE_EPOLL
   if (fd == timer_fd_) {
     // Not read: the next arm_timer_source() sets it again, which clears
-    // the expiry, and the wheel advance at the top of the next iteration
-    // fires the actions.
+    // the expiry, and the timer queue's advance at the top of the next
+    // iteration fires the actions.
     timer_expired_ = true;
     return;
   }
-#endif
   const std::size_t i = watch_index(fd);
   if (i < watches_.size() && watches_[i].on_readable) {
     watches_[i].on_readable();
@@ -281,49 +220,28 @@ void EventLoop::run() {
 
   while (!stop_requested_.load(std::memory_order_acquire)) {
     run_posted_tasks();
-    wheel_.advance(now_us());
+    timers_.run_until(now_us());
     if (stop_requested_.load(std::memory_order_acquire)) {
       break;
     }
     // Compact tombstones left by remove_fd outside any dispatch iteration.
     std::erase_if(watches_, [](const Watch& w) { return w.fd < 0; });
 
-#if CBC_HAVE_EPOLL
-    if (epoll_fd_ >= 0) {
-      arm_timer_source();
-      epoll_event events[64];
-      // timerfd wakes us at the next wheel deadline and the eventfd on a
-      // cross-thread post or stop, so the blocking timeout is just a
-      // liveness backstop. A task posted from the loop thread (by a timer
-      // action or another task) wrote no eventfd: poll, do not block.
-      const int wait_ms = has_posted_tasks() ? 0 : 1000;
-      const int n = ::epoll_wait(epoll_fd_, events,
-                                 static_cast<int>(std::size(events)), wait_ms);
-      if (n < 0) {
-        ensure(errno == EINTR, "EventLoop: epoll_wait failed");
-        continue;
-      }
-      for (int i = 0; i < n; ++i) {
-        dispatch_fd(events[i].data.fd);
-      }
-      continue;
-    }
-#endif
-    std::vector<pollfd> fds;
-    fds.reserve(watches_.size() + 1);
-    fds.push_back(pollfd{wake_read_, POLLIN, 0});
-    for (const Watch& watch : watches_) {
-      fds.push_back(pollfd{watch.fd, POLLIN, 0});
-    }
-    const int n = ::poll(fds.data(), fds.size(), poll_timeout_ms());
+    arm_timer_source();
+    epoll_event events[64];
+    // The timerfd wakes us at the next timer deadline and the eventfd on
+    // a cross-thread post or stop, so the blocking timeout is just a
+    // liveness backstop. A task posted from the loop thread (by a timer
+    // action or another task) wrote no eventfd: poll, do not block.
+    const int wait_ms = has_posted_tasks() ? 0 : 1000;
+    const int n = ::epoll_wait(epoll_fd_, events,
+                               static_cast<int>(std::size(events)), wait_ms);
     if (n < 0) {
-      ensure(errno == EINTR, "EventLoop: poll failed");
+      ensure(errno == EINTR, "EventLoop: epoll_wait failed");
       continue;
     }
-    for (const pollfd& pfd : fds) {
-      if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        dispatch_fd(pfd.fd);
-      }
+    for (int i = 0; i < n; ++i) {
+      dispatch_fd(events[i].data.fd);
     }
   }
 }

@@ -1,22 +1,18 @@
 // Single-threaded readiness event loop driving UdpTransport.
 //
 // One thread — the loop thread — owns every socket and every protocol
-// object above it. The loop multiplexes three event sources:
+// object above it. The loop is epoll + eventfd + timerfd, and it
+// multiplexes three event sources:
 //   - file descriptors (readable), registered with add_fd();
-//   - timers, backed by a hashed TimerWheel (timer_wheel.h);
+//   - timers, kept in a sim::Scheduler — the (deadline, arm order) queue
+//     every simulated run uses — which the loop advances to its monotonic
+//     clock once per iteration. The timerfd is armed at the queue's exact
+//     next deadline, set only when that deadline moves or after it
+//     expired, and never read: setting it clears the expiry;
 //   - posted work, marshalled in via post()/schedule(). A post from
-//     another thread writes a wakeup descriptor; a post from the loop
-//     thread writes nothing, because the loop polls without blocking
-//     while any posted task is pending.
-//
-// Two backends share the same semantics:
-//   - epoll (Linux): epoll + eventfd wakeup + timerfd armed at the wheel's
-//     next deadline, giving sub-millisecond timer precision. The timerfd
-//     is set only when that deadline moves or after it expired, and never
-//     read: setting it clears the expiry;
-//   - poll (portable fallback, or Options::force_poll): poll + self-pipe
-//     wakeup, timer deadlines rounded up to poll()'s millisecond timeout
-//     granularity.
+//     another thread writes the eventfd; a post from the loop thread
+//     writes nothing, because the loop polls without blocking while any
+//     posted task is pending.
 //
 // Threading contract: add_fd()/remove_fd() are loop-thread-only once run()
 // has started (they may also be called before run(), from the thread that
@@ -34,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/timer_wheel.h"
+#include "sim/scheduler.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
 
@@ -48,18 +44,20 @@ namespace cbc::net {
 /// the assert is a compile error under -Wthread-safety.
 class CBC_CAPABILITY("loop thread") LoopCapability {};
 
-/// Readiness loop: fds + timer wheel + cross-thread task queue.
+/// Readiness loop: fds + timer queue + cross-thread task queue.
 class EventLoop {
  public:
+  /// Selects nothing: the loop has one backend and one timer queue. The
+  /// fields remain only so that existing designated initializers compile.
   struct Options {
-    bool force_poll = false;  ///< use the poll backend even where epoll exists
-    TimerWheel::Options wheel;
+    bool force_poll = false;  ///< must be false: there is no poll backend
+    struct Wheel {} wheel;    ///< inert: timers live in a sim::Scheduler
   };
 
   /// The loop's own wake-up and timer syscalls.
   struct Stats {
-    std::uint64_t wakeup_writes = 0;  ///< eventfd (poll: pipe) writes
-    std::uint64_t timer_rearms = 0;   ///< timerfd_settime calls (epoll)
+    std::uint64_t wakeup_writes = 0;  ///< eventfd writes
+    std::uint64_t timer_rearms = 0;   ///< timerfd_settime calls
   };
 
   EventLoop() : EventLoop(Options{}) {}
@@ -98,9 +96,8 @@ class EventLoop {
   /// does not block while a posted task is pending.
   void post(std::function<void()> task);
 
-  /// Runs `action` on the loop thread after `delay_us` microseconds (at
-  /// wheel granularity; rounded up to 1ms on the poll backend while the
-  /// loop is idle). Thread-safe.
+  /// Runs `action` on the loop thread once `delay_us` microseconds have
+  /// passed. Thread-safe.
   void schedule(SimTime delay_us, std::function<void()> action);
 
   /// Monotonic microseconds since loop construction. Thread-safe.
@@ -123,9 +120,6 @@ class EventLoop {
     return running() && loop_thread_.load() == std::this_thread::get_id();
   }
 
-  /// True iff this build uses the epoll backend (false: poll fallback).
-  [[nodiscard]] bool uses_epoll() const { return epoll_fd_ >= 0; }
-
   /// Wake-up writes and timer re-arms so far. Thread-safe.
   [[nodiscard]] Stats stats() const {
     return {wakeup_writes_.load(std::memory_order_relaxed),
@@ -143,18 +137,16 @@ class EventLoop {
   [[nodiscard]] bool has_posted_tasks() const;
   void run_posted_tasks() CBC_REQUIRES(capability_);
   void arm_timer_source() CBC_REQUIRES(capability_);
-  [[nodiscard]] int poll_timeout_ms() const CBC_REQUIRES(capability_);
   void dispatch_fd(int fd) CBC_REQUIRES(capability_);
   [[nodiscard]] std::size_t watch_index(int fd) const
       CBC_REQUIRES(capability_);
 
-  Options options_;
   std::chrono::steady_clock::time_point epoch_;
   LoopCapability capability_;
 
   // Loop-thread-only state.
   std::vector<Watch> watches_ CBC_GUARDED_BY(capability_);
-  TimerWheel wheel_ CBC_GUARDED_BY(capability_);
+  sim::Scheduler timers_ CBC_GUARDED_BY(capability_);
   // The deadline the timerfd was last armed for (nullopt: disarmed), and
   // whether it has expired since. An expired timerfd stays readable until
   // the next timerfd_settime, which the next arm must therefore make.
@@ -171,11 +163,9 @@ class EventLoop {
   std::atomic<std::uint64_t> wakeup_writes_{0};
   std::atomic<std::uint64_t> timer_rearms_{0};
 
-  // Backend descriptors. epoll_fd_ < 0 selects the poll backend.
   int epoll_fd_ = -1;
-  int timer_fd_ = -1;   // epoll backend: timerfd armed at next wheel deadline
-  int wake_read_ = -1;  // eventfd (epoll) or pipe read end (poll)
-  int wake_write_ = -1;
+  int timer_fd_ = -1;  // armed at the timer queue's next deadline
+  int wake_fd_ = -1;   // eventfd written by a cross-thread post or stop()
 };
 
 }  // namespace cbc::net

@@ -626,7 +626,6 @@ class Node {
         {"malformed", std::to_string(runtime_.checker().stats().malformed)},
         {"datagrams_sent", std::to_string(udp.datagrams_sent)},
         {"datagrams_received", std::to_string(udp.datagrams_received)},
-        {"backend", runtime_.loop().uses_epoll() ? "epoll" : "poll"},
     });
   }
 

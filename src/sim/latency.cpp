@@ -4,14 +4,6 @@
 
 namespace cbc::sim {
 
-FixedLatency::FixedLatency(SimTime delay) : delay_(delay) {
-  require(delay >= 0, "FixedLatency: negative delay");
-}
-
-SimTime FixedLatency::sample(NodeId /*from*/, NodeId /*to*/, Rng& /*rng*/) {
-  return delay_;
-}
-
 UniformJitterLatency::UniformJitterLatency(SimTime base, SimTime jitter)
     : base_(base), jitter_(jitter) {
   require(base >= 0, "UniformJitterLatency: negative base");
@@ -24,16 +16,6 @@ SimTime UniformJitterLatency::sample(NodeId /*from*/, NodeId /*to*/, Rng& rng) {
   }
   return base_ + static_cast<SimTime>(rng.next_below(
                      static_cast<std::uint64_t>(jitter_) + 1));
-}
-
-ExponentialTailLatency::ExponentialTailLatency(SimTime base, double tail_mean_us)
-    : base_(base), tail_mean_us_(tail_mean_us) {
-  require(base >= 0, "ExponentialTailLatency: negative base");
-  require(tail_mean_us > 0.0, "ExponentialTailLatency: non-positive tail mean");
-}
-
-SimTime ExponentialTailLatency::sample(NodeId /*from*/, NodeId /*to*/, Rng& rng) {
-  return base_ + static_cast<SimTime>(rng.next_exponential(tail_mean_us_));
 }
 
 MatrixLatency::MatrixLatency(std::size_t node_count, SimTime default_delay,

@@ -22,16 +22,6 @@ class LatencyModel {
   [[nodiscard]] virtual SimTime sample(NodeId from, NodeId to, Rng& rng) = 0;
 };
 
-/// Constant delay on every link; yields FIFO, never-reordered delivery.
-class FixedLatency final : public LatencyModel {
- public:
-  explicit FixedLatency(SimTime delay);
-  [[nodiscard]] SimTime sample(NodeId from, NodeId to, Rng& rng) override;
-
- private:
-  SimTime delay_;
-};
-
 /// Base delay plus uniform jitter in [0, jitter]; jitter > 0 reorders
 /// messages both within a link and across links.
 class UniformJitterLatency final : public LatencyModel {
@@ -42,18 +32,6 @@ class UniformJitterLatency final : public LatencyModel {
  private:
   SimTime base_;
   SimTime jitter_;
-};
-
-/// Base delay plus exponentially distributed tail with the given mean;
-/// models congested WAN-ish links with occasional stragglers.
-class ExponentialTailLatency final : public LatencyModel {
- public:
-  ExponentialTailLatency(SimTime base, double tail_mean_us);
-  [[nodiscard]] SimTime sample(NodeId from, NodeId to, Rng& rng) override;
-
- private:
-  SimTime base_;
-  double tail_mean_us_;
 };
 
 /// Explicit per-pair delay matrix (e.g. to model one slow member). Pairs

@@ -1,5 +1,7 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
+
 #include "util/ensure.h"
 
 namespace cbc::sim {
@@ -7,7 +9,8 @@ namespace cbc::sim {
 void Scheduler::at(SimTime when, Action action) {
   require(when >= now_, "Scheduler::at: cannot schedule in the past");
   require(static_cast<bool>(action), "Scheduler::at: empty action");
-  queue_.push(Event{when, next_seq_++, std::move(action)});
+  heap_.push_back(Event{when, next_seq_++, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void Scheduler::after(SimTime delay, Action action) {
@@ -16,13 +19,12 @@ void Scheduler::after(SimTime delay, Action action) {
 }
 
 bool Scheduler::step() {
-  if (queue_.empty()) {
+  if (heap_.empty()) {
     return false;
   }
-  // priority_queue::top is const; move out via const_cast is UB-adjacent,
-  // so copy the action handle (shared_ptr-backed std::function copy).
-  Event event = queue_.top();
-  queue_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event event = std::move(heap_.back());
+  heap_.pop_back();
   ensure(event.when >= now_, "Scheduler: time went backwards");
   now_ = event.when;
   event.action();
@@ -40,12 +42,19 @@ std::size_t Scheduler::run(std::size_t max_events) {
 std::size_t Scheduler::run_until(SimTime until) {
   require(until >= now_, "Scheduler::run_until: target in the past");
   std::size_t processed = 0;
-  while (!queue_.empty() && queue_.top().when <= until) {
+  while (!heap_.empty() && heap_.front().when <= until) {
     step();
     ++processed;
   }
   now_ = until;
   return processed;
+}
+
+std::optional<SimTime> Scheduler::next_at() const {
+  if (heap_.empty()) {
+    return std::nullopt;
+  }
+  return heap_.front().when;
 }
 
 }  // namespace cbc::sim

@@ -1,14 +1,16 @@
 // Deterministic discrete-event scheduler.
 //
 // All protocol activity in simulation mode — message delivery, timers,
-// workload arrivals — runs as events on one Scheduler. Events at equal
-// times fire in insertion order (a strictly increasing tiebreak sequence),
-// which makes whole-system runs bit-reproducible for a given seed.
+// workload arrivals — runs as events on one Scheduler. The real network's
+// EventLoop (net/event_loop.h) keeps its timers in one too, advanced to
+// its monotonic clock once per loop iteration. Events at equal times fire
+// in insertion order (a strictly increasing tiebreak sequence), which
+// makes whole-system runs bit-reproducible for a given seed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <optional>
 #include <vector>
 
 #include "util/types.h"
@@ -40,8 +42,11 @@ class Scheduler {
   /// even if the queue drains early. Returns events processed.
   std::size_t run_until(SimTime until);
 
+  /// Time of the earliest pending event (nullopt: none pending).
+  [[nodiscard]] std::optional<SimTime> next_at() const;
+
   /// Number of pending events.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Event {
@@ -58,7 +63,10 @@ class Scheduler {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary min-heap under Later, kept with std::push_heap/pop_heap
+  // rather than a std::priority_queue, whose const top() would force
+  // step() to copy the action instead of moving it out.
+  std::vector<Event> heap_;
 };
 
 }  // namespace cbc::sim

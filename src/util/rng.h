@@ -7,7 +7,6 @@
 // execution instances".
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -63,17 +62,6 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return next_double() < p;
-  }
-
-  /// Exponentially distributed value with the given mean (> 0).
-  double next_exponential(double mean) {
-    require(mean > 0.0, "Rng::next_exponential mean must be positive");
-    // Avoid log(0) by nudging the uniform sample away from zero.
-    double u = next_double();
-    if (u <= 0.0) {
-      u = 0x1.0p-53;
-    }
-    return -mean * std::log(1.0 - u);
   }
 
   /// Derives an independent child generator (for per-node streams).

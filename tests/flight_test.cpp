@@ -43,7 +43,8 @@ std::string temp_path(const char* tag) {
 }
 
 TEST(FlightRecorder, RingWrapAroundKeepsTheNewestRecords) {
-  FlightRecorder recorder({.capacity = 8, .node_id = 3});
+  FlightRecorder recorder(
+      {.capacity = 8, .node_id = 3, .path = {}, .dump_path = {}});
   for (std::uint64_t i = 0; i < 20; ++i) {
     recorder.record(FlightEvent::kSubmit, MessageId{3, i}, i);
   }
@@ -65,7 +66,7 @@ TEST(FlightRecorder, RingWrapAroundKeepsTheNewestRecords) {
 }
 
 TEST(FlightRecorder, CapacityRoundsUpToAPowerOfTwo) {
-  FlightRecorder recorder({.capacity = 100});
+  FlightRecorder recorder({.capacity = 100, .path = {}, .dump_path = {}});
   EXPECT_EQ(recorder.capacity(), 128u);
 }
 
@@ -73,7 +74,7 @@ TEST(FlightRecorder, ConcurrentWritersNeverPublishATornRecord) {
   // Each writer stamps its thread index into the sender and a per-thread
   // sequence into seq/arg; any mixed-up field combination in the decode
   // is a torn record the seqlock failed to suppress.
-  FlightRecorder recorder({.capacity = 1 << 10});
+  FlightRecorder recorder({.capacity = 1 << 10, .path = {}, .dump_path = {}});
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 20'000;
   std::vector<std::thread> writers;
@@ -107,8 +108,12 @@ TEST(FlightRecorder, ConcurrentWritersNeverPublishATornRecord) {
 TEST(FlightRecorder, FileBackedRingPersistsWithoutADumpStep) {
   const std::string path = temp_path("mmap");
   {
-    FlightRecorder recorder(
-        {.capacity = 64, .node_id = 7, .role = 1, .path = path});
+    FlightRecorder::Options options;
+    options.capacity = 64;
+    options.node_id = 7;
+    options.role = 1;
+    options.path = path;
+    FlightRecorder recorder(options);
     EXPECT_TRUE(recorder.file_backed());
     recorder.record(FlightEvent::kSubmit, MessageId{7, 1});
     recorder.record(FlightEvent::kDeliver, MessageId{7, 1}, 250);
@@ -125,7 +130,8 @@ TEST(FlightRecorder, FileBackedRingPersistsWithoutADumpStep) {
 
 TEST(FlightRecorder, InMemoryDumpWritesTheConfiguredPathAtomically) {
   const std::string path = temp_path("dump");
-  FlightRecorder recorder({.capacity = 16, .node_id = 2, .dump_path = path});
+  FlightRecorder recorder(
+      {.capacity = 16, .node_id = 2, .path = {}, .dump_path = path});
   EXPECT_FALSE(recorder.file_backed());
   recorder.record(FlightEvent::kMark, MessageId{2, 9}, 42);
   ASSERT_TRUE(recorder.dump());
@@ -137,7 +143,8 @@ TEST(FlightRecorder, InMemoryDumpWritesTheConfiguredPathAtomically) {
 }
 
 TEST(FlightRecorder, GlobalInjectionPointRoutesRecords) {
-  FlightRecorder recorder({.capacity = 16, .node_id = 5});
+  FlightRecorder recorder(
+      {.capacity = 16, .node_id = 5, .path = {}, .dump_path = {}});
   install_flight_recorder(&recorder);
   flight_record(FlightEvent::kKvPark, MessageId{5, 3}, 11);
   install_flight_recorder(nullptr);
@@ -168,7 +175,8 @@ TEST(FlightRecorder, DecodedDumpMergesWithLiveTraces) {
   // render as a Chrome trace document, and cbc_trace_merge's loader
   // accepts it next to a live node's --trace file (itself a decoded
   // ring).
-  FlightRecorder recorder({.capacity = 32, .node_id = 1});
+  FlightRecorder recorder(
+      {.capacity = 32, .node_id = 1, .path = {}, .dump_path = {}});
   recorder.record(FlightEvent::kSubmit, MessageId{1, 1});
   recorder.record(FlightEvent::kWireTx, MessageId{1, 1}, 2);
   recorder.record(FlightEvent::kDeliver, MessageId{1, 1}, 120);
@@ -254,7 +262,8 @@ TEST(FlightRecorder, ClockOffsetRecordsDriveAlignment) {
 }
 
 TEST(FlightRecorder, DecoderSurvivesEveryTruncation) {
-  FlightRecorder recorder({.capacity = 8, .node_id = 4});
+  FlightRecorder recorder(
+      {.capacity = 8, .node_id = 4, .path = {}, .dump_path = {}});
   for (std::uint64_t i = 0; i < 8; ++i) {
     recorder.record(FlightEvent::kEncode, MessageId{4, i}, i);
   }
@@ -274,7 +283,8 @@ TEST(FlightRecorder, DecoderSurvivesEveryTruncation) {
 }
 
 TEST(FlightRecorder, DecoderSurvivesEverySingleByteFlip) {
-  FlightRecorder recorder({.capacity = 8, .node_id = 4});
+  FlightRecorder recorder(
+      {.capacity = 8, .node_id = 4, .path = {}, .dump_path = {}});
   for (std::uint64_t i = 0; i < 8; ++i) {
     recorder.record(FlightEvent::kEncode, MessageId{4, i}, i);
   }

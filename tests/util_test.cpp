@@ -151,18 +151,6 @@ TEST(Rng, NextBoolRoughlyMatchesProbability) {
   EXPECT_NEAR(rate, 0.3, 0.02);
 }
 
-TEST(Rng, ExponentialHasRoughlyRequestedMean) {
-  Rng rng(23);
-  double sum = 0;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    const double v = rng.next_exponential(50.0);
-    EXPECT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum / trials, 50.0, 2.5);
-}
-
 TEST(Rng, SplitProducesIndependentStream) {
   Rng parent(29);
   Rng child = parent.split();
