@@ -2,7 +2,8 @@
 //
 // The ordering layers assume loss-free links ("dependencies eventually
 // satisfiable at all members"); ReliableEndpoint provides that over a
-// lossy network. Sweep the drop rate and measure what the recovery costs:
+// lossy network. Sweep a fault plan's drop rate on every link and
+// measure what the recovery costs:
 // end-to-end delivery latency of causally-chained traffic, retransmission
 // and control-frame overhead.
 #include "bench_common.h"
@@ -28,7 +29,8 @@ struct Result {
 Result run(double drop, std::uint64_t seed) {
   SimEnv::Config config;
   config.jitter_us = 1000;
-  config.drop_probability = drop;
+  config.fault_plan = "seed " + std::to_string(seed) + "\nlink * * drop " +
+                      std::to_string(drop) + "\n";
   config.seed = seed;
   SimEnv env(config);
   OSendMember::Options options;
@@ -51,7 +53,8 @@ Result run(double drop, std::uint64_t seed) {
   }
   env.run();
   Result result;
-  result.wire_msgs = env.network.stats().sent;
+  // Every frame put on the wire, the lost ones included.
+  result.wire_msgs = env.network.stats().sent + env.faults().drops;
   Histogram latency;
   for (std::size_t i = 0; i < n; ++i) {
     result.delivered += group[i].stats().delivered;

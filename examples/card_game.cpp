@@ -24,7 +24,7 @@ int main() {
   sim::Scheduler scheduler;
   sim::SimNetwork network(scheduler,
                           std::make_unique<sim::UniformJitterLatency>(1000, 2500),
-                          sim::FaultConfig{}, /*seed=*/5);
+                          /*seed=*/5);
   SimTransport transport(network);
 
   const std::uint32_t players = 4;

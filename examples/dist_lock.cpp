@@ -22,7 +22,7 @@ int main() {
   sim::Scheduler scheduler;
   sim::SimNetwork network(scheduler,
                           std::make_unique<sim::UniformJitterLatency>(1000, 1500),
-                          sim::FaultConfig{}, /*seed=*/3);
+                          /*seed=*/3);
   SimTransport transport(network);
   const GroupView view(1, {0, 1, 2});
 

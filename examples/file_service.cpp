@@ -26,7 +26,7 @@ int main() {
   sim::Scheduler scheduler;
   sim::SimNetwork network(scheduler,
                           std::make_unique<sim::UniformJitterLatency>(1000, 4000),
-                          sim::FaultConfig{}, /*seed=*/17);
+                          /*seed=*/17);
   SimTransport transport(network);
   const GroupView view(1, {0, 1, 2});
 

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "appcons/name_service.h"
+#include "fault/chaos_transport.h"
+#include "fault/fault_plan.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 #include "transport/sim_transport.h"
@@ -20,12 +22,16 @@ int main() {
   using namespace cbc;
 
   sim::Scheduler scheduler;
-  // One deliberately slow link (server 0 -> server 2) creates the §5.2
-  // interleaving: a query races ahead of the update it depends on.
-  auto latency = std::make_unique<sim::MatrixLatency>(3, 1000, 0);
-  latency->set(0, 2, 25000);
-  sim::SimNetwork network(scheduler, std::move(latency), {}, 11);
-  SimTransport transport(network);
+  sim::SimNetwork network(
+      scheduler, std::make_unique<sim::UniformJitterLatency>(1000, 0), 11);
+  SimTransport wire(network);
+  // One deliberately slow link (server 0 -> server 2: 25 ms instead of
+  // 1 ms) creates the §5.2 interleaving: a query races ahead of the
+  // update it depends on.
+  fault::ChaosTransport::Options slow_link;
+  slow_link.plan =
+      fault::FaultPlan::parse("seed 11\nlink 0 2 delay 24000 24000\n");
+  fault::ChaosTransport transport(wire, std::move(slow_link));
 
   const GroupView view(1, {0, 1, 2});
   std::vector<std::unique_ptr<NameServiceMember>> servers;

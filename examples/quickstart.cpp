@@ -32,7 +32,7 @@ int main() {
   sim::Scheduler scheduler;
   sim::SimNetwork network(scheduler,
                           std::make_unique<sim::UniformJitterLatency>(1000, 3000),
-                          sim::FaultConfig{}, /*seed=*/2024);
+                          /*seed=*/2024);
   SimTransport transport(network);
 
   // --- 2. Three replicas of an integer counter. Counter::spec() tells the

@@ -35,6 +35,7 @@
 #include "object/catalog.h"
 #include "object/sequential_spec.h"
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -93,9 +94,11 @@ int main(int argc, char** argv) {
         std::cerr << "cbc_check: --kv-replicas needs a value\n";
         return 2;
       }
-      kv_replicas = std::stoull(argv[++i]);
-      if (kv_replicas == 0) {
-        std::cerr << "cbc_check: --kv-replicas must be >= 1\n";
+      try {
+        kv_replicas = cbc::parse_uint(arg, argv[++i], 1, cbc::kNoNode);
+      } catch (const cbc::InvalidArgument& error) {
+        std::cerr << "cbc_check: " << error.what() << "\n";
+        usage();
         return 2;
       }
     } else if (arg == "--site-local") {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace cbc::fault {
 
@@ -15,28 +17,37 @@ namespace {
                         what);
 }
 
-double parse_probability(const std::string& token, std::size_t line_no,
-                         const char* what) {
-  double p = -1.0;
+/// The largest node id a plan may name (kNoNode means "no node").
+constexpr std::uint64_t kMaxNode = kNoNode - 1;
+constexpr auto kMaxTime =
+    static_cast<std::uint64_t>(std::numeric_limits<SimTime>::max());
+
+double probability(const std::string& token, std::size_t line_no,
+                   const char* what) {
   try {
-    p = std::stod(token);
-  } catch (const std::exception&) {
-    fail(line_no, std::string(what) + " must be a number, got '" + token + "'");
+    return parse_probability(what, token);
+  } catch (const InvalidArgument& error) {
+    fail(line_no, error.what());
   }
-  if (p < 0.0 || p > 1.0) {
-    fail(line_no, std::string(what) + " must be in [0,1], got '" + token + "'");
-  }
-  return p;
 }
 
-std::uint64_t parse_u64(const std::string& token, std::size_t line_no,
-                        const char* what) {
+std::uint64_t whole(const std::string& token, std::size_t line_no,
+                    const char* what, std::uint64_t max) {
   try {
-    return std::stoull(token);
-  } catch (const std::exception&) {
-    fail(line_no,
-         std::string(what) + " must be an integer, got '" + token + "'");
+    return parse_uint(what, token, 0, max);
+  } catch (const InvalidArgument& error) {
+    fail(line_no, error.what());
   }
+}
+
+NodeId node_id(const std::string& token, std::size_t line_no,
+               const char* what) {
+  return static_cast<NodeId>(whole(token, line_no, what, kMaxNode));
+}
+
+SimTime time_us(const std::string& token, std::size_t line_no,
+                const char* what) {
+  return static_cast<SimTime>(whole(token, line_no, what, kMaxTime));
 }
 
 /// Splits "0,1|2" into {{0,1},{2}}.
@@ -53,8 +64,7 @@ std::vector<std::vector<NodeId>> parse_groups(const std::string& token,
       if (id.empty()) {
         fail(line_no, "empty node id in partition groups '" + token + "'");
       }
-      ids.push_back(
-          static_cast<NodeId>(parse_u64(id, line_no, "partition node id")));
+      ids.push_back(node_id(id, line_no, "partition node id"));
     }
     if (ids.empty()) {
       fail(line_no, "empty group in partition groups '" + token + "'");
@@ -111,7 +121,8 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       if (!(fields >> value)) {
         fail(line_no, "expected 'seed <u64>'");
       }
-      plan.seed_ = parse_u64(value, line_no, "seed");
+      plan.seed_ = whole(value, line_no, "seed",
+                         std::numeric_limits<std::uint64_t>::max());
     } else if (directive == "link") {
       std::string from_token;
       std::string to_token;
@@ -122,14 +133,12 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       if (from_token == "*") {
         pattern.from_any = true;
       } else {
-        pattern.from = static_cast<NodeId>(
-            parse_u64(from_token, line_no, "link endpoint"));
+        pattern.from = node_id(from_token, line_no, "link endpoint");
       }
       if (to_token == "*") {
         pattern.to_any = true;
       } else {
-        pattern.to =
-            static_cast<NodeId>(parse_u64(to_token, line_no, "link endpoint"));
+        pattern.to = node_id(to_token, line_no, "link endpoint");
       }
       std::string knob;
       while (fields >> knob) {
@@ -138,20 +147,19 @@ FaultPlan FaultPlan::parse(std::string_view text) {
           fail(line_no, "'" + knob + "' is missing its value");
         }
         if (knob == "drop") {
-          pattern.rule.drop = parse_probability(value, line_no, "drop");
+          pattern.rule.drop = probability(value, line_no, "drop");
         } else if (knob == "dup") {
-          pattern.rule.duplicate = parse_probability(value, line_no, "dup");
+          pattern.rule.duplicate = probability(value, line_no, "dup");
         } else if (knob == "reorder") {
-          pattern.rule.reorder = parse_probability(value, line_no, "reorder");
+          pattern.rule.reorder = probability(value, line_no, "reorder");
         } else if (knob == "delay") {
           std::string max_value;
           if (!(fields >> max_value)) {
             fail(line_no, "expected 'delay <min_us> <max_us>'");
           }
-          pattern.rule.delay_min_us = static_cast<SimTime>(
-              parse_u64(value, line_no, "delay minimum"));
-          pattern.rule.delay_max_us = static_cast<SimTime>(
-              parse_u64(max_value, line_no, "delay maximum"));
+          pattern.rule.delay_min_us = time_us(value, line_no, "delay minimum");
+          pattern.rule.delay_max_us =
+              time_us(max_value, line_no, "delay maximum");
           if (pattern.rule.delay_min_us > pattern.rule.delay_max_us) {
             fail(line_no, "delay minimum exceeds maximum");
           }
@@ -170,10 +178,9 @@ FaultPlan FaultPlan::parse(std::string_view text) {
         fail(line_no, "expected 'partition <start_us> <duration_us> <groups>'");
       }
       Partition partition;
-      partition.start_us = static_cast<SimTime>(
-          parse_u64(start_token, line_no, "partition start"));
-      partition.duration_us = static_cast<SimTime>(
-          parse_u64(duration_token, line_no, "partition duration"));
+      partition.start_us = time_us(start_token, line_no, "partition start");
+      partition.duration_us =
+          time_us(duration_token, line_no, "partition duration");
       partition.groups = parse_groups(groups_token, line_no);
       plan.partitions_.push_back(std::move(partition));
     } else if (directive == "crash") {
@@ -184,10 +191,8 @@ FaultPlan FaultPlan::parse(std::string_view text) {
         fail(line_no, "expected 'crash <node> <at_us>'");
       }
       CrashPoint crash;
-      crash.node =
-          static_cast<NodeId>(parse_u64(node_token, line_no, "crash node"));
-      crash.at_us =
-          static_cast<SimTime>(parse_u64(at_token, line_no, "crash time"));
+      crash.node = node_id(node_token, line_no, "crash node");
+      crash.at_us = time_us(at_token, line_no, "crash time");
       plan.crashes_.push_back(crash);
     } else {
       fail(line_no, "unknown directive '" + directive + "'");

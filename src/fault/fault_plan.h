@@ -3,8 +3,9 @@
 // A FaultPlan is the single description of the adversity a run must
 // survive: per-link loss/duplication/delay/reorder rates, scripted
 // network partitions with heal times, and scheduled crash points. The
-// same plan text drives both the in-process deterministic simulator
-// (ScheduleExplorer scenarios over SimTransport) and the multi-process
+// same plan text drives both the in-process deterministic simulator (a
+// ChaosTransport over SimTransport, whose network only delays frames;
+// tests set testkit::SimEnv::Config::fault_plan) and the multi-process
 // cluster (`cbc_node --fault-plan`), so a schedule that breaks the
 // checker in simulation is the same schedule the real cluster is
 // hammered with — the paper's reproducibility emphasis applied to the
@@ -19,12 +20,15 @@
 //     crash <node> <at_us>
 //
 // Link rules match most-specific-first (exact pair, then `from *`, then
-// `* to`, then `* *`); probabilities are in [0,1]. A partition drops
+// `* to`, then `* *`); probabilities are in [0,1]. Every number is a
+// whole token (util/parse.h): no sign, suffix or NaN. A partition drops
 // every frame crossing between its groups during [start, start+duration);
-// nodes absent from every group are unaffected. A crash point silences a
-// node (all frames to/from it dropped) from `at_us` on — and, when the
-// plan is installed on that node's own ChaosTransport, fires the
-// `on_crash` hook so the process can die for real.
+// nodes absent from every group are unaffected. It decides at send time,
+// so a frame already in flight when the window opens is delivered. A
+// crash point silences a node (all frames to/from it dropped) from
+// `at_us` on — and, when the plan is installed on that node's own
+// ChaosTransport, fires the `on_crash` hook so the process can die for
+// real.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +65,7 @@ struct Partition {
   std::vector<std::vector<NodeId>> groups;
 
   [[nodiscard]] bool active_at(SimTime now_us) const {
-    return now_us >= start_us && now_us < start_us + duration_us;
+    return now_us >= start_us && now_us - start_us < duration_us;
   }
   /// True when `from` and `to` sit in different groups of this partition.
   [[nodiscard]] bool separates(NodeId from, NodeId to) const;

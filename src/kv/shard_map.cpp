@@ -5,6 +5,7 @@
 
 #include "object/replicated_object.h"
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace cbc::kv {
 
@@ -13,6 +14,18 @@ namespace {
 [[noreturn]] void bad_layout(std::size_t line, const std::string& what) {
   throw InvalidArgument("KvLayout: line " + std::to_string(line) + ": " +
                         what);
+}
+
+/// `token` as a whole decimal integer in [min, max], or a bad_layout
+/// naming `what`.
+std::uint64_t layout_number(std::size_t line, const std::string& what,
+                            std::string_view token, std::uint64_t min,
+                            std::uint64_t max) {
+  try {
+    return parse_uint(what, token, min, max);
+  } catch (const InvalidArgument& error) {
+    bad_layout(line, error.what());
+  }
 }
 
 }  // namespace
@@ -40,12 +53,12 @@ KvLayout KvLayout::parse(std::string_view text) {
       continue;  // blank or comment
     }
     if (keyword == "shards" || keyword == "replicas") {
-      long long count = 0;
-      if (!(fields >> count) || count < 1 || count > 4096) {
+      std::string count;
+      if (!(fields >> count)) {
         bad_layout(line_no, "expected '" + keyword + " <1..4096>'");
       }
       (keyword == "shards" ? layout.shards : layout.replicas) =
-          static_cast<std::size_t>(count);
+          layout_number(line_no, keyword, count, 1, 4096);
       (keyword == "shards" ? have_shards : have_replicas) = true;
       continue;
     }
@@ -55,20 +68,19 @@ KvLayout KvLayout::parse(std::string_view text) {
     if (!have_shards || !have_replicas) {
       bad_layout(line_no, "member before shards/replicas counts");
     }
-    long long shard = -1;
-    long long rank = -1;
+    std::string shard_token;
+    std::string rank_token;
     std::string address;
-    if (!(fields >> shard >> rank >> address)) {
+    if (!(fields >> shard_token >> rank_token >> address)) {
       bad_layout(line_no, "expected 'member <shard> <rank> <host>:<port>'");
     }
-    if (shard < 0 || static_cast<std::size_t>(shard) >= layout.shards) {
-      bad_layout(line_no, "shard out of range");
-    }
-    if (rank < 0 || static_cast<std::size_t>(rank) > layout.replicas) {
-      bad_layout(line_no, "rank out of range (0..replicas inclusive)");
-    }
+    const std::size_t shard =
+        layout_number(line_no, "shard", shard_token, 0, layout.shards - 1);
+    // The router's slot is rank == replicas.
+    const std::size_t rank =
+        layout_number(line_no, "rank", rank_token, 0, layout.replicas);
     layout.addresses.resize(layout.shards);
-    auto& shard_addrs = layout.addresses[static_cast<std::size_t>(shard)];
+    auto& shard_addrs = layout.addresses[shard];
     shard_addrs.resize(layout.replicas + 1);
     const std::size_t colon = address.rfind(':');
     if (colon == std::string::npos || colon == 0 ||
@@ -77,16 +89,10 @@ KvLayout KvLayout::parse(std::string_view text) {
     }
     net::MemberAddress member;
     member.host = address.substr(0, colon);
-    long long port = 0;
-    try {
-      port = std::stoll(address.substr(colon + 1));
-    } catch (const std::exception&) {
-      bad_layout(line_no, "unparseable port");
-    }
-    if (port < 1 || port > 65535) {
-      bad_layout(line_no, "port out of range");
-    }
-    auto& slot = shard_addrs[static_cast<std::size_t>(rank)];
+    const std::uint64_t port =
+        layout_number(line_no, "port",
+                      std::string_view(address).substr(colon + 1), 1, 65535);
+    auto& slot = shard_addrs[rank];
     if (!slot.host.empty()) {
       bad_layout(line_no, "duplicate member (shard, rank)");
     }

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace cbc::net {
 
@@ -44,30 +45,25 @@ ClusterConfig ClusterConfig::parse(std::string_view text) {
     if (start == std::string::npos || line[start] == '#') {
       continue;
     }
+    const std::string where = "ClusterConfig: line " + std::to_string(line_no);
     std::istringstream fields(line);
-    std::uint64_t id = 0;
+    std::string id_token;
     std::string endpoint;
     std::string extra;
-    require(static_cast<bool>(fields >> id >> endpoint) && !(fields >> extra),
-            "ClusterConfig: line " + std::to_string(line_no) +
-                ": expected '<id> <host>:<port>'");
+    require(static_cast<bool>(fields >> id_token >> endpoint) &&
+                !(fields >> extra),
+            where + ": expected '<id> <host>:<port>'");
     const std::size_t colon = endpoint.rfind(':');
     require(colon != std::string::npos && colon + 1 < endpoint.size(),
-            "ClusterConfig: line " + std::to_string(line_no) +
-                ": address '" + endpoint + "' is missing ':<port>'");
+            where + ": address '" + endpoint + "' is missing ':<port>'");
     const std::string host = endpoint.substr(0, colon);
-    std::uint64_t port = 0;
-    try {
-      port = std::stoull(endpoint.substr(colon + 1));
-    } catch (const std::exception&) {
-      port = 0;
-    }
-    require(port >= 1 && port <= 65535,
-            "ClusterConfig: line " + std::to_string(line_no) +
-                ": port out of range in '" + endpoint + "'");
+    const std::uint64_t id = parse_uint(where + ": member id", id_token, 0,
+                                        kNoNode - 1);
+    const std::uint64_t port = parse_uint(
+        where + ": port in '" + endpoint + "'",
+        std::string_view(endpoint).substr(colon + 1), 1, 65535);
     require(id == config.members_.size(),
-            "ClusterConfig: line " + std::to_string(line_no) +
-                ": ids must be dense and ascending from 0, got " +
+            where + ": ids must be dense and ascending from 0, got " +
                 std::to_string(id) + " at position " +
                 std::to_string(config.members_.size()));
     Resolved resolved;

@@ -37,15 +37,19 @@
 #include <dirent.h>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json_lite.h"
+#include "util/ensure.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -67,6 +71,20 @@ struct Target {
   std::map<std::string, double> metrics;
 };
 
+constexpr auto kMaxInt =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+
+/// Splits "HOST:PORT"; throws cbc::InvalidArgument unless PORT is a whole
+/// number in [1, 65535].
+std::pair<std::string, int> split_endpoint(const std::string& endpoint) {
+  const std::size_t colon = endpoint.rfind(':');
+  cbc::require(colon != std::string::npos,
+               "endpoint '" + endpoint + "' is missing ':PORT'");
+  const auto port = cbc::parse_uint(
+      "endpoint port", std::string_view(endpoint).substr(colon + 1), 1, 65535);
+  return {endpoint.substr(0, colon), static_cast<int>(port)};
+}
+
 int usage() {
   std::cerr
       << "usage: cbc_top [--json] [--watch SECONDS] [--timeout-ms N]\n"
@@ -81,7 +99,7 @@ int usage() {
   return 2;
 }
 
-std::optional<TopArgs> parse_args(int argc, char** argv) {
+std::optional<TopArgs> parse_args(int argc, char** argv) try {
   TopArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -94,7 +112,11 @@ std::optional<TopArgs> parse_args(int argc, char** argv) {
     if (flag == "--endpoint") {
       const auto v = value();
       if (!v) return std::nullopt;
-      args.endpoints.push_back(*v);
+      // A bare PORT means a loopback endpoint.
+      const std::string endpoint =
+          v->find(':') == std::string::npos ? "127.0.0.1:" + *v : *v;
+      (void)split_endpoint(endpoint);
+      args.endpoints.push_back(endpoint);
     } else if (flag == "--report") {
       const auto v = value();
       if (!v) return std::nullopt;
@@ -108,11 +130,13 @@ std::optional<TopArgs> parse_args(int argc, char** argv) {
     } else if (flag == "--timeout-ms") {
       const auto v = value();
       if (!v) return std::nullopt;
-      args.timeout_ms = std::stoi(*v);
+      args.timeout_ms =
+          static_cast<int>(cbc::parse_uint(flag, *v, 1, kMaxInt));
     } else if (flag == "--watch") {
       const auto v = value();
       if (!v) return std::nullopt;
-      args.watch_s = std::stoi(*v);
+      args.watch_s =
+          static_cast<int>(cbc::parse_uint(flag, *v, 0, kMaxInt));
     } else {
       return std::nullopt;
     }
@@ -122,6 +146,9 @@ std::optional<TopArgs> parse_args(int argc, char** argv) {
     return std::nullopt;
   }
   return args;
+} catch (const cbc::InvalidArgument& error) {
+  std::cerr << "cbc_top: " << error.what() << "\n";
+  return std::nullopt;
 }
 
 std::map<std::string, std::string> parse_kv_file(const std::string& path) {
@@ -139,8 +166,9 @@ std::map<std::string, std::string> parse_kv_file(const std::string& path) {
 
 /// Report/progress file -> scrape target. Empty optional when the file
 /// is missing, carries no metrics_port, or the process runs without a
-/// metrics endpoint.
-std::optional<Target> discover(const std::string& path) {
+/// metrics endpoint; a metrics_port= or shard= that is not a whole number
+/// is named on stderr and names no target.
+std::optional<Target> discover(const std::string& path) try {
   const auto kv = parse_kv_file(path);
   const auto port = kv.find("metrics_port");
   if (port == kv.end() || port->second == "none" || port->second.empty()) {
@@ -148,8 +176,10 @@ std::optional<Target> discover(const std::string& path) {
   }
   Target target;
   target.endpoint = "127.0.0.1:" + port->second;
+  (void)split_endpoint(target.endpoint);
   if (const auto shard = kv.find("shard"); shard != kv.end()) {
-    target.shard = std::stoi(shard->second);
+    target.shard =
+        static_cast<int>(cbc::parse_uint("shard", shard->second, 0, kMaxInt));
     const auto rank = kv.find("rank");
     target.label = "shard" + shard->second + "/" +
                    (rank != kv.end() ? rank->second : "?");
@@ -159,6 +189,9 @@ std::optional<Target> discover(const std::string& path) {
     target.label = target.endpoint;
   }
   return target;
+} catch (const cbc::InvalidArgument& error) {
+  std::cerr << "cbc_top: " << path << ": " << error.what() << "\n";
+  return std::nullopt;
 }
 
 std::vector<std::string> scan_dir(const std::string& dir) {
@@ -236,12 +269,8 @@ std::optional<std::string> http_get(const std::string& host, int port,
 }
 
 bool scrape(Target& target, int timeout_ms) {
-  const std::size_t colon = target.endpoint.rfind(':');
-  if (colon == std::string::npos) {
-    return false;
-  }
-  const std::string host = target.endpoint.substr(0, colon);
-  const int port = std::stoi(target.endpoint.substr(colon + 1));
+  // parse_args and discover() checked every endpoint's port.
+  const auto [host, port] = split_endpoint(target.endpoint);
   const auto body = http_get(host, port, "/metrics.json", timeout_ms);
   if (!body) {
     return false;
@@ -408,9 +437,7 @@ int run_once(const TopArgs& args) {
   std::vector<Target> targets;
   for (const std::string& endpoint : args.endpoints) {
     Target target;
-    target.endpoint = endpoint.find(':') == std::string::npos
-                          ? "127.0.0.1:" + endpoint
-                          : endpoint;
+    target.endpoint = endpoint;
     target.label = target.endpoint;
     targets.push_back(std::move(target));
   }

@@ -91,6 +91,8 @@ std::uint64_t proc_status_kb(std::string_view key) {
   std::ifstream status("/proc/self/status");
   for (std::string line; std::getline(status, line);) {
     if (line.compare(0, key.size(), key) == 0) {
+      // The kernel's "VmHWM:\t    5432 kB": strtoull skips the padding and
+      // stops at the unit. cbc-lint: disable=L6
       return std::strtoull(line.c_str() + key.size(), nullptr, 10);
     }
   }
@@ -98,28 +100,6 @@ std::uint64_t proc_status_kb(std::string_view key) {
 }
 
 }  // namespace
-
-std::uint64_t parse_uint(std::string_view flag, std::string_view token,
-                         std::uint64_t min, std::uint64_t max) {
-  bool ok = !token.empty();
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    // value * 10 + digit > max is tested without computing it, so no
-    // input can wrap.
-    if (c < '0' || c > '9' || value > max / 10 ||
-        (value == max / 10 && digit > max % 10)) {
-      ok = false;
-      break;
-    }
-    value = value * 10 + digit;
-  }
-  require(ok && value >= min,
-          std::string(flag) + " expects a decimal integer in [" +
-              std::to_string(min) + ", " + std::to_string(max) + "], got '" +
-              std::string(token) + "'");
-  return value;
-}
 
 bool SharedFlags::parse(ArgReader& args) {
   const std::string& flag = args.flag();

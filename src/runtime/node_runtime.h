@@ -46,6 +46,7 @@
 #include "total/asend.h"
 #include "transport/batching.h"
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace cbc::runtime {
 
@@ -55,12 +56,6 @@ using Replica = ReplicaNode<object::Value>;
 /// The ceiling of every *-ms flag: its nanoseconds still fit an int64.
 inline constexpr std::uint64_t kMaxMillis =
     std::numeric_limits<std::int64_t>::max() / 1'000'000;
-
-/// A flag value that must be all decimal digits and lie in [min, max];
-/// throws InvalidArgument naming `flag` otherwise.
-[[nodiscard]] std::uint64_t parse_uint(std::string_view flag,
-                                       std::string_view token,
-                                       std::uint64_t min, std::uint64_t max);
 
 /// Walks argv flag by flag; value() and number() consume the current
 /// flag's value and name the flag in their errors.

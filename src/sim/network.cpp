@@ -5,24 +5,15 @@
 namespace cbc::sim {
 
 SimNetwork::SimNetwork(Scheduler& scheduler,
-                       std::unique_ptr<LatencyModel> latency,
-                       FaultConfig faults, std::uint64_t seed)
-    : scheduler_(scheduler),
-      latency_(std::move(latency)),
-      faults_(faults),
-      rng_(seed) {
+                       std::unique_ptr<UniformJitterLatency> latency,
+                       std::uint64_t seed)
+    : scheduler_(scheduler), latency_(std::move(latency)), rng_(seed) {
   require(latency_ != nullptr, "SimNetwork: latency model required");
-  require(faults.drop_probability >= 0.0 && faults.drop_probability <= 1.0,
-          "SimNetwork: drop_probability out of range");
-  require(faults.duplicate_probability >= 0.0 &&
-              faults.duplicate_probability <= 1.0,
-          "SimNetwork: duplicate_probability out of range");
 }
 
 NodeId SimNetwork::add_node(Handler handler) {
   require(static_cast<bool>(handler), "SimNetwork::add_node: empty handler");
   handlers_.push_back(std::move(handler));
-  partition_of_.push_back(0);
   return static_cast<NodeId>(handlers_.size() - 1);
 }
 
@@ -32,62 +23,11 @@ void SimNetwork::send(NodeId from, NodeId to, SharedBuffer frame) {
   require(frame != nullptr, "SimNetwork::send: null frame");
   stats_.sent += 1;
   stats_.bytes += frame->size();
-
-  if (!connected(from, to)) {
-    stats_.blocked += 1;
-    return;
-  }
-  if (rng_.next_bool(faults_.drop_probability)) {
-    stats_.dropped += 1;
-    return;
-  }
-  schedule_delivery(from, to, frame);
-  if (rng_.next_bool(faults_.duplicate_probability)) {
-    stats_.duplicated += 1;
-    schedule_delivery(from, to, std::move(frame));
-  }
-}
-
-void SimNetwork::schedule_delivery(NodeId from, NodeId to, SharedBuffer frame) {
-  const SimTime delay = latency_->sample(from, to, rng_);
-  ensure(delay >= 0, "latency model produced a negative delay");
-  scheduler_.after(delay, [this, from, to, frame = std::move(frame)] {
-    // A partition raised after send() but before delivery also blocks the
-    // message: the link is down when the bits would arrive.
-    if (!connected(from, to)) {
-      stats_.blocked += 1;
-      return;
-    }
-    stats_.delivered += 1;
-    if (tap_) {
-      tap_(from, to, frame->bytes(), scheduler_.now());
-    }
-    handlers_[to](from, WireFrame(frame));
-  });
-}
-
-void SimNetwork::set_partitions(const std::vector<std::vector<NodeId>>& groups) {
-  // Group 0 is the implicit group of unlisted nodes; listed groups are 1..n.
-  std::fill(partition_of_.begin(), partition_of_.end(), 0U);
-  std::uint32_t group_id = 1;
-  for (const auto& group : groups) {
-    for (const NodeId node : group) {
-      require(node < partition_of_.size(),
-              "SimNetwork::set_partitions: node out of range");
-      partition_of_[node] = group_id;
-    }
-    ++group_id;
-  }
-}
-
-void SimNetwork::heal() {
-  std::fill(partition_of_.begin(), partition_of_.end(), 0U);
-}
-
-bool SimNetwork::connected(NodeId a, NodeId b) const {
-  require(a < partition_of_.size() && b < partition_of_.size(),
-          "SimNetwork::connected: node out of range");
-  return partition_of_[a] == partition_of_[b];
+  scheduler_.after(latency_->sample(rng_),
+                   [this, from, to, frame = std::move(frame)] {
+                     stats_.delivered += 1;
+                     handlers_[to](from, WireFrame(frame));
+                   });
 }
 
 }  // namespace cbc::sim

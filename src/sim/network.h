@@ -2,16 +2,18 @@
 //
 // Nodes register a receive handler and exchange immutable refcounted
 // frames (util/buffer.h) — a broadcast shares one buffer across all
-// destinations and duplicates, so the network never copies a payload.
-// The network applies a latency model (reordering), optional loss and
-// duplication, and partitions — the fault envelope the reliability layer
-// in src/transport must mask before the ordering layers run.
+// destinations, so the network never copies a payload. The network only
+// delays frames: each one arrives after a base latency plus uniform
+// jitter (sim/latency.h), which reorders them but never loses or
+// duplicates one. Loss, duplication, slow links, partitions and crashes
+// come from a fault::FaultPlan, injected above the network by
+// fault::ChaosTransport over SimTransport — the one fault model that
+// simulation and the UDP cluster share.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sim/latency.h"
@@ -22,19 +24,15 @@
 
 namespace cbc::sim {
 
-/// Fault-injection knobs applied per transmitted message.
-struct FaultConfig {
-  double drop_probability = 0.0;       ///< P(message silently lost)
-  double duplicate_probability = 0.0;  ///< P(message delivered twice)
-};
+/// Empty and ignored: the network injects no faults. perfbench's node
+/// workload still passes one to the four-argument constructor; both go
+/// with the next perfbench change (ROADMAP.md, perfbench mends).
+struct FaultConfig {};
 
 /// Aggregate traffic statistics, readable at any time.
 struct NetStats {
   std::uint64_t sent = 0;       ///< send() calls accepted
   std::uint64_t delivered = 0;  ///< handler invocations
-  std::uint64_t dropped = 0;    ///< lost to fault injection
-  std::uint64_t duplicated = 0; ///< extra copies delivered
-  std::uint64_t blocked = 0;    ///< lost to a partition
   std::uint64_t bytes = 0;      ///< frame bytes accepted by send()
 };
 
@@ -46,13 +44,14 @@ class SimNetwork {
   /// handlers may retain it past the call (zero-copy hold-back).
   using Handler = std::function<void(NodeId from, const WireFrame& frame)>;
 
-  /// Delivery observer for tracing: (from, to, frame bytes, deliver_time).
-  using DeliveryTap = std::function<void(NodeId from, NodeId to,
-                                         std::span<const std::uint8_t> payload,
-                                         SimTime when)>;
-
-  SimNetwork(Scheduler& scheduler, std::unique_ptr<LatencyModel> latency,
-             FaultConfig faults, std::uint64_t seed);
+  /// `seed` drives the jitter draws.
+  SimNetwork(Scheduler& scheduler,
+             std::unique_ptr<UniformJitterLatency> latency,
+             std::uint64_t seed);
+  SimNetwork(Scheduler& scheduler,
+             std::unique_ptr<UniformJitterLatency> latency,
+             FaultConfig /*none*/, std::uint64_t seed)
+      : SimNetwork(scheduler, std::move(latency), seed) {}
 
   /// Registers a node and returns its id (dense, starting at 0).
   NodeId add_node(Handler handler);
@@ -60,10 +59,9 @@ class SimNetwork {
   /// Number of registered nodes.
   [[nodiscard]] std::size_t node_count() const { return handlers_.size(); }
 
-  /// Sends `frame` from `from` to `to`; delivery is scheduled after a
-  /// sampled latency unless dropped or blocked by a partition.
-  /// Self-sends are allowed and also traverse the latency model. The same
-  /// SharedBuffer may be passed for any number of destinations.
+  /// Sends `frame` from `from` to `to`; it is delivered once, after a
+  /// sampled latency. Self-sends are allowed and also take that latency.
+  /// The same SharedBuffer may be passed for any number of destinations.
   void send(NodeId from, NodeId to, SharedBuffer frame);
 
   /// Convenience for loose bytes (moves them into a frame, no copy).
@@ -71,32 +69,14 @@ class SimNetwork {
     send(from, to, make_buffer(std::move(payload)));
   }
 
-  /// Splits nodes into isolated groups; traffic crosses groups only after
-  /// heal(). Nodes not listed form an implicit extra group together.
-  void set_partitions(const std::vector<std::vector<NodeId>>& groups);
-
-  /// Removes any partition.
-  void heal();
-
-  /// True when `a` and `b` can currently exchange messages.
-  [[nodiscard]] bool connected(NodeId a, NodeId b) const;
-
-  /// Installs an observer called on every successful delivery.
-  void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
-
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
 
  private:
-  void schedule_delivery(NodeId from, NodeId to, SharedBuffer frame);
-
   Scheduler& scheduler_;
-  std::unique_ptr<LatencyModel> latency_;
-  FaultConfig faults_;
+  std::unique_ptr<UniformJitterLatency> latency_;
   Rng rng_;
   std::vector<Handler> handlers_;
-  std::vector<std::uint32_t> partition_of_;  // parallel to handlers_
-  DeliveryTap tap_;
   NetStats stats_;
 };
 

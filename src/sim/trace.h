@@ -1,9 +1,10 @@
 // Protocol event tracing and space-time diagram rendering.
 //
-// A Trace collects (time, node, kind, detail) events — typically wired to
-// SimNetwork's delivery tap plus protocol-level hooks — and renders them
-// as an ASCII space-time diagram (one column per node, time flowing
-// down), the visual language of the paper's Figures 2 and 5. Benches and
+// A Trace collects (time, node, kind, detail) events — typically the
+// members' deliveries (Delivery::delivered_at) plus protocol-level
+// hooks — and renders them as an ASCII space-time diagram (one column
+// per node, time flowing down), the visual language of the paper's
+// Figures 2 and 5. Benches and
 // examples use it to print faithful scenario traces; tests use it to
 // assert event ordering compactly.
 #pragma once

@@ -1,8 +1,11 @@
 #include "total/scoped_order.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 
 #include "util/ensure.h"
+#include "util/parse.h"
 
 namespace cbc {
 
@@ -40,9 +43,21 @@ bool ScopedOrderMember::parse_scope(const std::string& label, ScopeId& scope,
       kind_pos < dot + 2) {
     return false;
   }
-  scope.opener =
-      static_cast<NodeId>(std::stoul(label.substr(1, dot - 1)));
-  scope.index = std::stoull(label.substr(dot + 1, kind_pos - dot - 2));
+  // '@' labels are reserved for scopes, so a tag "@<opener>.<index>.<k>|"
+  // whose numbers do not parse is a forged or corrupt frame, not plain
+  // causal traffic.
+  const std::string_view tag(label);
+  try {
+    require(tag[kind_pos - 2] == '.', "scope tag has no '.' before its kind");
+    scope.opener = static_cast<NodeId>(
+        parse_uint("scope opener", tag.substr(1, dot - 1), 0, kNoNode - 1));
+    scope.index = parse_uint("scope index",
+                             tag.substr(dot + 1, kind_pos - dot - 3), 0,
+                             std::numeric_limits<std::uint64_t>::max());
+  } catch (const InvalidArgument& error) {
+    protocol_ensure(false, std::string("ScopedOrder: malformed scope tag: ") +
+                               error.what());
+  }
   const char kind = label[kind_pos - 1];
   is_open = kind == 'o';
   is_close = kind == 'c';

@@ -83,19 +83,20 @@ TEST(NameService, ConcurrentUpdateCausesRemoteDiscard) {
 TEST(NameService, StaleContextDiscardedEvenAtIssuerAfterReorder) {
   // Craft the paper's exact interleaving with a slow link: upd1 -> qry
   // at the issuer, but another member sees upd2 first.
-  sim::Scheduler scheduler;
-  auto latency = std::make_unique<sim::MatrixLatency>(3, 1000, 0);
-  latency->set(0, 2, 30000);  // member0's traffic to member2 is very slow
-  sim::SimNetwork network(scheduler, std::move(latency), {}, 1);
-  SimTransport transport(network);
-  ServiceGroup group(transport, 3);
+  SimEnv::Config config;
+  // member0's traffic to member2 takes 30 ms instead of 1 ms.
+  config.fault_plan = "seed 1\nlink 0 2 delay 29000 29000\n";
+  config.seed = 1;
+  SimEnv env(config);
+  ServiceGroup group(env.transport, 3);
 
   group.members[0]->update("svc", "v1");
-  scheduler.run_until(2000);  // v1 reached member 1, not member 2
+  env.run_until(2000);  // v1 reached member 1, not member 2
   std::optional<QueryOutcome> outcome;
   group.members[1]->query(
       "svc", [&](const QueryOutcome& result) { outcome = result; });
-  scheduler.run();
+  env.run();
+  EXPECT_GT(env.faults().delays, 0u);
   // Member 2 processed the query before seeing upd v1: mismatch there.
   EXPECT_GE(group.members[2]->stats().queries_discarded, 1u);
   // The issuer's own processing was consistent.

@@ -161,20 +161,21 @@ TEST(OSend, GraphIdenticalAtAllMembers) {
 TEST(OSend, HoldbackCascadeDrainsInOneArrival) {
   // A chain m1 -> m2 -> m3 where m2, m3 arrive long before m1 (m1's links
   // are slow): both wait, then one arrival releases the whole chain.
-  sim::Scheduler scheduler;
-  auto latency = std::make_unique<sim::MatrixLatency>(3, 1000, 0);
-  latency->set(0, 2, 50000);  // node0 -> node2 is very slow
-  sim::SimNetwork network(scheduler, std::move(latency), {}, 1);
-  SimTransport transport(network);
-  Group<OSendMember> group(transport, 3);
+  SimEnv::Config config;
+  // node0 -> node2 takes 50 ms instead of 1 ms.
+  config.fault_plan = "seed 1\nlink 0 2 delay 49000 49000\n";
+  config.seed = 1;
+  SimEnv env(config);
+  Group<OSendMember> group(env.transport, 3);
   const MessageId m1 = group[0].osend("m1", bytes(1), DepSpec::none());
   const MessageId m2 = group[1].osend("m2", bytes(2), DepSpec::after(m1));
   const MessageId m3 = group[1].osend("m3", bytes(3), DepSpec::after(m2));
-  scheduler.run();
+  env.run();
   const auto ids = delivered_ids(group.log(2));
   EXPECT_EQ(ids, (std::vector<MessageId>{m1, m2, m3}));
   EXPECT_EQ(group[2].stats().held_back, 2u);  // m2 and m3 waited
   EXPECT_EQ(group[2].holdback_depth(), 0u);   // drained
+  EXPECT_EQ(env.faults().delays, 1u);         // m1's frame to node2
 }
 
 TEST(OSend, DependencyOnNotYetSentMessageHolds) {
@@ -197,7 +198,7 @@ TEST(OSend, DependencyOnNotYetSentMessageHolds) {
 
 TEST(OSend, RawDuplicatesDroppedById) {
   SimEnv::Config config;
-  config.duplicate_probability = 1.0;
+  config.fault_plan = "seed 4\nlink * * dup 1\n";
   config.seed = 4;
   SimEnv env(config);
   Group<OSendMember> group(env.transport, 2);
@@ -205,6 +206,7 @@ TEST(OSend, RawDuplicatesDroppedById) {
   env.run();
   EXPECT_EQ(group.log(1).size(), 1u);
   EXPECT_GE(group[1].stats().duplicates, 1u);
+  EXPECT_GT(env.faults().duplicates, 0u);
 }
 
 TEST(OSend, FrameBytesDoNotGrowWithGroupSize) {
@@ -226,8 +228,8 @@ TEST(OSend, FrameBytesDoNotGrowWithGroupSize) {
 
 TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
   SimEnv::Config config;
-  config.drop_probability = 0.3;
   config.jitter_us = 2000;
+  config.fault_plan = "seed 21\nlink * * drop 0.3\n";
   config.seed = 21;
   SimEnv env(config);
   OSendMember::Options options;
@@ -246,6 +248,7 @@ TEST(OSend, WorksWithReliabilityOverLossyNetwork) {
     // The chain is totally ordered by deps, so all logs equal the chain.
     EXPECT_EQ(delivered_ids(group.log(i)), chain) << "member " << i;
   }
+  EXPECT_GT(env.faults().drops, 0u);
 }
 
 TEST(OSend, DefaultMemberRetainsNoPerMessageHistory) {

@@ -79,8 +79,8 @@ TEST(LazyReplication, VersionVectorTracksOrigins) {
 
 TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {
   SimEnv::Config config;
-  config.drop_probability = 0.25;
   config.jitter_us = 2000;
+  config.fault_plan = "seed 33\nlink * * drop 0.25\n";
   config.seed = 33;
   SimEnv env(config);
   const GroupView view = testkit::make_view(3);
@@ -105,6 +105,7 @@ TEST(ScopedOrderRobustness, SurvivesLossyNetwork) {
   ASSERT_EQ(labels(0).size(), 4u);
   EXPECT_EQ(labels(1), labels(0));
   EXPECT_EQ(labels(2), labels(0));
+  EXPECT_GT(env.faults().drops, 0u);
 }
 
 }  // namespace

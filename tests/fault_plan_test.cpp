@@ -62,6 +62,16 @@ TEST(FaultPlan, RejectsMalformedInputWithLineNumbers) {
   EXPECT_THROW(FaultPlan::parse("partition 0 1000 0,1|\n"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("crash 2\n"), InvalidArgument);
   EXPECT_THROW(FaultPlan::parse("crash 2 5 extra\n"), InvalidArgument);
+  // Numbers are whole tokens in range: no sign (-5 made node 2 dead from
+  // t=0), no wrap past a node id (2^32 + 1 named node 1), no NaN and no
+  // suffix (7x read seed 7, 10ms read 10 µs).
+  for (const char* text :
+       {"crash 2 -5\n", "link 4294967297 0 drop 0.5\n",
+        "link 0 1 drop nan\n", "seed 7x\n", "partition -1 100 0|1\n",
+        "link 0 1 delay 5 10ms\n", "link 0 1 dup -0\n",
+        "link 0 1 reorder 0.5x\n", "partition 0 100 0|4294967295\n"}) {
+    EXPECT_THROW(FaultPlan::parse(text), InvalidArgument) << text;
+  }
   // The reported line number names the offender, not line 1.
   try {
     FaultPlan::parse("seed 1\nlink 0 1 drop nine\n");

@@ -79,8 +79,7 @@ TEST(Integration, Figure2DeliveredStateIsTransitionPreserving) {
 TEST(Integration, ReplicaGroupSurvivesHostileNetwork) {
   SimEnv::Config config;
   config.jitter_us = 4000;
-  config.drop_probability = 0.2;
-  config.duplicate_probability = 0.1;
+  config.fault_plan = "seed 23\nlink * * drop 0.2 dup 0.1\n";
   config.seed = 23;
   SimEnv env(config);
   typename ReplicaNode<apps::Counter>::Options options;
@@ -109,6 +108,8 @@ TEST(Integration, ReplicaGroupSurvivesHostileNetwork) {
       EXPECT_TRUE(point.coverage_complete);
     }
   }
+  EXPECT_GT(env.faults().drops, 0u);
+  EXPECT_GT(env.faults().duplicates, 0u);
 }
 
 // ---------- Conferencing document over the replica protocol ----------

@@ -312,5 +312,26 @@ TEST(KvCluster, MalformedIntegerFlagsExitOneWithinTwoSeconds) {
   }
 }
 
+TEST(KvCluster, TopAndCheckExitTwoWithUsageOnNonNumericValues) {
+  // Both tools promise exit 2 on a usage error. These values used to
+  // reach std::stoi / std::stoull, whose exception aborted the process
+  // (exit 134), except "2x", which made cbc_top redraw every 2 s.
+  const testkit::TempDir temp("/tmp/cbc_kv_usage_");
+  const std::string err = temp.path() + "/stderr.txt";
+  const std::vector<std::vector<std::string>> cases = {
+      {CBC_TOP_BIN, "--timeout-ms", "abc", "--endpoint", "127.0.0.1:9"},
+      {CBC_TOP_BIN, "--watch", "2x", "--endpoint", "127.0.0.1:9"},
+      {CBC_CHECK_BIN, "--kv-replicas", "x", temp.path() + "/history.bin"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    SCOPED_TRACE(args[1] + " " + args[2]);
+    const pid_t pid = testkit::spawn(args, err);
+    EXPECT_EQ(testkit::wait_exit(pid, 2000), std::optional<int>(2));
+    const std::string text = testkit::read_file(err);
+    EXPECT_NE(text.find("usage: "), std::string::npos) << text;
+    EXPECT_NE(text.find(args[1]), std::string::npos) << text;
+  }
+}
+
 }  // namespace
 }  // namespace cbc

@@ -195,6 +195,19 @@ TEST(KvLayout, MalformedLayoutsNameTheProblem) {
                    "member 0 0 127.0.0.1:9000\n"
                    "member 0 1 127.0.0.1:9001\n"),
                InvalidArgument);  // shard count missing
+  // Whole numbers only: these read port 9100 and 2 shards.
+  EXPECT_THROW((void)kv::KvLayout::parse(
+                   "shards 1\nreplicas 1\n"
+                   "member 0 0 127.0.0.1:9100x\n"
+                   "member 0 1 127.0.0.1:9101\n"),
+               InvalidArgument);
+  EXPECT_THROW((void)kv::KvLayout::parse(
+                   "shards 2x\nreplicas 1\n"
+                   "member 0 0 127.0.0.1:9000\n"
+                   "member 0 1 127.0.0.1:9001\n"
+                   "member 1 0 127.0.0.1:9002\n"
+                   "member 1 1 127.0.0.1:9003\n"),
+               InvalidArgument);
 }
 
 // ---------- Context token ----------

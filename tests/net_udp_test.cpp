@@ -71,6 +71,10 @@ TEST(ClusterConfig, RejectsMalformedInput) {
   EXPECT_THROW(ClusterConfig::parse("0 127.0.0.1:9001 extra\n"),
                InvalidArgument);
   EXPECT_THROW(ClusterConfig::parse("0 999.1.1.1:9001\n"), InvalidArgument);
+  // The port and the id are whole numbers: both of these read port 9100.
+  EXPECT_THROW(ClusterConfig::parse("0 127.0.0.1:9100x\n"), InvalidArgument);
+  EXPECT_THROW(ClusterConfig::parse("0 127.0.0.1:+9100\n"), InvalidArgument);
+  EXPECT_THROW(ClusterConfig::parse("0x 127.0.0.1:9100\n"), InvalidArgument);
 }
 
 // ---------- Raw datagram delivery ----------

@@ -327,8 +327,7 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
   // deliver span per (message, member), and the retransmission counters
   // must account for the recovery work.
   SimEnv::Config config;
-  config.drop_probability = 0.2;
-  config.duplicate_probability = 0.1;
+  config.fault_plan = "seed 11\nlink * * drop 0.2 dup 0.1\n";
   config.seed = 11;
   SimEnv env(config);
   ObsFixture obs_fixture;
@@ -350,6 +349,8 @@ TEST(ObsStack, RetransmittedFramesMintNoDuplicateDeliverSpans) {
     ASSERT_EQ(group.log(member).size(), 20u) << "member " << member;
   }
 
+  EXPECT_GT(env.faults().drops, 0u);
+  EXPECT_GT(env.faults().duplicates, 0u);
   const auto snap = obs_fixture.registry.snapshot();
   // The network dropped frames, so recovery must have happened...
   EXPECT_GT(snap.at("reliable.retransmissions"), 0.0);

@@ -281,8 +281,11 @@ TEST(ReliableEdge, LostTailAboveTheFloorIsResentWhileAcksAreCapped) {
   // Seqs 70..100 are lost on first send and nothing above them arrives,
   // so no NACK can name them: only a retransmit pass that starts above
   // the floor the receiver reports (69), not at the lowest unacked seq,
-  // resends them.
-  testkit::SimEnv env;
+  // resends them. The sender is 0 and the receiver 1; the window
+  // [500, 600) µs holds nothing but the first send of seqs 70..100.
+  testkit::SimEnv::Config config;
+  config.fault_plan = "seed 42\npartition 500 100 0|1\n";
+  testkit::SimEnv env(config);
   std::set<std::uint64_t> received;
   ReliableEndpoint sender(env.transport, [](NodeId, const WireFrame&) {});
   ReliableEndpoint receiver(env.transport,
@@ -290,6 +293,8 @@ TEST(ReliableEdge, LostTailAboveTheFloorIsResentWhileAcksAreCapped) {
                               Reader reader(frame.bytes());
                               received.insert(reader.u64());
                             });
+  ASSERT_EQ(sender.id(), 0u);
+  ASSERT_EQ(receiver.id(), 1u);
   receiver.set_ack_ceiling(sender.id(), 0);
   const auto send = [&](std::uint64_t value) {
     Writer writer;
@@ -299,13 +304,13 @@ TEST(ReliableEdge, LostTailAboveTheFloorIsResentWhileAcksAreCapped) {
   for (std::uint64_t seq = 1; seq <= 69; ++seq) {
     send(seq);
   }
-  env.network.set_partitions({{sender.id()}, {receiver.id()}});
+  env.run_until(500);
   for (std::uint64_t seq = 70; seq <= 100; ++seq) {
     send(seq);
   }
-  env.network.heal();
   // Default intervals: 2 ms control, 5 x 2 ms = 10 ms retransmit.
   env.run_until(4 * 10'000);
+  EXPECT_EQ(env.faults().partition_drops, 31u);
   EXPECT_EQ(received.size(), 100u);
   EXPECT_EQ(sender.unacked_total(), 100u);  // the ceiling still holds
 }

@@ -337,8 +337,8 @@ TEST(Replica, GroupValidation) {
 
 TEST(Replica, WorksOverLossyNetworkWithReliability) {
   SimEnv::Config config;
-  config.drop_probability = 0.25;
   config.jitter_us = 2000;
+  config.fault_plan = "seed 13\nlink * * drop 0.25\n";
   config.seed = 13;
   SimEnv env(config);
   typename ReplicaNode<apps::Counter>::Options options;
@@ -353,6 +353,7 @@ TEST(Replica, WorksOverLossyNetworkWithReliability) {
   EXPECT_TRUE(group.states_agree());
   EXPECT_EQ(group.node(0).state().value(), 11);
   EXPECT_TRUE(group.stable_states_agree());
+  EXPECT_GT(env.faults().drops, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Failure-injection and robustness tests: malformed frames, partitions
-// with healing, combined fault envelopes on every ordering discipline.
+// Failure-injection and robustness tests: malformed frames, partition
+// windows that close, combined fault plans on every ordering discipline.
 #include <gtest/gtest.h>
 
 #include "apps/counter.h"
@@ -99,8 +99,11 @@ TEST(Robustness, RequestAtNonSequencerIsProtocolViolation) {
 // ---------- Partitions and healing ----------
 
 TEST(Robustness, ReplicaGroupConvergesAfterPartitionHeals) {
+  // {0,1} | {2,3} during [50 ms, 80 ms): both sides write inside the
+  // window, diverge, and converge once it closes.
   SimEnv::Config config;
   config.jitter_us = 1000;
+  config.fault_plan = "seed 3\npartition 50000 30000 0,1|2,3\n";
   config.seed = 3;
   SimEnv env(config);
   typename ReplicaNode<apps::Counter>::Options options;
@@ -110,28 +113,32 @@ TEST(Robustness, ReplicaGroupConvergesAfterPartitionHeals) {
 
   // Healthy traffic first.
   group.node(0).submit(apps::Counter::inc(1));
-  env.run();
+  env.run_until(50000);
+  EXPECT_EQ(group.node(3).state().value(), 1);
 
-  // Partition {0,1} | {2,3}; both sides keep writing.
-  env.network.set_partitions({{0, 1}, {2, 3}});
+  // Both sides write inside the window.
   group.node(0).submit(apps::Counter::inc(10));
   group.node(3).submit(apps::Counter::inc(100));
-  env.run_until(env.scheduler.now() + 30000);
+  env.run_until(80000);
   // Sides have diverged: each saw only its own partition's writes.
   EXPECT_EQ(group.node(1).state().value(), 11);
   EXPECT_EQ(group.node(2).state().value(), 101);
 
-  // Heal; the reliability layer's retransmit timers re-deliver everything.
-  env.network.heal();
+  // The window closed; the reliability layer's retransmit timers
+  // re-deliver everything.
   env.run();
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(group.node(i).state().value(), 111) << "member " << i;
   }
   EXPECT_TRUE(group.states_agree());
+  EXPECT_GT(env.faults().partition_drops, 0u);
 }
 
 TEST(Robustness, AsendTotalOrderSurvivesPartitionHeal) {
+  // {0} | {1,2} during [50 ms, 70 ms): a round started inside the window
+  // cannot complete until it closes.
   SimEnv::Config config;
+  config.fault_plan = "seed 5\npartition 50000 20000 0|1,2\n";
   config.seed = 5;
   SimEnv env(config);
   ASendMember::Options options;
@@ -139,28 +146,39 @@ TEST(Robustness, AsendTotalOrderSurvivesPartitionHeal) {
   Group<ASendMember> group(env.transport, 3, options);
 
   group[0].asend("before", {});
-  env.run();
-  env.network.set_partitions({{0}, {1, 2}});
+  env.run_until(50000);
+  EXPECT_EQ(group.log(1).size(), 1u);
   group[1].asend("during", {});  // cannot complete its round yet
-  env.run_until(env.scheduler.now() + 20000);
+  env.run_until(70000);
   EXPECT_EQ(group.log(1).size(), 1u);  // only "before" delivered
-  env.network.heal();
   env.run();
   // After healing, the round completes identically everywhere.
   EXPECT_EQ(group.log(0).size(), 2u);
   EXPECT_TRUE(group.all_delivered_same_sequence());
+  EXPECT_GT(env.faults().partition_drops, 0u);
 }
 
 // ---------- Combined fault envelope, every discipline ----------
 
-template <typename MemberT>
-void hostile_run(std::uint64_t seed) {
+/// 3 ms jitter plus 20% loss and 10% duplication on every link, drawn
+/// from `seed`.
+SimEnv::Config hostile_config(std::uint64_t seed) {
   SimEnv::Config config;
   config.jitter_us = 3000;
-  config.drop_probability = 0.2;
-  config.duplicate_probability = 0.1;
+  config.fault_plan =
+      "seed " + std::to_string(seed) + "\nlink * * drop 0.2 dup 0.1\n";
   config.seed = seed;
-  SimEnv env(config);
+  return config;
+}
+
+void expect_losses_and_duplicates(const SimEnv& env, std::uint64_t seed) {
+  EXPECT_GT(env.faults().drops, 0u) << "seed " << seed;
+  EXPECT_GT(env.faults().duplicates, 0u) << "seed " << seed;
+}
+
+template <typename MemberT>
+void hostile_run(std::uint64_t seed) {
+  SimEnv env(hostile_config(seed));
   typename MemberT::Options options{};
   options.reliability = {.control_interval_us = 3000, .enabled = true};
   Group<MemberT> group(env.transport, 3, options);
@@ -178,6 +196,7 @@ void hostile_run(std::uint64_t seed) {
         << "seed " << seed;
   }
   EXPECT_TRUE(group.all_delivered_same_set()) << "seed " << seed;
+  expect_losses_and_duplicates(env, seed);
 }
 
 class HostileNetwork : public ::testing::TestWithParam<std::uint64_t> {};
@@ -189,12 +208,7 @@ TEST_P(HostileNetwork, VcCausalDeliversEverything) {
   hostile_run<VcCausalMember>(GetParam());
 }
 TEST_P(HostileNetwork, ASendDeliversEverythingInTotalOrder) {
-  SimEnv::Config config;
-  config.jitter_us = 3000;
-  config.drop_probability = 0.2;
-  config.duplicate_probability = 0.1;
-  config.seed = GetParam();
-  SimEnv env(config);
+  SimEnv env(hostile_config(GetParam()));
   ASendMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
   Group<ASendMember> group(env.transport, 3, options);
@@ -207,15 +221,11 @@ TEST_P(HostileNetwork, ASendDeliversEverythingInTotalOrder) {
   env.run();
   EXPECT_EQ(group.log(0).size(), 30u);
   EXPECT_TRUE(group.all_delivered_same_sequence());
+  expect_losses_and_duplicates(env, GetParam());
 }
 
 TEST_P(HostileNetwork, SequencerDeliversEverythingInTotalOrder) {
-  SimEnv::Config config;
-  config.jitter_us = 3000;
-  config.drop_probability = 0.2;
-  config.duplicate_probability = 0.1;
-  config.seed = GetParam();
-  SimEnv env(config);
+  SimEnv env(hostile_config(GetParam()));
   SequencerMember::Options options;
   options.reliability = {.control_interval_us = 3000, .enabled = true};
   Group<SequencerMember> group(env.transport, 3, options);
@@ -229,6 +239,7 @@ TEST_P(HostileNetwork, SequencerDeliversEverythingInTotalOrder) {
   env.run();
   EXPECT_EQ(group[0].log().size(), 30u);
   EXPECT_TRUE(group.all_delivered_same_sequence());
+  expect_losses_and_duplicates(env, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HostileNetwork,

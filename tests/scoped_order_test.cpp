@@ -165,24 +165,39 @@ TEST(ScopedOrder, StragglerNotCoveredByCloseIsReleasedCausally) {
   // Member 1's submission races the close: the closer never saw it, so no
   // total-order promise — it must still be delivered (causally) at every
   // member, after the scope release there.
-  sim::Scheduler scheduler;
-  auto latency = std::make_unique<sim::MatrixLatency>(2, 1000, 0);
-  latency->set(1, 0, 20000);  // member1 -> member0 very slow
-  sim::SimNetwork network(scheduler, std::move(latency), {}, 1);
-  SimTransport transport(network);
-  ScopedGroup group(transport, 2);
+  SimEnv::Config config;
+  // member1 -> member0 takes 20 ms instead of 1 ms.
+  config.fault_plan = "seed 1\nlink 1 0 delay 19000 19000\n";
+  config.seed = 1;
+  SimEnv env(config);
+  ScopedGroup group(env.transport, 2);
   const ScopeId scope = group.members[0]->open_scope("a");
-  scheduler.run();
+  env.run();
   group.members[1]->send_scoped(scope, "straggler", {});  // slow to reach 0
-  scheduler.run_until(scheduler.now() + 2000);
+  env.run_until(env.scheduler.now() + 2000);
   group.members[0]->close_scope(scope, "d");  // closer never saw straggler
-  scheduler.run();
+  env.run();
+  EXPECT_GT(env.faults().delays, 0u);
   for (std::size_t i = 0; i < 2; ++i) {
     const auto labels = group.labels(i);
     EXPECT_NE(std::find(labels.begin(), labels.end(), "straggler"),
               labels.end())
         << "member " << i;
   }
+}
+
+TEST(ScopedOrder, ForgedScopeTagIsProtocolViolation) {
+  // '@' labels are reserved for scope tags, so a tag whose opener does
+  // not parse is a protocol violation, like a scoped message that beats
+  // its ascendant. Member 1 is a bare OSend member that forges one.
+  SimEnv env;
+  const GroupView view = testkit::make_view(2);
+  testkit::Recorder recorder;
+  ScopedOrderMember member(env.transport, view, recorder.tap());
+  OSendMember forger(env.transport, view, [](const Delivery&) {});
+  forger.broadcast("@.1o|x", {}, DepSpec::none());
+  EXPECT_THROW(env.run(), ProtocolViolation);
+  EXPECT_TRUE(recorder.log().empty());
 }
 
 // Property: many submitters, random scopes — app release order of covered

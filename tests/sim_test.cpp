@@ -132,12 +132,12 @@ TEST(Scheduler, MaxEventsCapRespected) {
 // ---------- Latency models ----------
 
 TEST(Latency, UniformJitterWithinBounds) {
-  UniformJitterLatency model(100, 50);
+  const UniformJitterLatency model(100, 50);
   Rng rng(2);
   bool varied = false;
-  SimTime first = model.sample(0, 1, rng);
+  SimTime first = model.sample(rng);
   for (int i = 0; i < 200; ++i) {
-    const SimTime v = model.sample(0, 1, rng);
+    const SimTime v = model.sample(rng);
     EXPECT_GE(v, 100);
     EXPECT_LE(v, 150);
     varied |= (v != first);
@@ -145,32 +145,17 @@ TEST(Latency, UniformJitterWithinBounds) {
   EXPECT_TRUE(varied);
 }
 
-TEST(Latency, MatrixOverridesAndDefaults) {
-  MatrixLatency model(3, 100, 0);
-  model.set(0, 1, 500);
-  model.set_symmetric(1, 2, 700);
-  Rng rng(4);
-  EXPECT_EQ(model.sample(0, 1, rng), 500);
-  EXPECT_EQ(model.sample(1, 0, rng), 100);  // unset direction -> default
-  EXPECT_EQ(model.sample(1, 2, rng), 700);
-  EXPECT_EQ(model.sample(2, 1, rng), 700);
-  EXPECT_EQ(model.sample(0, 2, rng), 100);
-}
-
 TEST(Latency, ConstructorValidation) {
   EXPECT_THROW(UniformJitterLatency(-1, 0), InvalidArgument);
   EXPECT_THROW(UniformJitterLatency(0, -1), InvalidArgument);
-  EXPECT_THROW(MatrixLatency(0, 10, 0), InvalidArgument);
 }
 
 // ---------- SimNetwork ----------
 
 struct NetFixture {
-  explicit NetFixture(FaultConfig faults = {}, SimTime jitter = 0,
-                      std::uint64_t seed = 99)
+  explicit NetFixture(SimTime jitter = 0, std::uint64_t seed = 99)
       : network(scheduler,
-                std::make_unique<UniformJitterLatency>(100, jitter), faults,
-                seed) {}
+                std::make_unique<UniformJitterLatency>(100, jitter), seed) {}
 
   NodeId add_recorder() {
     const auto index = received.size();
@@ -210,63 +195,6 @@ TEST(SimNetwork, SelfSendDelivered) {
   ASSERT_EQ(fx.received[a].size(), 1u);
 }
 
-TEST(SimNetwork, DropAllLosesEverything) {
-  NetFixture fx(FaultConfig{.drop_probability = 1.0});
-  const NodeId a = fx.add_recorder();
-  const NodeId b = fx.add_recorder();
-  for (int i = 0; i < 10; ++i) {
-    fx.network.send(a, b, std::vector<std::uint8_t>{0});
-  }
-  fx.scheduler.run();
-  EXPECT_TRUE(fx.received[b].empty());
-  EXPECT_EQ(fx.network.stats().dropped, 10u);
-  EXPECT_EQ(fx.network.stats().delivered, 0u);
-}
-
-TEST(SimNetwork, DuplicationDeliversTwice) {
-  NetFixture fx(FaultConfig{.duplicate_probability = 1.0});
-  const NodeId a = fx.add_recorder();
-  const NodeId b = fx.add_recorder();
-  fx.network.send(a, b, {5});
-  fx.scheduler.run();
-  EXPECT_EQ(fx.received[b].size(), 2u);
-  EXPECT_EQ(fx.network.stats().duplicated, 1u);
-}
-
-TEST(SimNetwork, PartitionBlocksAndHealRestores) {
-  NetFixture fx;
-  const NodeId a = fx.add_recorder();
-  const NodeId b = fx.add_recorder();
-  const NodeId c = fx.add_recorder();
-  fx.network.set_partitions({{a}, {b, c}});
-  EXPECT_FALSE(fx.network.connected(a, b));
-  EXPECT_TRUE(fx.network.connected(b, c));
-  fx.network.send(a, b, {1});
-  fx.network.send(b, c, {2});
-  fx.scheduler.run();
-  EXPECT_TRUE(fx.received[b].empty());
-  EXPECT_EQ(fx.received[c].size(), 1u);
-  EXPECT_EQ(fx.network.stats().blocked, 1u);
-
-  fx.network.heal();
-  EXPECT_TRUE(fx.network.connected(a, b));
-  fx.network.send(a, b, {3});
-  fx.scheduler.run();
-  EXPECT_EQ(fx.received[b].size(), 1u);
-}
-
-TEST(SimNetwork, PartitionRaisedInFlightBlocksDelivery) {
-  NetFixture fx;
-  const NodeId a = fx.add_recorder();
-  const NodeId b = fx.add_recorder();
-  fx.network.send(a, b, {1});  // delivery at t=100
-  fx.scheduler.run_until(50);
-  fx.network.set_partitions({{a}, {b}});
-  fx.scheduler.run();
-  EXPECT_TRUE(fx.received[b].empty());
-  EXPECT_EQ(fx.network.stats().blocked, 1u);
-}
-
 TEST(SimNetwork, StatsCountBytes) {
   NetFixture fx;
   const NodeId a = fx.add_recorder();
@@ -274,29 +202,13 @@ TEST(SimNetwork, StatsCountBytes) {
   fx.network.send(a, b, std::vector<std::uint8_t>(37, 0));
   fx.scheduler.run();
   EXPECT_EQ(fx.network.stats().sent, 1u);
+  EXPECT_EQ(fx.network.stats().delivered, 1u);
   EXPECT_EQ(fx.network.stats().bytes, 37u);
-}
-
-TEST(SimNetwork, DeliveryTapObservesTraffic) {
-  NetFixture fx;
-  const NodeId a = fx.add_recorder();
-  const NodeId b = fx.add_recorder();
-  int taps = 0;
-  fx.network.set_delivery_tap(
-      [&](NodeId from, NodeId to, std::span<const std::uint8_t>, SimTime at) {
-        ++taps;
-        EXPECT_EQ(from, a);
-        EXPECT_EQ(to, b);
-        EXPECT_EQ(at, 100);
-      });
-  fx.network.send(a, b, {1});
-  fx.scheduler.run();
-  EXPECT_EQ(taps, 1);
 }
 
 TEST(SimNetwork, JitterReordersMessages) {
   // With large jitter, two messages sent back-to-back can arrive swapped.
-  NetFixture fx({}, /*jitter=*/1000, /*seed=*/7);
+  NetFixture fx(/*jitter=*/1000, /*seed=*/7);
   const NodeId a = fx.add_recorder();
   const NodeId b = fx.add_recorder();
   bool reordered = false;
@@ -313,7 +225,7 @@ TEST(SimNetwork, JitterReordersMessages) {
 
 TEST(SimNetwork, DeterministicAcrossRuns) {
   auto run_once = [](std::uint64_t seed) {
-    NetFixture fx(FaultConfig{.drop_probability = 0.3}, 500, seed);
+    NetFixture fx(/*jitter=*/500, seed);
     const NodeId a = fx.add_recorder();
     const NodeId b = fx.add_recorder();
     for (std::uint8_t i = 0; i < 50; ++i) {

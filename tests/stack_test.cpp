@@ -29,7 +29,7 @@ template <typename MemberT>
 struct HostileStatsRun {
   HostileStatsRun()
       : env(SimEnv::Config{.jitter_us = 4000,
-                           .duplicate_probability = 0.5,
+                           .fault_plan = "seed 21\nlink * * dup 0.5\n",
                            .seed = 21}),
         group(env.transport, 3) {
     MessageId prev = MessageId::null();
@@ -69,6 +69,7 @@ void expect_counters_converged(HostileStatsRun<MemberT>& run) {
   }
   EXPECT_TRUE(run.group.all_delivered_same_set());
   // 50% duplication must surface in the duplicate counter somewhere.
+  EXPECT_GT(run.env.faults().duplicates, 0u);
   EXPECT_GT(run.total(&OrderingStats::duplicates), 0u);
 }
 

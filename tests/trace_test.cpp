@@ -52,23 +52,24 @@ TEST(Trace, RenderValidation) {
 }
 
 TEST(Trace, WiredToARealScenario) {
-  // Tap the network plus protocol sends into a trace and check the
-  // diagram tells the Figure-2 story: send at one node precedes delivery
-  // at the others.
+  // Record a protocol send and the group's deliveries into a trace and
+  // check the diagram tells the Figure-2 story: send at one node precedes
+  // delivery at the others.
   testkit::SimEnv env;
   Trace trace;
-  env.network.set_delivery_tap([&](NodeId from, NodeId to,
-                                   std::span<const std::uint8_t>,
-                                   SimTime at) {
-    trace.record(at, to, TraceKind::kDeliver,
-                 "wire from n" + std::to_string(from));
-  });
   testkit::Group<cbc::OSendMember> group(env.transport, 3);
   trace.record(env.scheduler.now(), 0, TraceKind::kSend, "osend mk");
   group[0].osend("mk", {}, cbc::DepSpec::none());
   env.run();
-  EXPECT_TRUE(trace.happens_before(0, "osend mk", 1, "wire from n0"));
-  EXPECT_TRUE(trace.happens_before(0, "osend mk", 2, "wire from n0"));
+  for (std::size_t node = 0; node < group.size(); ++node) {
+    for (const cbc::Delivery& delivery : group.log(node)) {
+      trace.record(delivery.delivered_at, static_cast<NodeId>(node),
+                   TraceKind::kDeliver,
+                   "deliver from n" + std::to_string(delivery.sender));
+    }
+  }
+  EXPECT_TRUE(trace.happens_before(0, "osend mk", 1, "deliver from n0"));
+  EXPECT_TRUE(trace.happens_before(0, "osend mk", 2, "deliver from n0"));
   const std::string diagram = trace.render(3);
   EXPECT_NE(diagram.find("osend mk"), std::string::npos);
 }

@@ -83,7 +83,7 @@ TEST(Reliable, LossFreeDeliversInOrderWithoutRetransmission) {
 
 TEST(Reliable, RecoversFromHeavyLoss) {
   SimEnv::Config config;
-  config.drop_probability = 0.4;
+  config.fault_plan = "seed 5\nlink * * drop 0.4\n";
   config.seed = 5;
   ReliablePair pair(config);
   const std::uint64_t count = 100;
@@ -97,6 +97,7 @@ TEST(Reliable, RecoversFromHeavyLoss) {
                                        pair.bob_received.end());
   EXPECT_EQ(unique.size(), count);
   EXPECT_GT(pair.alice.stats().retransmissions, 0u);
+  EXPECT_GT(pair.env.faults().drops, 0u);
 }
 
 TEST(Reliable, SenderTimerKeepsRetryingUnackedTail) {
@@ -106,7 +107,7 @@ TEST(Reliable, SenderTimerKeepsRetryingUnackedTail) {
   // exponentially up to max_retransmit_interval_us, so give the run
   // enough simulated time to see several of them.
   SimEnv::Config config;
-  config.drop_probability = 1.0;
+  config.fault_plan = "seed 6\nlink * * drop 1\n";
   config.seed = 6;
   ReliablePair pair(config);
   pair.alice.send(pair.bob.id(), ReliablePair::payload(7));
@@ -115,6 +116,7 @@ TEST(Reliable, SenderTimerKeepsRetryingUnackedTail) {
   EXPECT_GE(pair.alice.stats().retransmissions, 5u);
   EXPECT_EQ(pair.alice.stats().peer_unresponsive_events, 1u);
   EXPECT_GT(pair.env.scheduler.pending(), 0u);  // still trying
+  EXPECT_GT(pair.env.faults().drops, 5u);
 }
 
 TEST(Reliable, AckCeilingWithholdsAcksUntilRaised) {
@@ -141,7 +143,7 @@ TEST(Reliable, AckCeilingWithholdsAcksUntilRaised) {
 
 TEST(Reliable, SuppressesDuplicates) {
   SimEnv::Config config;
-  config.duplicate_probability = 1.0;
+  config.fault_plan = "seed 8\nlink * * dup 1\n";
   config.seed = 8;
   ReliablePair pair(config);
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -150,11 +152,12 @@ TEST(Reliable, SuppressesDuplicates) {
   pair.env.run();
   EXPECT_EQ(pair.bob_received.size(), 10u);
   EXPECT_GT(pair.bob.stats().duplicates_suppressed, 0u);
+  EXPECT_GT(pair.env.faults().duplicates, 0u);
 }
 
 TEST(Reliable, BidirectionalTrafficIndependent) {
   SimEnv::Config config;
-  config.drop_probability = 0.2;
+  config.fault_plan = "seed 9\nlink * * drop 0.2\n";
   config.seed = 9;
   ReliablePair pair(config);
   for (std::uint64_t i = 0; i < 30; ++i) {
@@ -164,6 +167,7 @@ TEST(Reliable, BidirectionalTrafficIndependent) {
   pair.env.run();
   EXPECT_EQ(pair.bob_received.size(), 30u);
   EXPECT_EQ(pair.alice_received.size(), 30u);
+  EXPECT_GT(pair.env.faults().drops, 0u);
 }
 
 TEST(Reliable, PassThroughModeSendsRawBytes) {
@@ -185,7 +189,7 @@ TEST(Reliable, PassThroughModeSendsRawBytes) {
 
 TEST(Reliable, QuiescesAfterRecovery) {
   SimEnv::Config config;
-  config.drop_probability = 0.3;
+  config.fault_plan = "seed 10\nlink * * drop 0.3\n";
   config.seed = 10;
   ReliablePair pair(config);
   for (std::uint64_t i = 0; i < 50; ++i) {
@@ -194,6 +198,7 @@ TEST(Reliable, QuiescesAfterRecovery) {
   pair.env.run();  // must terminate: timers disarm once all acked
   EXPECT_EQ(pair.env.scheduler.pending(), 0u);
   EXPECT_EQ(pair.bob_received.size(), 50u);
+  EXPECT_GT(pair.env.faults().drops, 0u);
 }
 
 TEST(Reliable, JitterReorderingToleratedWithoutRetransmitStorm) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/ensure.h"
+#include "util/parse.h"
 #include "util/prefix_seq_set.h"
 #include "util/rng.h"
 #include "util/serde.h"
@@ -44,6 +45,27 @@ TEST(Ensure, MessageContainsTextAndLocation) {
 }
 
 // ---------- PrefixSeqSet ----------
+
+TEST(Parse, ProbabilityIsAWholeTokenInZeroOne) {
+  EXPECT_EQ(parse_probability("drop", "0"), 0.0);
+  EXPECT_EQ(parse_probability("drop", "1"), 1.0);
+  EXPECT_EQ(parse_probability("drop", "0.25"), 0.25);
+  EXPECT_EQ(parse_probability("drop", ".5"), 0.5);
+  EXPECT_EQ(parse_probability("drop", "5e-1"), 0.5);
+  for (const char* token :
+       {"", "nan", "NaN", "inf", "-0", "-0.1", "+0.5", " 0.5", "0.5 ",
+        "0.5x", "1.0001", "2", "1e999", "0x1p-1", "0,5"}) {
+    try {
+      (void)parse_probability("drop", token);
+      ADD_FAILURE() << "accepted '" << token << "'";
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("drop"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + std::string(token) + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
 
 TEST(PrefixSeqSet, OutOfOrderSeqsFoldIntoTheFloor) {
   PrefixSeqSet seqs;

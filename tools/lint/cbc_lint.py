@@ -41,6 +41,13 @@ Rules
                       explorer, stack, kv, flight, clock, process,
                       replica). An off-catalog family mints
                       a cbc_<family>_* namespace no CI baseline gates.
+  L6 number-parse     no std::sto* / ato* / strto* calls. They read a
+                      prefix ("9100x" is 9100), wrap a sign ("-5" is
+                      2^64-5) or accept "nan"; text from outside the
+                      program goes through util/parse.h, whose parsers
+                      take whole tokens in a range or throw. A site
+                      whose input cannot be malformed carries
+                      `// cbc-lint: disable=L6` and a reason, as L2.
 
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 """
@@ -53,7 +60,7 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("L1", "L2", "L3", "L4", "L5")
+RULES = ("L1", "L2", "L3", "L4", "L5", "L6")
 
 # The one file allowed to name raw standard-library primitives: it wraps
 # them behind the annotated capability types.
@@ -98,6 +105,11 @@ PREFIX_ASSIGN = re.compile(r'\bprefix\s*=\s*"([^"]*)"')
 # Dotted lower_snake segments; a leading/trailing dot is allowed for
 # literals concatenated with a runtime prefix/suffix.
 METRIC_LITERAL = re.compile(r"^\.?[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*\.?$")
+
+NUMBER_PARSE = re.compile(
+    r"\b(?:std::)?(sto(?:i|l|ul|ll|ull|f|d|ld)|ato(?:i|l|ll|f)|"
+    r"strto(?:l|ll|ul|ull|f|d|ld|imax|umax))\s*\("
+)
 
 SUPPRESS = re.compile(r"cbc-lint:\s*disable=(L\d)")
 
@@ -342,6 +354,12 @@ class Linter:
                             "in the docs/OBSERVABILITY.md catalog — register "
                             "the family there and in "
                             "bench/cluster_metrics_baseline.prom first")
+
+        for match in NUMBER_PARSE.finditer(code):
+            add("L6", match.start(),
+                f"{match.group(1)}() reads a prefix, wraps a sign or takes "
+                "nan — parse text from outside the program whole-token "
+                "with util/parse.h (parse_uint / parse_probability)")
 
         for match in PREFIX_ASSIGN.finditer(code_with_strings):
             family = match.group(1)
